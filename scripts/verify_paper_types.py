@@ -10,7 +10,8 @@ import json
 import pathlib
 import sys
 
-from nilinv.checker import DEFAULT_SEED, case242_report, verify_type
+from nilinv.checker import case242_report, verify_type
+from nilinv.orbitlab import DEFAULT_SEED
 from nilinv.rootcomb import ParabolicType
 
 TYPES = [(2, 1, 3, 2), (2, 2, 2, 1, 1), (2, 2, 1, 1), (2, 4, 2)]

@@ -36,7 +36,6 @@ from .checker import (
     Case242Report,
     VerificationReport,
     case242_report,
-    independence_rank,
     is_n_invariant,
     one_param_transform,
     verify_type,

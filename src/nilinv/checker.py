@@ -11,18 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactpoly import Polynomial, T, rank
-from .invgen import (
-    CASE_242,
-    GeneratorSet,
-    build_generators,
-    l_poly,
-    minor_poly,
-    power_minor,
-)
+from .invgen import CASE_242, build_generators, l_poly, minor_poly, power_minor
+from .orbitlab import DEFAULT_SEED, sample_point
 from .rootcomb import (
     AdmissiblePair,
     ParabolicType,
@@ -33,8 +26,6 @@ from .rootcomb import (
     phi_set,
 )
 
-DEFAULT_SEED = 271828
-SAMPLE_RANGE = (-9, 9)
 INDEPENDENCE_RETRIES = 5
 
 
@@ -68,17 +59,12 @@ def one_param_transform(ptype: ParabolicType, k: int, f: Polynomial) -> Polynomi
 
 def is_n_invariant(ptype: ParabolicType, f: Polynomial) -> bool:
     """Whether f is fixed by every one-parameter subgroup g_k(t), k = 1..n-1."""
-    return all(one_param_transform(ptype, k, f) == f for k in range(1, ptype.n))
+    return all(invariance_table(ptype, f))
 
 
 def invariance_table(ptype: ParabolicType, f: Polynomial) -> list[bool]:
     """Per-k invariance results, indexed by k = 1..n-1."""
     return [one_param_transform(ptype, k, f) == f for k in range(1, ptype.n)]
-
-
-def sample_assignment(ptype: ParabolicType, rng: random.Random, lo: int = SAMPLE_RANGE[0], hi: int = SAMPLE_RANGE[1]) -> dict:
-    """Random integer values for every nilradical variable, in a fixed order."""
-    return {tuple(r): Fraction(rng.randint(lo, hi)) for r in sorted(nilradical_roots(ptype))}
 
 
 def jacobian_rank_at(ptype: ParabolicType, polys: Sequence[Polynomial], assignment: dict) -> int:
@@ -124,18 +110,15 @@ def independence_details(
     if not polys:
         raise ValueError("need at least one polynomial")
     rng = random.Random(seed)
+    positions = nilradical_roots(ptype)
     best = 0
     attempts = 0
     for _ in range(retries):
         attempts += 1
-        best = max(best, jacobian_rank_at(ptype, polys, sample_assignment(ptype, rng)))
+        best = max(best, jacobian_rank_at(ptype, polys, sample_point(ptype, rng).values(positions)))
         if best == len(polys):
             break
     return IndependenceResult(rank=best, expected=len(polys), seed=seed, attempts=attempts)
-
-
-def independence_rank(ptype: ParabolicType, polys: Sequence[Polynomial], seed: int = DEFAULT_SEED) -> int:
-    return independence_details(ptype, polys, seed).rank
 
 
 def root_weight_matrix(roots: Iterable[Root], n: int) -> list[list[int]]:
@@ -219,15 +202,16 @@ def verify_type(ptype: ParabolicType, seed: int = DEFAULT_SEED) -> VerificationR
         independence = IndependenceResult(rank=0, expected=0, seed=seed, attempts=0)
     pairs = gens.pairs
     s_phi = list(gens.base.roots) + sorted(phi_set(pairs))
+    corank_alpha = weight_corank(pairs, ptype.n)
     return VerificationReport(
         ptype=ptype,
         seed=seed,
         invariance=invariance,
         independence=independence,
-        corank_alpha=weight_corank(pairs, ptype.n),
+        corank_alpha=corank_alpha,
         corank_s_phi=corank_of_roots(s_phi, ptype.n),
         trdeg_field_n=len(gens.base) + len(pairs),
-        trdeg_field_b_claimed=weight_corank(pairs, ptype.n),
+        trdeg_field_b_claimed=corank_alpha,
     )
 
 
@@ -256,13 +240,9 @@ def y_family_map() -> dict:
     return mapping
 
 
-def _param(name: str) -> Polynomial:
-    return Polynomial.var(name)
-
-
 def _expected_y_table() -> dict[str, Polynomial]:
-    a1, a2, b1, b2 = map(_param, ("a1", "a2", "b1", "b2"))
-    c11, c12, c21, c22 = map(_param, ("c11", "c12", "c21", "c22"))
+    a1, a2, b1, b2 = map(Polynomial.var, ("a1", "a2", "b1", "b2"))
+    c11, c12, c21, c22 = map(Polynomial.var, ("c11", "c12", "c21", "c22"))
     return {
         "M1": Polynomial.zero(),
         "M2": -a1 * a2,
@@ -381,7 +361,7 @@ def case242_report(seed: int = DEFAULT_SEED) -> Case242Report:
         )
 
     nine = list(gens.values())
-    nine_rank = independence_rank(CASE_242, nine, seed)
+    nine_rank = independence_details(CASE_242, nine, seed).rank
 
     return Case242Report(
         seed=seed,

@@ -22,11 +22,11 @@ import json
 import os
 import sys
 
-from .checker import DEFAULT_SEED, case242_report, verify_type
+from .checker import case242_report, verify_type
 from .errors import NilinvError, OutsideU0Error
 from .exactpoly import MatrixPoint
 from .invgen import build_generators
-from .orbitlab import orbit_experiment, verify_unique_intersection
+from .orbitlab import DEFAULT_SEED, orbit_experiment, verify_unique_intersection
 from .rootcomb import (
     ParabolicType,
     admissible_pairs,
@@ -53,10 +53,6 @@ def _json_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_type(text: str) -> ParabolicType:
-    return ParabolicType.from_string(text)
-
-
 def _base_doc(ptype: ParabolicType) -> dict:
     base = compute_base(ptype)
     pairs = admissible_pairs(ptype, base)
@@ -64,16 +60,7 @@ def _base_doc(ptype: ParabolicType) -> dict:
         "type": list(ptype.block_sizes),
         "blocks": list(ptype.block_sizes),
         "base": [[r.i, r.j] for r in base.by_column()],
-        "pairs": [
-            {
-                "xi": list(q.xi),
-                "xi_prime": list(q.xi_prime),
-                "alpha": list(q.alpha),
-                "phi": list(q.phi),
-                "psi": list(q.psi),
-            }
-            for q in pairs
-        ],
+        "pairs": [q.to_json_dict() for q in pairs],
         "phi": [list(r) for r in sorted(phi_set(pairs))],
         "psi": [list(r) for r in sorted(psi_set(pairs))],
         "dims": dims(ptype).to_dict(),
@@ -149,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command in ("diagram", "base", "invariants", "verify", "orbit-dim", "reduce"):
-            ptype = _parse_type(args.type)
+            ptype = ParabolicType.from_string(args.type)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,10 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, matrices, rank.
 
 Everything is computed over arbitrary-precision rationals
-(fractions.Fraction); no floating point appears anywhere.  Polynomial
+(fractions.Fraction); no floating point appears anywhere.  ``MatrixPoint``
+is the one exact-matrix type: nilradical points and unitriangular group
+elements (its subclass ``orbitlab.GroupElement``) are both MatrixPoints,
+while ``PolyMatrix`` holds the formal matrix of variables.  Polynomial
 variables are matrix positions (i, j) plus named parameters given as
 strings, with the one-parameter deformation variable ``t`` reserved for
 the group-action checks.
@@ -162,9 +165,6 @@ class Polynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -179,17 +179,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(e for _, e in mono) for mono in self.terms)
-
-    def degree_in(self, v: Var) -> int:
-        best = 0
-        for mono in self.terms:
-            for var, e in mono:
-                if var == v:
-                    best = max(best, e)
-        return best
-
-    def coefficient(self, mono) -> Fraction:
-        return self.terms.get(_canon_mono(mono), Fraction(0))
 
     def as_monomial(self) -> tuple[Fraction, tuple]:
         """Return (coefficient, monomial) if the polynomial has exactly one term."""
@@ -420,7 +409,7 @@ def rank(matrix: Iterable[Iterable[Scalar]]) -> int:
 
 @dataclass
 class MatrixPoint:
-    """An n x n matrix of exact rationals, used for points of the nilradical."""
+    """An n x n matrix of exact rationals: nilradical points and group elements."""
 
     n: int
     rows: list[list[Fraction]]
@@ -428,6 +417,18 @@ class MatrixPoint:
     @classmethod
     def zeros(cls, n: int) -> "MatrixPoint":
         return cls(n, [[Fraction(0)] * n for _ in range(n)])
+
+    @classmethod
+    def identity(cls, n: int) -> "MatrixPoint":
+        return cls(n, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+    def __mul__(self, other: "MatrixPoint") -> "MatrixPoint":
+        """Matrix product; a product of two elements of one subclass stays in it."""
+        if self.n != other.n:
+            raise ValueError("size mismatch")
+        cols = list(zip(*other.rows))
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+        return (type(self) if type(other) is type(self) else MatrixPoint)(self.n, rows)
 
     @classmethod
     def from_dict(cls, n: int, entries: Mapping[tuple, Scalar]) -> "MatrixPoint":
@@ -441,6 +442,10 @@ class MatrixPoint:
     def get(self, i: int, j: int) -> Fraction:
         return self.rows[i - 1][j - 1]
 
+    def values(self, positions: Iterable[tuple]) -> dict[tuple, Fraction]:
+        """The assignment {(i, j): entry} of the given positions, for Polynomial.evaluate."""
+        return {tuple(r): self.get(*r) for r in positions}
+
     def support(self) -> set[tuple]:
         return {
             (i + 1, j + 1)
@@ -448,12 +453,6 @@ class MatrixPoint:
             for j in range(self.n)
             if self.rows[i][j] != 0
         }
-
-    def to_dict(self) -> dict[tuple, Fraction]:
-        return {(i, j): self.get(i, j) for (i, j) in sorted(self.support())}
-
-    def copy(self) -> "MatrixPoint":
-        return MatrixPoint(self.n, [row[:] for row in self.rows])
 
     def to_json_dict(self) -> dict:
         return {
@@ -463,10 +462,11 @@ class MatrixPoint:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "MatrixPoint":
-        n = int(doc["n"])
-        point = cls.zeros(n)
+        if not isinstance(doc, Mapping) or not {"n", "entries"} <= doc.keys():
+            raise ValueError("a point document needs the keys 'n' and 'entries'")
+        entries = {}
         for i, j, value in doc["entries"]:
             if not isinstance(value, str):
                 raise ValueError("matrix entries must be exact rational strings like '3/4'")
-            point.rows[int(i) - 1][int(j) - 1] = Fraction(value)
-        return point
+            entries[int(i), int(j)] = value
+        return cls.from_dict(int(doc["n"]), entries)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import OutsideU0Error, UnsupportedTypeError
 from .exactpoly import MatrixPoint, Polynomial, PolyMatrix, det_minor
@@ -70,6 +70,18 @@ def l_poly(ptype: ParabolicType, base: Base, q: AdmissiblePair) -> Polynomial:
     return acc
 
 
+def vanishing_minor(ptype: ParabolicType, base: Base, point: MatrixPoint) -> Root | None:
+    """The first base root, in column order, whose minor vanishes at the point.
+
+    None means every base minor is nonzero there: the point lies in U0.
+    """
+    values = point.values(nilradical_roots(ptype))
+    for xi in base.by_column():
+        if minor_poly(ptype, base, xi).evaluate(values) == 0:
+            return xi
+    return None
+
+
 def power_minor(ptype: ParabolicType, k: int, rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
     """Minor of the k-th power of the formal matrix on the given rows/columns."""
     if k < 1:
@@ -122,16 +134,7 @@ class GeneratorSet:
         return {
             "type": list(self.ptype.block_sizes),
             "base": [[xi.i, xi.j] for xi, _ in self.base_minors],
-            "pairs": [
-                {
-                    "xi": list(q.xi),
-                    "xi_prime": list(q.xi_prime),
-                    "alpha": list(q.alpha),
-                    "phi": list(q.phi),
-                    "psi": list(q.psi),
-                }
-                for q in self.pairs
-            ],
+            "pairs": [q.to_json_dict() for q in self.pairs],
             "generators": [{"name": name, "poly": str(p)} for name, p in self.named()],
         }
 
@@ -172,7 +175,7 @@ class InvariantValues:
 
 
 def invariant_values(gens: GeneratorSet, point: MatrixPoint) -> InvariantValues:
-    assignment = {tuple(r): point.get(*r) for r in nilradical_roots(gens.ptype)}
+    assignment = point.values(nilradical_roots(gens.ptype))
     m_values = {xi: p.evaluate(assignment) for xi, p in gens.base_minors}
     l_values = {q.phi: p.evaluate(assignment) for q, p in gens.pair_polys}
     return InvariantValues(m_values, l_values)
@@ -206,37 +209,32 @@ def y_coordinates(
             raise ValueError(f"missing minor value for base root {xi}")
         if inv_values.m_values[xi] == 0:
             raise OutsideU0Error(xi)
-    phi = phi_set(pairs)
-
-    coords: dict[Root, Fraction] = {}
-    for xi in sorted(base.roots, key=lambda r: len(s_gamma(base, r))):
-        image = restrict(ptype, base, phi, minor_poly(ptype, base, xi))
-        coef, mono = _single_monomial(image, f"minor at {xi}")
-        denom = coef
-        for v, e in mono:
-            r = Root(*v)
-            if r == xi:
-                if e != 1:
-                    raise UnsupportedTypeError(f"minor at {xi} restricts with exponent {e}")
-                continue
-            denom *= coords[r] ** e
-        coords[xi] = inv_values.m_values[xi] / denom
-
     for q in pairs:
         if q.phi not in inv_values.l_values:
             raise ValueError(f"missing pair value for {q.xi}, {q.xi_prime}")
-        image = restrict(ptype, base, phi, l_poly(ptype, base, q))
-        coef, mono = _single_monomial(image, f"pair polynomial at {q.xi},{q.xi_prime}")
+    phi = phi_set(pairs)
+
+    # (target, generator, value): minors innermost first, so each restricted
+    # monomial only involves coordinates already solved, then the pairs
+    steps = [
+        (xi, minor_poly(ptype, base, xi), inv_values.m_values[xi], f"minor at {xi}")
+        for xi in sorted(base.roots, key=lambda r: len(s_gamma(base, r)))
+    ]
+    steps += [
+        (q.phi, l_poly(ptype, base, q), inv_values.l_values[q.phi],
+         f"pair polynomial at {q.xi},{q.xi_prime}")
+        for q in pairs
+    ]
+    coords: dict[Root, Fraction] = {}
+    for target, poly, value, context in steps:
+        coef, mono = _single_monomial(restrict(ptype, base, phi, poly), context)
         denom = coef
         for v, e in mono:
             r = Root(*v)
-            if r == q.phi:
+            if r == target:
                 if e != 1:
-                    raise UnsupportedTypeError(
-                        f"pair polynomial at {q.phi} restricts with exponent {e}"
-                    )
+                    raise UnsupportedTypeError(f"{context} restricts with exponent {e}")
                 continue
             denom *= coords[r] ** e
-        coords[q.phi] = inv_values.l_values[q.phi] / denom
-
-    return MatrixPoint.from_dict(ptype.n, {tuple(r): v for r, v in coords.items()})
+        coords[target] = value / denom
+    return MatrixPoint.from_dict(ptype.n, coords)

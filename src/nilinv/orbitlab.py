@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import OutsideU0Error, ReductionError, UnsupportedTypeError
 from .exactpoly import MatrixPoint, rank
-from .invgen import GeneratorSet, build_generators, invariant_values, minor_poly, y_coordinates
+from .invgen import GeneratorSet, build_generators, invariant_values, vanishing_minor, y_coordinates
 from .rootcomb import (
     ParabolicType,
     Root,
@@ -31,21 +31,9 @@ DEFAULT_SEED = 271828
 SAMPLE_RANGE = (-9, 9)
 
 
-def _identity_rows(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
 @dataclass
-class GroupElement:
+class GroupElement(MatrixPoint):
     """An upper unitriangular matrix with exact rational entries."""
-
-    n: int
-    rows: list[list[Fraction]]
 
     def __post_init__(self):
         for i in range(self.n):
@@ -57,46 +45,36 @@ class GroupElement:
                     raise ValueError("entries below the diagonal must be 0")
 
     @classmethod
-    def identity(cls, n: int) -> "GroupElement":
-        return cls(n, _identity_rows(n))
-
-    @classmethod
     def elementary(cls, n: int, u: int, v: int, s) -> "GroupElement":
         """1 + s E_{u,v} with 1 <= u < v <= n."""
         if not 1 <= u < v <= n:
             raise ValueError(f"need 1 <= u < v <= n, got u={u}, v={v}")
-        rows = _identity_rows(n)
+        rows = MatrixPoint.identity(n).rows
         rows[u - 1][v - 1] = Fraction(s)
         return cls(n, rows)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.n, _mat_mul(self.rows, other.rows))
 
     def inverse(self) -> "GroupElement":
         # Neumann series: (1 + N)^{-1} = 1 - N + N^2 - ... with N nilpotent
         n = self.n
-        nil = [[self.rows[i][j] if i != j else Fraction(0) for j in range(n)] for i in range(n)]
-        inv = _identity_rows(n)
-        term = _identity_rows(n)
+        nil = MatrixPoint(n, [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(self.rows)])
+        inv = MatrixPoint.identity(n).rows
+        term = MatrixPoint.identity(n)
         sign = 1
         for _ in range(n - 1):
-            term = _mat_mul(term, nil)
+            term = term * nil
             sign = -sign
-            if all(all(x == 0 for x in row) for row in term):
+            if not term.support():
                 break
             for i in range(n):
                 for j in range(n):
-                    inv[i][j] += sign * term[i][j]
+                    inv[i][j] += sign * term.rows[i][j]
         return GroupElement(n, inv)
 
     def to_json_dict(self) -> dict:
-        entries = [
-            [i + 1, j + 1, str(self.rows[i][j])]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.rows[i][j] != 0
-        ]
-        return {"n": self.n, "entries": entries}
+        # the unit diagonal is implied: list only the strictly upper entries
+        doc = super().to_json_dict()
+        doc["entries"] = [e for e in doc["entries"] if e[0] < e[1]]
+        return doc
 
 
 def random_unitriangular(n: int, rng: random.Random, ops: int = 12, lo: int = -4, hi: int = 4) -> GroupElement:
@@ -109,14 +87,17 @@ def random_unitriangular(n: int, rng: random.Random, ops: int = 12, lo: int = -4
     return g
 
 
+def _check_support(ptype: ParabolicType, point: MatrixPoint) -> None:
+    extra = point.support() - nilradical_roots(ptype)
+    if extra:
+        raise ValueError(f"point has entries outside the nilradical: {sorted(extra)}")
+
+
 def adjoint(ptype: ParabolicType, g: GroupElement, x: MatrixPoint) -> MatrixPoint:
     """Conjugation g x g^{-1}; the result stays supported on the nilradical."""
-    positions = {tuple(r) for r in nilradical_roots(ptype)}
-    if not x.support() <= positions:
-        raise ValueError("point not supported on the nilradical")
-    rows = _mat_mul(_mat_mul(g.rows, x.rows), g.inverse().rows)
-    out = MatrixPoint(ptype.n, rows)
-    assert out.support() <= positions, "conjugation left the nilradical"
+    _check_support(ptype, x)
+    out = g * x * g.inverse()
+    assert out.support() <= nilradical_roots(ptype), "conjugation left the nilradical"
     return out
 
 
@@ -153,11 +134,9 @@ def sample_point(ptype: ParabolicType, rng: random.Random, lo: int = SAMPLE_RANG
 def sample_u0_point(ptype: ParabolicType, rng: random.Random, max_tries: int = 200) -> MatrixPoint:
     """Random nilradical point with all base minors nonzero."""
     base = compute_base(ptype)
-    positions = sorted(nilradical_roots(ptype))
     for _ in range(max_tries):
-        point = MatrixPoint.from_dict(ptype.n, {tuple(r): rng.randint(*SAMPLE_RANGE) for r in positions})
-        assignment = {tuple(r): point.get(*r) for r in positions}
-        if all(minor_poly(ptype, base, xi).evaluate(assignment) != 0 for xi in base.roots):
+        point = sample_point(ptype, rng)
+        if vanishing_minor(ptype, base, point) is None:
             return point
     raise RuntimeError(f"could not sample a U0 point of type {ptype} in {max_tries} tries")
 
@@ -194,13 +173,6 @@ def orbit_experiment(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED
     }
 
 
-def _check_support(ptype: ParabolicType, point: MatrixPoint) -> None:
-    positions = {tuple(r) for r in nilradical_roots(ptype)}
-    if not point.support() <= positions:
-        extra = sorted(point.support() - positions)
-        raise ValueError(f"point has entries outside the nilradical: {extra}")
-
-
 def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[GroupElement, MatrixPoint]:
     """Conjugate a point with nonvanishing base minors onto the slice.
 
@@ -223,15 +195,13 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
     pairs = admissible_pairs(ptype, base)
     slice_positions = {Root(*r) for r in base.roots} | set(phi_set(pairs))
 
-    assignment = {tuple(r): point.get(*r) for r in nilradical_roots(ptype)}
-    for xi in base.by_column():
-        if minor_poly(ptype, base, xi).evaluate(assignment) == 0:
-            raise OutsideU0Error(xi)
+    xi = vanishing_minor(ptype, base, point)
+    if xi is not None:
+        raise OutsideU0Error(xi)
 
     a = [row[:] for row in point.rows]
-    g = _identity_rows(n)
+    g = MatrixPoint.identity(n).rows
     threeblock = s == 3 and not ptype.is_nonincreasing
-    anchor_in_column = {r.j: r for r in base.roots}
 
     def conj(u: int, v: int, scale: Fraction) -> None:
         # A <- (1 + s E_{uv}) A (1 - s E_{uv}); G <- (1 + s E_{uv}) G; 1-based u < v
@@ -276,7 +246,7 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
                 ]
                 if not junk:
                     continue
-                anchor = anchor_in_column.get(c)
+                anchor = base.root_in_column.get(c)
                 if anchor is None or anchor.i in lead_rows:
                     raise ReductionError(f"no usable anchor for residual column {c}")
                 if a[anchor.i - 1][c - 1] == 0:

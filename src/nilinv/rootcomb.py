@@ -116,6 +116,9 @@ class AdmissiblePair(NamedTuple):
     phi: Root
     psi: Root
 
+    def to_json_dict(self) -> dict:
+        return {name: list(root) for name, root in self._asdict().items()}
+
 
 @dataclass(frozen=True)
 class Base:
@@ -130,10 +133,6 @@ class Base:
     @cached_property
     def root_in_column(self) -> dict[int, Root]:
         return {r.j: r for r in self.roots}
-
-    @cached_property
-    def root_in_row(self) -> dict[int, Root]:
-        return {r.i: r for r in self.roots}
 
     def __iter__(self):
         return iter(self.roots)
@@ -294,6 +293,8 @@ def diagram_dict(ptype: ParabolicType, marked: str = "phi", offset: int = 0) -> 
     """
     if marked not in ("phi", "psi"):
         raise ValueError(f"marked set must be 'phi' or 'psi', got {marked!r}")
+    if offset < 0:
+        raise ValueError(f"offset must be >= 0, got {offset}")
     base = compute_base(ptype)
     pairs = admissible_pairs(ptype, base)
     marks = phi_set(pairs) if marked == "phi" else psi_set(pairs)
@@ -308,12 +309,10 @@ def diagram_dict(ptype: ParabolicType, marked: str = "phi", offset: int = 0) -> 
     }
 
 
-def _diagram_cells(ptype, marked, offset):
-    n = ptype.n + offset
-    base = {(r.i + offset, r.j + offset) for r in compute_base(ptype).roots}
-    pairs = admissible_pairs(ptype)
-    marks = phi_set(pairs) if marked == "phi" else psi_set(pairs)
-    marks = {(r.i + offset, r.j + offset) for r in marks}
+def _diagram_cells(doc: dict):
+    n, offset = doc["n"], doc["offset"]
+    base = {tuple(r) for r in doc["base"]}
+    marks = {tuple(r) for r in doc["phi"]}
     cells = [["" for _ in range(n)] for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -325,7 +324,7 @@ def _diagram_cells(ptype, marked, offset):
                 cells[i - 1][j - 1] = "1"
     boundaries = {offset} if offset else set()
     acc = offset
-    for size in ptype.block_sizes:
+    for size in doc["blocks"]:
         acc += size
         boundaries.add(acc)
     return n, cells, boundaries
@@ -335,12 +334,11 @@ def render_diagram(ptype: ParabolicType, fmt: str = "text", marked: str = "phi",
     """Render the diagram with base roots as ⊗ and marked roots as ×."""
     if fmt not in DIAGRAM_FORMATS:
         raise ValueError(f"unknown diagram format {fmt!r}; expected one of {DIAGRAM_FORMATS}")
-    if marked not in ("phi", "psi"):
-        raise ValueError(f"marked set must be 'phi' or 'psi', got {marked!r}")
+    doc = diagram_dict(ptype, marked, offset)
     if fmt == "json":
-        return json.dumps(diagram_dict(ptype, marked, offset), sort_keys=True, indent=2)
+        return json.dumps(doc, sort_keys=True, indent=2)
 
-    n, cells, boundaries = _diagram_cells(ptype, marked, offset)
+    n, cells, boundaries = _diagram_cells(doc)
     if fmt == "text":
         lines = ["    " + " ".join(f"{j:>2}" for j in range(1, n + 1))]
         rule = "   +" + "".join("---" + ("+" if j in boundaries else "") for j in range(1, n + 1))
@@ -359,7 +357,6 @@ def render_diagram(ptype: ParabolicType, fmt: str = "text", marked: str = "phi",
 
     # latex
     colspec = "|"
-    acc = 0
     groups = ([offset] if offset else []) + list(ptype.block_sizes)
     for size in groups:
         colspec += "c" * size + "|"

@@ -11,7 +11,6 @@ from nilinv.checker import (
     case242_report,
     corank_of_roots,
     independence_details,
-    independence_rank,
     invariance_table,
     is_n_invariant,
     one_param_transform,
@@ -111,11 +110,11 @@ def test_generators_invariant_and_x24_not():
 
 def test_independence_ranks():
     gens = build_generators(P242)
-    assert independence_rank(P242, gens.core_polys()) == 8
+    assert independence_details(P242, gens.core_polys()).rank == 8
     nine = gens.core_polys() + [p for _, p in gens.extras]
-    assert independence_rank(P242, nine) == 8  # D is algebraically dependent
+    assert independence_details(P242, nine).rank == 8  # D is algebraically dependent
     pt = ParabolicType((1, 1))
-    assert independence_rank(pt, [V(1, 2)]) == 1
+    assert independence_details(pt, [V(1, 2)]).rank == 1
     details = independence_details(P242, gens.core_polys(), seed=5)
     assert details.independent and details.expected == 8
 

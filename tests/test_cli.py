@@ -9,6 +9,7 @@ import pytest
 from nilinv.cli import main
 
 SCHEMAS = pathlib.Path(__file__).parent.parent / "src" / "nilinv" / "schemas"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *args):
@@ -118,6 +119,25 @@ def test_reduce_size_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 8, "entries": [[0, 3, "5"]]},
+        {"n": 8, "entries": [[1, 9, "5"]]},
+        {"n": 8},
+    ],
+    ids=["row-zero", "column-past-n", "no-entries"],
+)
+def test_reduce_rejects_bad_point_files(tmp_path, capsys, doc):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(doc))
+    code = main(["reduce", "--type", "2,4,2", "--point", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_case242(capsys):
     code, out = run(capsys, "case242")
     assert code == 0
@@ -135,6 +155,8 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["diagram", "--type", "2,2", "--format", "svg"]) == 2
     capsys.readouterr()
+    assert main(["diagram", "--type", "2,2", "--offset", "-3"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_out_file_and_outdir_env(tmp_path, capsys, monkeypatch):
@@ -159,3 +181,18 @@ def test_json_outputs_are_byte_identical(capsys):
         _, first = run(capsys, *args)
         _, second = run(capsys, *args)
         assert first == second, args
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("base_242.json", ["base", "--type", "2,4,2", "--format", "json"]),
+        ("invariants_2211.json", ["invariants", "--type", "2,2,1,1", "--format", "json"]),
+        ("reduce_242.json", ["reduce", "--type", "2,4,2", "--point", str(GOLDEN / "point_242_u0.json")]),
+    ],
+    ids=["base", "invariants", "reduce"],
+)
+def test_output_matches_golden(capsys, golden, args):
+    code, out = run(capsys, *args)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -44,11 +44,9 @@ def test_no_zero_terms_stored():
 
 def test_power_and_degree():
     p = (X13 + 1) ** 3
-    assert p.coefficient((((1, 3), 2),)) == 3
+    assert p.terms[(((1, 3), 2),)] == 3
     assert p.degree() == 3
     assert Polynomial.zero().degree() == -1
-    assert (X13 * X24).degree_in((1, 3)) == 1
-    assert (X13 * X24).degree_in(T) == 0
 
 
 def test_substitute_examples():
