@@ -1,7 +1,7 @@
 """Exact invariants of the unitriangular action on nilradicals of parabolics in gl(n)."""
 
 from .errors import NilinvError, OutsideU0Error, ReductionError, UnsupportedTypeError
-from .exactpoly import MatrixPoint, Polynomial, PolyMatrix, T, det_minor, rank
+from .exactpoly import MatrixPoint, Polynomial, T, det, det_minor, rank
 from .rootcomb import (
     AdmissiblePair,
     Base,

@@ -14,17 +14,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .exactpoly import Polynomial, T, rank
-from .invgen import CASE_242, build_generators, l_poly, minor_poly, power_minor
+from .invgen import CASE_242, build_generators
 from .orbitlab import DEFAULT_SEED, sample_point
-from .rootcomb import (
-    AdmissiblePair,
-    ParabolicType,
-    Root,
-    admissible_pairs,
-    compute_base,
-    nilradical_roots,
-    phi_set,
-)
+from .rootcomb import AdmissiblePair, ParabolicType, Root, nilradical_roots, phi_set
 
 INDEPENDENCE_RETRIES = 5
 
@@ -257,28 +249,20 @@ def _expected_y_table() -> dict[str, Polynomial]:
 
 
 def case242_generators() -> dict[str, Polynomial]:
-    """The nine named generators of the (2,4,2) study.
+    """The nine named generators of the (2,4,2) study, read off ``build_generators``.
 
-    L_ij is attached to the pair (alpha_i, beta_j) where alpha_1=(2,3),
-    alpha_2=(1,4) are the first-strip base roots and beta_1=(6,7),
-    beta_2=(5,8) the second-strip ones.
+    M1, M2, N1, N2 are the base minors at alpha_1=(2,3), alpha_2=(1,4),
+    beta_1=(6,7), beta_2=(5,8) (column order); L_ij belongs to (alpha_i, beta_j).
     """
-    ptype = CASE_242
-    base = compute_base(ptype)
-    alphas = [Root(2, 3), Root(1, 4)]
-    betas = [Root(6, 7), Root(5, 8)]
-    by_key = {(q.xi, q.xi_prime): q for q in admissible_pairs(ptype, base)}
-    gens = {
-        "M1": minor_poly(ptype, base, alphas[0]),
-        "M2": minor_poly(ptype, base, alphas[1]),
-        "N1": minor_poly(ptype, base, betas[0]),
-        "N2": minor_poly(ptype, base, betas[1]),
-    }
-    for i in (1, 2):
-        for j in (1, 2):
-            gens[f"L{i}{j}"] = l_poly(ptype, base, by_key[(alphas[i - 1], betas[j - 1])])
-    gens["D"] = power_minor(ptype, 2, (1, 2), (7, 8))
-    return gens
+    gens = build_generators(CASE_242)
+    (alpha1, m1), (alpha2, m2), (beta1, n1), (beta2, n2) = gens.base_minors
+    out = {"M1": m1, "M2": m2, "N1": n1, "N2": n2}
+    by_key = {(q.xi, q.xi_prime): p for q, p in gens.pair_polys}
+    for i, alpha in enumerate((alpha1, alpha2), 1):
+        for j, beta in enumerate((beta1, beta2), 1):
+            out[f"L{i}{j}"] = by_key[alpha, beta]
+    out.update(gens.extras)
+    return out
 
 
 @dataclass

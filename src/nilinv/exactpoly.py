@@ -2,9 +2,10 @@
 
 Everything is computed over arbitrary-precision rationals
 (fractions.Fraction); no floating point appears anywhere.  ``MatrixPoint``
-is the one exact-matrix type: nilradical points and unitriangular group
-elements (its subclass ``orbitlab.GroupElement``) are both MatrixPoints,
-while ``PolyMatrix`` holds the formal matrix of variables.  Polynomial
+is the one exact-matrix type.  Its entries are rationals for nilradical
+points and unitriangular group elements (its subclass
+``orbitlab.GroupElement``), and polynomials for the formal matrix of
+variables; the matrix product works over both rings.  Polynomial
 variables are matrix positions (i, j) plus named parameters given as
 strings, with the one-parameter deformation variable ``t`` reserved for
 the group-action checks.
@@ -290,58 +291,12 @@ class Polynomial:
         return "".join(chunks)
 
 
-class PolyMatrix:
-    """Square matrix of polynomials; rows and columns are addressed 1-based."""
+def det_minor(m: MatrixPoint, rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
+    """Determinant of the submatrix of a polynomial matrix on the given rows and columns.
 
-    def __init__(self, n: int, entries: list[list[Polynomial]] | None = None):
-        self.n = n
-        if entries is None:
-            entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
-        self.entries = entries
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        m = cls(n)
-        for i in range(n):
-            m.entries[i][i] = Polynomial.one()
-        return m
-
-    def at(self, i: int, j: int) -> Polynomial:
-        return self.entries[i - 1][j - 1]
-
-    def set_at(self, i: int, j: int, value: Polynomial) -> None:
-        self.entries[i - 1][j - 1] = value
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        n = self.n
-        out = PolyMatrix(n)
-        for i in range(n):
-            for j in range(n):
-                acc = Polynomial.zero()
-                for k in range(n):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                out.entries[i][j] = acc
-        return out
-
-    def power(self, k: int) -> "PolyMatrix":
-        if k < 1:
-            raise ValueError("power must be >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-
-def det_minor(m: PolyMatrix, rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
-    """Determinant of the submatrix on the given rows and columns.
-
-    Indices must be strictly ascending; this fixes the sign convention used
-    throughout the package.
+    Expands the minor by its first row.  Indices must be strictly ascending;
+    this fixes the sign convention used throughout the package.  A minor of
+    a rational matrix is ``det`` of its submatrix.
     """
     rows = tuple(rows)
     cols = tuple(cols)
@@ -364,7 +319,7 @@ def det_minor(m: PolyMatrix, rows: Iterable[int], cols: Iterable[int]) -> Polyno
         acc = Polynomial.zero()
         r0 = rs[0]
         for k, c in enumerate(cs):
-            entry = m.at(r0, c)
+            entry = m.get(r0, c)
             if entry.is_zero:
                 continue
             sub = go(rs[1:], cs[:k] + cs[k + 1 :])
@@ -376,24 +331,29 @@ def det_minor(m: PolyMatrix, rows: Iterable[int], cols: Iterable[int]) -> Polyno
     return go(rows, cols)
 
 
-def rank(matrix: Iterable[Iterable[Scalar]]) -> int:
-    """Exact rank over the rationals via fraction-free (Bareiss) elimination."""
+def _eliminate(matrix: Iterable[Iterable[Scalar]]) -> tuple[int, Fraction]:
+    """Fraction-free (Bareiss) elimination: the rank, and the determinant (0 unless square and regular)."""
     work = [[Fraction(x) for x in row] for row in matrix]
     if not work or not work[0]:
-        return 0
+        return 0, Fraction(0)
     # clear denominators row by row so the elimination runs over integers
     rows = []
+    scale = 1
     for row in work:
         mult = lcm(*(x.denominator for x in row)) if row else 1
+        scale *= mult
         rows.append([int(x * mult) for x in row])
     nr, nc = len(rows), len(rows[0])
     prev = 1
     r = 0
+    sign = 1
     for c in range(nc):
         pivot_row = next((p for p in range(r, nr) if rows[p][c] != 0), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
         pivot = rows[r][c]
         for p in range(r + 1, nr):
             factor = rows[p][c]
@@ -404,15 +364,29 @@ def rank(matrix: Iterable[Iterable[Scalar]]) -> int:
         r += 1
         if r == nr:
             break
-    return r
+    # the last Bareiss pivot is the determinant of the scaled, row-swapped matrix
+    return r, Fraction(sign * prev, scale) if r == nr == nc else Fraction(0)
+
+
+def rank(matrix: Iterable[Iterable[Scalar]]) -> int:
+    """Exact rank over the rationals via fraction-free (Bareiss) elimination."""
+    return _eliminate(matrix)[0]
+
+
+def det(matrix: Iterable[Iterable[Scalar]]) -> Fraction:
+    """Exact determinant of a square rational matrix, by the elimination of ``rank``."""
+    rows = [list(row) for row in matrix]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"determinant of a non-square matrix with {len(rows)} rows")
+    return _eliminate(rows)[1] if rows else Fraction(1)
 
 
 @dataclass
 class MatrixPoint:
-    """An n x n matrix of exact rationals: nilradical points and group elements."""
+    """An n x n exact matrix: rationals for points and group elements, polynomials for X."""
 
     n: int
-    rows: list[list[Fraction]]
+    rows: list[list[Fraction | Polynomial]]
 
     @classmethod
     def zeros(cls, n: int) -> "MatrixPoint":
@@ -464,9 +438,22 @@ class MatrixPoint:
     def from_json_dict(cls, doc: Mapping) -> "MatrixPoint":
         if not isinstance(doc, Mapping) or not {"n", "entries"} <= doc.keys():
             raise ValueError("a point document needs the keys 'n' and 'entries'")
+        n, items = doc["n"], doc["entries"]
+        if not _is_int(n) or not isinstance(items, list):
+            raise ValueError(f"'n' must be an integer and 'entries' a list, got n={n!r} and a {type(items).__name__}")
         entries = {}
-        for i, j, value in doc["entries"]:
-            if not isinstance(value, str):
-                raise ValueError("matrix entries must be exact rational strings like '3/4'")
-            entries[int(i), int(j)] = value
-        return cls.from_dict(int(doc["n"]), entries)
+        for item in items:
+            if not (isinstance(item, list) and len(item) == 3):
+                raise ValueError(f"each entry must be a list [i, j, 'p/q'], got {item!r}")
+            i, j, value = item
+            if not (_is_int(i) and _is_int(j) and isinstance(value, str)):
+                raise ValueError(f"each entry needs integer indices and an exact rational string, got {item!r}")
+            try:
+                entries[i, j] = Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"entry {item!r} has a zero denominator") from None
+        return cls.from_dict(n, entries)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)

@@ -6,18 +6,20 @@ roots, the pair polynomials L_q attached to admissible pairs, minors of
 powers of X (the extra (2,4,2) invariant D), the restriction map to the
 linear slice spanned by the base and marked positions, and the inverse
 problem: reconstructing the unique slice point with prescribed generator
-values.
+values.  Each generator is defined once, over any ring: expanded on X where
+it is printed or checked symbolically, and evaluated at a point by exact
+determinants of submatrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable
+from functools import lru_cache, reduce
+from typing import Callable, Iterable
 
 from .errors import OutsideU0Error, UnsupportedTypeError
-from .exactpoly import MatrixPoint, Polynomial, PolyMatrix, det_minor
+from .exactpoly import MatrixPoint, Polynomial, det, det_minor
 from .rootcomb import (
     AdmissiblePair,
     Base,
@@ -35,58 +37,85 @@ CASE_242 = ParabolicType((2, 4, 2))
 
 
 @lru_cache(maxsize=None)
-def formal_matrix(ptype: ParabolicType) -> PolyMatrix:
+def formal_matrix(ptype: ParabolicType) -> MatrixPoint:
     """The matrix X with variable x_(i,j) at every nilradical position, 0 elsewhere."""
-    m = PolyMatrix(ptype.n)
+    n = ptype.n
+    rows = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     for (i, j) in nilradical_roots(ptype):
-        m.set_at(i, j, Polynomial.var((i, j)))
-    return m
+        rows[i - 1][j - 1] = Polynomial.var((i, j))
+    return MatrixPoint(n, rows)
+
+
+def minor_indices(base: Base, gamma: Root) -> tuple[list[int], list[int]]:
+    """The rows {a} + rows(S_gamma) and columns cols(S_gamma) + {b} of the minor M_gamma."""
+    inner = s_gamma(base, gamma)
+    return sorted({gamma.i} | {r.i for r in inner}), sorted({r.j for r in inner} | {gamma.j})
+
+
+def pair_value(minor: Callable[[Root], Polynomial | Fraction], q: AdmissiblePair) -> Polynomial | Fraction:
+    """L_q from the corner minors: sum of M_(a,c) * M_(c,b') over c from xi.j to xi'.i.
+
+    The sum runs over all splittings of alpha_q = (b, a') into two reductive
+    roots (allowing either summand to vanish), which is exactly c = b..a'.
+    ``minor`` gives M_gamma as a polynomial or as its value at a point.
+    """
+    (a, b), (a2, b2) = q.xi, q.xi_prime
+    return sum(minor(Root(a, c)) * minor(Root(c, b2)) for c in range(b, a2 + 1))
 
 
 @lru_cache(maxsize=None)
 def minor_poly(ptype: ParabolicType, base: Base, gamma: Root) -> Polynomial:
-    """The minor M_gamma on rows {a} + rows(S_gamma) and columns cols(S_gamma) + {b}."""
+    """The minor M_gamma of the formal matrix X, expanded."""
     gamma = Root(*gamma)
     if gamma not in nilradical_roots(ptype):
         raise ValueError(f"{gamma} is not a nilradical position of type {ptype}")
-    inner = s_gamma(base, gamma)
-    rows = sorted({gamma.i} | {r.i for r in inner})
-    cols = sorted({r.j for r in inner} | {gamma.j})
-    return det_minor(formal_matrix(ptype), rows, cols)
+    return det_minor(formal_matrix(ptype), *minor_indices(base, gamma))
 
 
 def l_poly(ptype: ParabolicType, base: Base, q: AdmissiblePair) -> Polynomial:
-    """The pair polynomial: sum of M_(a,c) * M_(c,b') over c from xi.j to xi'.i.
-
-    The sum runs over all splittings of alpha_q = (b, a') into two reductive
-    roots (allowing either summand to vanish), which is exactly c = b..a'.
-    """
-    (a, b), (a2, b2) = q.xi, q.xi_prime
+    """The pair polynomial L_q of an admissible pair, expanded."""
+    b, a2 = q.xi.j, q.xi_prime.i
     if not (b < a2 and ptype.block_of(b) == ptype.block_of(a2)):
         raise ValueError(f"pair {q.xi}, {q.xi_prime} is not admissible for type {ptype}")
-    acc = Polynomial.zero()
-    for c in range(b, a2 + 1):
-        acc = acc + minor_poly(ptype, base, Root(a, c)) * minor_poly(ptype, base, Root(c, b2))
-    return acc
+    return pair_value(lambda gamma: minor_poly(ptype, base, gamma), q)
+
+
+def check_support(ptype: ParabolicType, point: MatrixPoint) -> None:
+    """Reject a point of the wrong size or with entries outside the nilradical."""
+    if point.n != ptype.n:
+        raise ValueError(f"point size {point.n} != type size {ptype.n}")
+    extra = point.support() - nilradical_roots(ptype)
+    if extra:
+        raise ValueError(f"point has entries outside the nilradical: {sorted(extra)}")
+
+
+def _minors_at(ptype: ParabolicType, base: Base, point: MatrixPoint) -> Callable[[Root], Fraction]:
+    """M_gamma at a nilradical point, each minor the determinant of a submatrix."""
+    check_support(ptype, point)
+
+    @lru_cache(maxsize=None)
+    def minor(gamma: Root) -> Fraction:
+        rows, cols = minor_indices(base, gamma)
+        return det([[point.get(i, j) for j in cols] for i in rows])
+
+    return minor
 
 
 def vanishing_minor(ptype: ParabolicType, base: Base, point: MatrixPoint) -> Root | None:
     """The first base root, in column order, whose minor vanishes at the point.
 
     None means every base minor is nonzero there: the point lies in U0.
+    A point off the nilradical raises ValueError.
     """
-    values = point.values(nilradical_roots(ptype))
-    for xi in base.by_column():
-        if minor_poly(ptype, base, xi).evaluate(values) == 0:
-            return xi
-    return None
+    minor = _minors_at(ptype, base, point)
+    return next((xi for xi in base.by_column() if minor(xi) == 0), None)
 
 
 def power_minor(ptype: ParabolicType, k: int, rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
     """Minor of the k-th power of the formal matrix on the given rows/columns."""
     if k < 1:
         raise ValueError("power must be a positive integer")
-    return det_minor(formal_matrix(ptype).power(k), rows, cols)
+    return det_minor(reduce(MatrixPoint.__mul__, [formal_matrix(ptype)] * k), rows, cols)
 
 
 def restrict(ptype: ParabolicType, base: Base, phi: Iterable[Root], f: Polynomial) -> Polynomial:
@@ -175,9 +204,10 @@ class InvariantValues:
 
 
 def invariant_values(gens: GeneratorSet, point: MatrixPoint) -> InvariantValues:
-    assignment = point.values(nilradical_roots(gens.ptype))
-    m_values = {xi: p.evaluate(assignment) for xi, p in gens.base_minors}
-    l_values = {q.phi: p.evaluate(assignment) for q, p in gens.pair_polys}
+    """The base minors and pair polynomials at a point, without expanding them."""
+    minor = _minors_at(gens.ptype, gens.base, point)
+    m_values = {xi: minor(xi) for xi, _ in gens.base_minors}
+    l_values = {q.phi: pair_value(minor, q) for q in gens.pairs}
     return InvariantValues(m_values, l_values)
 
 

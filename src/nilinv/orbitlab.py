@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import OutsideU0Error, ReductionError, UnsupportedTypeError
 from .exactpoly import MatrixPoint, rank
-from .invgen import GeneratorSet, build_generators, invariant_values, vanishing_minor, y_coordinates
+from .invgen import GeneratorSet, build_generators, check_support, invariant_values, vanishing_minor, y_coordinates
 from .rootcomb import (
     ParabolicType,
     Root,
@@ -87,15 +87,9 @@ def random_unitriangular(n: int, rng: random.Random, ops: int = 12, lo: int = -4
     return g
 
 
-def _check_support(ptype: ParabolicType, point: MatrixPoint) -> None:
-    extra = point.support() - nilradical_roots(ptype)
-    if extra:
-        raise ValueError(f"point has entries outside the nilradical: {sorted(extra)}")
-
-
 def adjoint(ptype: ParabolicType, g: GroupElement, x: MatrixPoint) -> MatrixPoint:
     """Conjugation g x g^{-1}; the result stays supported on the nilradical."""
-    _check_support(ptype, x)
+    check_support(ptype, x)
     out = g * x * g.inverse()
     assert out.support() <= nilradical_roots(ptype), "conjugation left the nilradical"
     return out
@@ -189,7 +183,6 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
         raise UnsupportedTypeError(
             f"type {ptype} not supported: need non-increasing sizes or at most 3 blocks"
         )
-    _check_support(ptype, point)
     n, s = ptype.n, ptype.s
     base = compute_base(ptype)
     pairs = admissible_pairs(ptype, base)
@@ -214,11 +207,9 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
         for c in range(n):
             gu[c] += scale * gv[c]
 
-    def window(bi: int) -> None:
+    # windows from the trailing pair of blocks to the whole matrix
+    for bi in range(s - 1, 0, -1):
         nblocks = s - bi + 1
-        if nblocks <= 1:
-            return
-        window(bi + 1)
         lead_rows = set(ptype.block_range(bi))
         wstart = ptype.block_start(bi)
         pivots = sorted((r for r in base.roots if r.i in lead_rows), key=lambda r: r.j)
@@ -253,8 +244,6 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
                     raise ReductionError(f"anchor at {tuple(anchor)} vanished")
                 for p in junk:
                     conj(p, anchor.i, -a[p - 1][c - 1] / a[anchor.i - 1][c - 1])
-
-    window(1)
 
     for r in nilradical_roots(ptype):
         if a[r.i - 1][r.j - 1] != 0 and r not in slice_positions:

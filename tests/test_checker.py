@@ -1,11 +1,12 @@
 """Tests for the verification engines."""
 
+import functools
 import json
 import pathlib
 
 import pytest
 
-from nilinv.exactpoly import Polynomial, PolyMatrix, T
+from nilinv.exactpoly import MatrixPoint, Polynomial, T
 from nilinv.checker import (
     case242_generators,
     case242_report,
@@ -35,17 +36,21 @@ def V(i, j):
     return Polynomial.var((i, j))
 
 
-def _transform_via_matrix_product(ptype, k, f):
-    # independent route: substitute entries of (1 - tE) X (1 + tE)
+@functools.lru_cache(maxsize=None)
+def _matrix_product_images(ptype, k):
+    # independent route: the entries of (1 - tE) X (1 + tE)
     n = ptype.n
     t = Polynomial.var(T)
-    left = PolyMatrix.identity(n)
-    left.set_at(k, k + 1, -t)
-    right = PolyMatrix.identity(n)
-    right.set_at(k, k + 1, t)
+    left = MatrixPoint.identity(n)
+    left.rows[k - 1][k] = -t
+    right = MatrixPoint.identity(n)
+    right.rows[k - 1][k] = t
     moved = left * formal_matrix(ptype) * right
-    mapping = {tuple(r): moved.at(*r) for r in nilradical_roots(ptype)}
-    return f.substitute(mapping)
+    return {tuple(r): moved.get(*r) for r in nilradical_roots(ptype)}
+
+
+def _transform_via_matrix_product(ptype, k, f):
+    return f.substitute(_matrix_product_images(ptype, k))
 
 
 def test_transform_examples():

@@ -1,10 +1,15 @@
 """CLI behavior: outputs, exit codes, schema validation, determinism."""
 
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilinv.cli import main
 
@@ -125,8 +130,19 @@ def test_reduce_size_mismatch(tmp_path, capsys):
         {"n": 8, "entries": [[0, 3, "5"]]},
         {"n": 8, "entries": [[1, 9, "5"]]},
         {"n": 8},
+        {"n": 8, "entries": [[1.7, 3, "5"]]},
+        {"n": 8, "entries": [[True, 3, "5"]]},
+        {"n": 8.9, "entries": [[1, 3, "5"]]},
+        {"n": 8, "entries": [None]},
+        {"n": 8, "entries": 5},
+        {"n": None, "entries": [[1, 3, "5"]]},
+        {"n": 8, "entries": [[1, 3, "1/0"]]},
+        {"n": 8, "entries": [[1, 3]]},
     ],
-    ids=["row-zero", "column-past-n", "no-entries"],
+    ids=[
+        "row-zero", "column-past-n", "no-entries", "float-index", "bool-index", "float-n",
+        "null-entry", "entries-not-a-list", "null-n", "zero-denominator", "short-entry",
+    ],
 )
 def test_reduce_rejects_bad_point_files(tmp_path, capsys, doc):
     path = tmp_path / "point.json"
@@ -196,3 +212,81 @@ def test_output_matches_golden(capsys, golden, args):
     code, out = run(capsys, *args)
     assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@st.composite
+def block_sizes(draw):
+    """A composition of some n <= 6, drawn block by block."""
+    sizes, left = [], draw(st.integers(1, 6))
+    while left:
+        sizes.append(draw(st.integers(1, left)))
+        left -= sizes[-1]
+    return sizes
+
+
+TYPE_ARGS = st.one_of(
+    block_sizes().map(lambda s: ",".join(map(str, s))),
+    st.sampled_from(["", "0,2", "2,x", "-1", "2,,2", "1.5"]),
+)
+SMALL = st.integers(-4, 3).map(str)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["diagram", "base", "invariants", "verify", "orbit-dim", "case242"]))
+    argv = [command]
+    if command != "case242":
+        argv += ["--type", draw(TYPE_ARGS)]
+    formats = {
+        "diagram": ["text", "latex", "json"],
+        "base": ["text", "json"],
+        "invariants": ["text", "json", "latex"],
+        "verify": ["json", "text"],
+    }
+    if command in formats and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(formats[command] + ["svg"]))]
+    if command in ("verify", "orbit-dim", "case242") and draw(st.booleans()):
+        argv += ["--seed", draw(SMALL)]
+    if command == "orbit-dim":
+        argv += ["--trials", draw(SMALL)]
+    if command == "diagram":
+        argv += ["--offset", draw(SMALL), "--marked", draw(st.sampled_from(["phi", "psi", "chi"]))]
+    return argv
+
+
+SCALARS = st.one_of(
+    st.integers(-1, 7), st.booleans(), st.none(), st.floats(-1, 7, allow_nan=False),
+    st.sampled_from(["1", "-2", "3/4", "0", "1/0", "abc", ""]),
+)
+ENTRIES = st.one_of(
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.sampled_from(["1", "-2", "3/4", "0"])).map(list),
+    st.lists(SCALARS, max_size=4),
+    SCALARS,
+)
+POINT_DOCS = st.one_of(
+    st.fixed_dictionaries({"n": SCALARS, "entries": st.one_of(st.lists(ENTRIES, max_size=8), SCALARS)}),
+    st.fixed_dictionaries({"n": st.integers(1, 6), "entries": st.lists(ENTRIES, max_size=12)}),
+    st.fixed_dictionaries({"n": SCALARS}),
+    st.lists(SCALARS, max_size=2),
+    SCALARS,
+)
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@given(cli_argvs())
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_argv_exit_codes(argv):
+    assert _exit_code(argv) in (0, 1, 2)
+
+
+@given(TYPE_ARGS, POINT_DOCS)
+@settings(max_examples=120, deadline=None)
+def test_fuzzed_point_files_exit_codes(type_arg, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "point.json"
+        path.write_text(json.dumps(doc))
+        assert _exit_code(["reduce", "--type", type_arg, "--point", str(path)]) in (0, 1, 2)

@@ -1,5 +1,6 @@
 """Tests for generator construction, restriction, and slice coordinates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,14 +16,17 @@ from nilinv.invgen import (
     minor_poly,
     power_minor,
     restrict,
+    vanishing_minor,
     y_coordinates,
 )
+from nilinv.orbitlab import DEFAULT_SEED, sample_point
 from nilinv.rootcomb import (
     AdmissiblePair,
     ParabolicType,
     Root,
     admissible_pairs,
     compute_base,
+    nilradical_roots,
     phi_set,
     s_gamma,
 )
@@ -36,12 +40,12 @@ def V(i, j):
 
 def test_formal_matrix_support():
     m = formal_matrix(P242)
-    assert m.at(2, 3) == V(2, 3)
-    assert m.at(3, 2).is_zero
-    assert m.at(3, 5).is_zero  # same block
+    assert m.get(2, 3) == V(2, 3)
+    assert m.get(3, 2).is_zero
+    assert m.get(3, 5).is_zero  # same block
     m2 = formal_matrix(ParabolicType((1, 1)))
-    assert m2.at(1, 2) == V(1, 2)
-    assert all(formal_matrix(ParabolicType((4,))).at(i, j).is_zero for i in range(1, 5) for j in range(1, 5))
+    assert m2.get(1, 2) == V(1, 2)
+    assert all(formal_matrix(ParabolicType((4,))).get(i, j).is_zero for i in range(1, 5) for j in range(1, 5))
 
 
 def test_minor_examples():
@@ -101,8 +105,9 @@ def test_l_poly_rejects_non_admissible():
 
 def test_power_minor():
     d = power_minor(P242, 2, (1, 2), (7, 8))
-    sq = formal_matrix(P242).power(2)
-    assert d == sq.at(1, 7) * sq.at(2, 8) - sq.at(1, 8) * sq.at(2, 7)
+    x = formal_matrix(P242)
+    sq = x * x
+    assert d == sq.get(1, 7) * sq.get(2, 8) - sq.get(1, 8) * sq.get(2, 7)
     assert power_minor(P242, 1, (2,), (3,)) == V(2, 3)
     with pytest.raises(ValueError):
         power_minor(P242, 0, (1,), (3,))
@@ -214,3 +219,49 @@ def test_y_coordinates_inverts_invariants_on_slice():
     vals = invariant_values(gens, point)
     solved = y_coordinates(pt, gens.base, gens.pairs, vals)
     assert solved == point
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def test_numeric_generators_match_expanded_polynomials():
+    # the determinant path against Polynomial.evaluate of the expanded generators;
+    # entries in -1..1 make vanishing minors common, so both U0 verdicts occur
+    rng = random.Random(DEFAULT_SEED)
+    verdicts = set()
+    for n in range(1, 9):
+        for sizes in _compositions(n):
+            ptype = ParabolicType(sizes)
+            gens = build_generators(ptype)
+            for lo, hi in ((-9, 9), (-1, 1)):
+                point = sample_point(ptype, rng, lo, hi)
+                values = point.values(nilradical_roots(ptype))
+                got = invariant_values(gens, point)
+                assert got.m_values == {xi: p.evaluate(values) for xi, p in gens.base_minors}, sizes
+                assert got.l_values == {q.phi: p.evaluate(values) for q, p in gens.pair_polys}, sizes
+                first_zero = next((xi for xi, p in gens.base_minors if p.evaluate(values) == 0), None)
+                assert vanishing_minor(ptype, gens.base, point) == first_zero, sizes
+                verdicts.add(first_zero is None)
+    assert verdicts == {True, False}
+
+
+def test_numeric_generators_reject_points_off_the_nilradical():
+    pt = ParabolicType((2, 2))
+    gens = build_generators(pt)
+    entries = {(1, 3): 5, (1, 4): 7, (2, 3): 3, (2, 4): 2}
+    assert vanishing_minor(pt, gens.base, MatrixPoint.from_dict(4, entries)) is None
+    for bad in (
+        MatrixPoint.from_dict(4, {**entries, (1, 2): 1}),  # inside a diagonal block
+        MatrixPoint.from_dict(4, {**entries, (3, 1): 1}),  # below the diagonal
+        MatrixPoint.from_dict(3, {(1, 3): 5}),  # wrong size
+    ):
+        with pytest.raises(ValueError):
+            invariant_values(gens, bad)
+        with pytest.raises(ValueError):
+            vanishing_minor(pt, gens.base, bad)
