@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import count
 from typing import Iterable, Sequence
 
 from .exactpoly import Polynomial, T, rank
-from .invgen import CASE_242, build_generators
-from .orbitlab import DEFAULT_SEED, sample_point
+from .invgen import CASE_242, build_generators, formal_matrix
+from .orbitlab import DEFAULT_SEED, bracket, sample_point
 from .rootcomb import AdmissiblePair, ParabolicType, Root, nilradical_roots, phi_set
 
 INDEPENDENCE_RETRIES = 5
@@ -24,9 +26,11 @@ INDEPENDENCE_RETRIES = 5
 def one_param_transform(ptype: ParabolicType, k: int, f: Polynomial) -> Polynomial:
     """Action of g_k(t) = 1 + t E_{k,k+1} on a polynomial in the matrix entries.
 
-    Substitutes each x_(i,j) by the (i,j) entry of (1 - tE) X (1 + tE):
-    row k receives -t times row k+1 and column k+1 receives +t times
-    column k.  The transformed matrix stays supported on the nilradical.
+    On the nilradical (1 - tE) X (1 + tE) = X + t delta_k(X) with
+    delta_k(X) = -[E_{k,k+1}, X], and delta_k kills every variable it
+    reaches.  So the substitution is exp(t D_k) for the locally nilpotent
+    derivation D_k f = sum_v df/dx_v delta_k(x_v), D_k t = 0: the finite
+    series sum_m t^m/m! D_k^m f, which is f itself exactly when D_k f = 0.
     """
     if not 1 <= k < ptype.n:
         raise ValueError(f"k must satisfy 1 <= k < {ptype.n}, got {k}")
@@ -34,19 +38,16 @@ def one_param_transform(ptype: ParabolicType, k: int, f: Polynomial) -> Polynomi
     bad = [v for v in f.variables() if isinstance(v, str) and v != T or not isinstance(v, str) and Root(*v) not in positions]
     if bad:
         raise ValueError(f"polynomial not supported on nilradical variables: {bad}")
-    t = Polynomial.var(T)
-    mapping = {}
-    for v in f.variables():
-        if isinstance(v, str):
-            continue
-        i, j = v
-        image = Polynomial.var(v)
-        if i == k and Root(k + 1, j) in positions:
-            image = image - t * Polynomial.var((k + 1, j))
-        if j == k + 1 and Root(i, k) in positions:
-            image = image + t * Polynomial.var((i, k))
-        mapping[v] = image
-    return f.substitute(mapping)
+    order = sorted(positions)
+    delta = {r: -d for r, d in zip(order, bracket(order, k, k + 1, formal_matrix(ptype))) if d != 0}
+    out = term = f
+    for m in count(1):
+        # t^m/m! D_k^m f from the previous term, as D_k t = 0
+        term = sum((term.derivative(v) * delta[v] for v in term.variables() if v in delta), Polynomial.zero())
+        term = term * Polynomial.var(T) * Fraction(1, m)
+        if term.is_zero:
+            return out
+        out = out + term
 
 
 def is_n_invariant(ptype: ParabolicType, f: Polynomial) -> bool:
@@ -96,7 +97,6 @@ def independence_details(
     ptype: ParabolicType,
     polys: Sequence[Polynomial],
     seed: int = DEFAULT_SEED,
-    retries: int = INDEPENDENCE_RETRIES,
 ) -> IndependenceResult:
     """Best Jacobian rank over a few random rational points with a fixed seed."""
     if not polys:
@@ -104,9 +104,7 @@ def independence_details(
     rng = random.Random(seed)
     positions = nilradical_roots(ptype)
     best = 0
-    attempts = 0
-    for _ in range(retries):
-        attempts += 1
+    for attempts in range(1, INDEPENDENCE_RETRIES + 1):
         best = max(best, jacobian_rank_at(ptype, polys, sample_point(ptype, rng).values(positions)))
         if best == len(polys):
             break

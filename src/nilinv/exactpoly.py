@@ -16,6 +16,7 @@ variables ordered by (i, j) and string parameters (t in particular) last.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -448,6 +449,10 @@ class MatrixPoint:
             i, j, value = item
             if not (_is_int(i) and _is_int(j) and isinstance(value, str)):
                 raise ValueError(f"each entry needs integer indices and an exact rational string, got {item!r}")
+            if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+                raise ValueError(f"entry {item!r} is not an exact rational like '-3' or '3/4'")
+            if (i, j) in entries:
+                raise ValueError(f"duplicate entry for position ({i},{j})")
             try:
                 entries[i, j] = Fraction(value)
             except ZeroDivisionError:

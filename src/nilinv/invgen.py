@@ -119,15 +119,16 @@ def power_minor(ptype: ParabolicType, k: int, rows: Iterable[int], cols: Iterabl
 
 
 def restrict(ptype: ParabolicType, base: Base, phi: Iterable[Root], f: Polynomial) -> Polynomial:
-    """Restriction to the slice: substitute 0 outside the base and marked positions."""
-    keep = {Root(*r) for r in base.roots} | {Root(*r) for r in phi}
-    mapping = {}
-    for v in f.variables():
-        if isinstance(v, str):
-            raise ValueError(f"polynomial has non-position variable {v!r}")
-        if Root(*v) not in keep:
-            mapping[v] = 0
-    return f.substitute(mapping)
+    """Restriction to the slice: 0 at every position outside the base and marked positions.
+
+    Keeps exactly the terms whose variables all lie on the slice; the
+    surviving monomials are distinct, so nothing cancels.
+    """
+    keep = set(base.roots) | set(phi)
+    named = [v for v in f.variables() if isinstance(v, str)]
+    if named:
+        raise ValueError(f"polynomial has non-position variable {named[0]!r}")
+    return Polynomial({mono: c for mono, c in f.terms.items() if all(v in keep for v, _ in mono)})
 
 
 def minor_name(gamma: Root) -> str:

@@ -95,27 +95,21 @@ def adjoint(ptype: ParabolicType, g: GroupElement, x: MatrixPoint) -> MatrixPoin
     return out
 
 
+def bracket(positions: list[tuple], i: int, j: int, x: MatrixPoint) -> list:
+    """The entries of [E_ij, x] = E_ij x - x E_ij at the given positions, in their order.
+
+    The (p,q) entry is d_{p,i} x_(j,q) - d_{q,j} x_(p,i).  Works over either
+    ring of ``MatrixPoint``: rationals at a point, polynomials on the formal
+    matrix X.  An entry that neither term reaches is the integer 0.
+    """
+    return [(x.get(j, q) if p == i else 0) - (x.get(p, i) if q == j else 0) for p, q in positions]
+
+
 def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
     """Exact rank of a -> [a, x] from strictly upper matrices into the nilradical."""
     positions = sorted(nilradical_roots(ptype))
-    col_index = {tuple(r): k for k, r in enumerate(positions)}
-    rows = []
     n = ptype.n
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            # [E_{ij}, x] has (p,q) entry  d_{p,i} x_{j,q} - d_{q,j} x_{p,i}
-            vec = [Fraction(0)] * len(positions)
-            for (p, q), k in col_index.items():
-                val = Fraction(0)
-                if p == i:
-                    val += x.get(j, q)
-                if q == j:
-                    val -= x.get(p, i)
-                vec[k] = val
-            rows.append(vec)
-    if not rows or not positions:
-        return 0
-    return rank(rows)
+    return rank([bracket(positions, i, j, x) for i in range(1, n) for j in range(i + 1, n + 1)])
 
 
 def sample_point(ptype: ParabolicType, rng: random.Random, lo: int = SAMPLE_RANGE[0], hi: int = SAMPLE_RANGE[1]) -> MatrixPoint:

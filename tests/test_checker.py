@@ -3,8 +3,11 @@
 import functools
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilinv.exactpoly import MatrixPoint, Polynomial, T
 from nilinv.checker import (
@@ -75,6 +78,31 @@ def test_transform_matches_matrix_product():
         for f in polys:
             for k in range(1, pt.n):
                 assert one_param_transform(pt, k, f) == _transform_via_matrix_product(pt, k, f)
+
+
+@st.composite
+def nilradical_polynomials(draw):
+    # a type and a random polynomial in its nilradical variables and t,
+    # sometimes multiplied by one of the type's invariant generators
+    ptype = ParabolicType(draw(st.sampled_from([(2, 4, 2), (2, 1, 3, 2), (3, 2, 2)])))
+    variables = sorted(tuple(r) for r in nilradical_roots(ptype)) + [T]
+    f = Polynomial.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        term = Polynomial.constant(Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4))))
+        for v in draw(st.lists(st.sampled_from(variables), max_size=4)):
+            term = term * Polynomial.var(v)
+        f = f + term
+    if draw(st.booleans()):
+        f = f * draw(st.sampled_from([p for _, p in build_generators(ptype).named()]))
+    return ptype, f
+
+
+@given(nilradical_polynomials())
+@settings(max_examples=60, deadline=None)
+def test_transform_matches_matrix_product_on_random_polynomials(case):
+    ptype, f = case
+    for k in range(1, ptype.n):
+        assert one_param_transform(ptype, k, f) == _transform_via_matrix_product(ptype, k, f)
 
 
 def test_transform_stays_on_nilradical_variables():

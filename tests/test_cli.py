@@ -138,10 +138,16 @@ def test_reduce_size_mismatch(tmp_path, capsys):
         {"n": None, "entries": [[1, 3, "5"]]},
         {"n": 8, "entries": [[1, 3, "1/0"]]},
         {"n": 8, "entries": [[1, 3]]},
+        {"n": 8, "entries": [[1, 3, "0.5"]]},
+        {"n": 8, "entries": [[1, 3, " +3 "]]},
+        {"n": 8, "entries": [[1, 3, "1e300000"]]},
+        {"n": 8, "entries": [[1, 3, "1e1000000"]]},
+        {"n": 8, "entries": [[1, 3, "5"], [1, 3, "7"]]},
     ],
     ids=[
         "row-zero", "column-past-n", "no-entries", "float-index", "bool-index", "float-n",
         "null-entry", "entries-not-a-list", "null-n", "zero-denominator", "short-entry",
+        "decimal", "padded-plus", "exponent", "huge-exponent", "duplicate-position",
     ],
 )
 def test_reduce_rejects_bad_point_files(tmp_path, capsys, doc):

@@ -26,6 +26,7 @@ from nilinv.rootcomb import (
     Root,
     admissible_pairs,
     compute_base,
+    is_covered,
     nilradical_roots,
     phi_set,
     s_gamma,
@@ -249,6 +250,23 @@ def test_numeric_generators_match_expanded_polynomials():
                 assert vanishing_minor(ptype, gens.base, point) == first_zero, sizes
                 verdicts.add(first_zero is None)
     assert verdicts == {True, False}
+
+
+def test_restrict_equals_substituting_zero_off_the_slice():
+    # dropping terms against the substitution of 0 for every off-slice variable
+    for n in range(1, 9):
+        for sizes in _compositions(n):
+            ptype = ParabolicType(sizes)
+            if not is_covered(ptype):
+                continue
+            gens = build_generators(ptype)
+            phi = phi_set(gens.pairs)
+            keep = set(gens.base.roots) | phi
+            zeros = {tuple(r): 0 for r in nilradical_roots(ptype) if r not in keep}
+            for name, p in gens.named():
+                assert restrict(ptype, gens.base, phi, p) == p.substitute(zeros), (sizes, name)
+    with pytest.raises(ValueError, match="non-position variable 'a'"):
+        restrict(P242, compute_base(P242), (), V(2, 3) * Polynomial.var("a"))
 
 
 def test_numeric_generators_reject_points_off_the_nilradical():

@@ -7,10 +7,11 @@ import pytest
 
 from nilinv.errors import OutsideU0Error, UnsupportedTypeError
 from nilinv.exactpoly import MatrixPoint
-from nilinv.invgen import build_generators, invariant_values
+from nilinv.invgen import build_generators, formal_matrix, invariant_values
 from nilinv.orbitlab import (
     GroupElement,
     adjoint,
+    bracket,
     max_orbit_dim,
     orbit_dim,
     orbit_experiment,
@@ -20,7 +21,7 @@ from nilinv.orbitlab import (
     sample_u0_point,
     verify_unique_intersection,
 )
-from nilinv.rootcomb import ParabolicType, admissible_pairs, compute_base, phi_set
+from nilinv.rootcomb import ParabolicType, admissible_pairs, compute_base, nilradical_roots, phi_set
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -64,6 +65,28 @@ def test_adjoint_preserves_generator_values():
         g = random_unitriangular(8, rng)
         moved = adjoint(P242, g, x)
         assert invariant_values(gens, moved) == invariant_values(gens, x)
+
+
+def _assert_bracket_is_commutator(pt, x):
+    positions = sorted(nilradical_roots(pt))
+    for i in range(1, pt.n):
+        for j in range(i + 1, pt.n + 1):
+            e = MatrixPoint.zeros(pt.n)
+            e.rows[i - 1][j - 1] = Fraction(1)
+            left, right = e * x, x * e
+            assert bracket(positions, i, j, x) == [left.get(*r) - right.get(*r) for r in positions]
+
+
+def test_bracket_matches_matrix_products():
+    # [E_ij, x] from MatrixPoint products, at rational points and on the formal matrix
+    rng = random.Random(6)
+    for sizes in [(2, 4, 2), (2, 1, 3, 2), (3, 2, 2), (1, 1, 1, 1)]:
+        pt = ParabolicType(sizes)
+        entries = {r: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for r in nilradical_roots(pt)}
+        _assert_bracket_is_commutator(pt, MatrixPoint.from_dict(pt.n, entries))
+    for sizes in [(3, 2, 2), (1, 1, 1, 1), (2, 2)]:
+        pt = ParabolicType(sizes)
+        _assert_bracket_is_commutator(pt, formal_matrix(pt))
 
 
 def test_orbit_dim_examples():
