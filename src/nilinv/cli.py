@@ -180,9 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reduce":
             with open(args.point, "r", encoding="utf-8") as fh:
                 point = MatrixPoint.from_json_dict(json.load(fh))
-            if point.n != ptype.n:
-                print(f"error: point size {point.n} != type size {ptype.n}", file=sys.stderr)
-                return 2
             try:
                 record = verify_unique_intersection(ptype, point)
             except OutsideU0Error as exc:

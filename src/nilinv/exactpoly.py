@@ -39,17 +39,20 @@ def _canon_mono(items) -> tuple:
     return tuple(sorted(((v, e) for v, e in items if e), key=lambda ve: _var_key(ve[0])))
 
 
+def _merge_mono(items) -> tuple:
+    # adds up the exponents of a variable that occurs more than once
+    exps: dict = {}
+    for v, e in items:
+        exps[v] = exps.get(v, 0) + e
+    return _canon_mono(exps.items())
+
+
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     if not m1:
         return m2
     if not m2:
         return m1
-    exps: dict = {}
-    for v, e in m1:
-        exps[v] = exps.get(v, 0) + e
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return _canon_mono(exps.items())
+    return _merge_mono(m1 + m2)
 
 
 class Polynomial:
@@ -69,7 +72,7 @@ class Polynomial:
                 coef = Fraction(coef)
                 if coef == 0:
                     continue
-                mono = _canon_mono(mono)
+                mono = _merge_mono(mono)
                 acc = canon.get(mono, Fraction(0)) + coef
                 if acc:
                     canon[mono] = acc
@@ -218,14 +221,16 @@ class Polynomial:
         return total
 
     def derivative(self, v: Var) -> "Polynomial":
+        # distinct monomials have distinct derivatives, so nothing merges or cancels
         out: dict = {}
         for mono, coef in self.terms.items():
             for idx, (var, e) in enumerate(mono):
                 if var == v:
-                    rest = mono[:idx] + ((var, e - 1),) + mono[idx + 1 :]
-                    out[_canon_mono(rest)] = coef * e
+                    out[mono[:idx] + ((var, e - 1),) * (e > 1) + mono[idx + 1 :]] = coef * e
                     break
-        return Polynomial(out)
+        p = Polynomial.__new__(Polynomial)
+        p.terms = out
+        return p
 
     # -- rendering -----------------------------------------------------------
 
@@ -401,8 +406,12 @@ class MatrixPoint:
         """Matrix product; a product of two elements of one subclass stays in it."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        cols = list(zip(*other.rows))
-        rows = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+        # only nonzero factors are multiplied; an entry without any is the zero of the ring
+        entries = [x for m in (self, other) for row in m.rows for x in row]
+        ring = Polynomial if any(isinstance(x, Polynomial) for x in entries) else Fraction
+        cols = [{k: b for k, b in enumerate(col) if b != 0} for col in zip(*other.rows)]
+        rows = [[(k, a) for k, a in enumerate(row) if a != 0] for row in self.rows]
+        rows = [[sum((a * col[k] for k, a in row if k in col), ring()) for col in cols] for row in rows]
         return (type(self) if type(other) is type(self) else MatrixPoint)(self.n, rows)
 
     @classmethod

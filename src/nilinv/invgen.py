@@ -6,16 +6,18 @@ roots, the pair polynomials L_q attached to admissible pairs, minors of
 powers of X (the extra (2,4,2) invariant D), the restriction map to the
 linear slice spanned by the base and marked positions, and the inverse
 problem: reconstructing the unique slice point with prescribed generator
-values.  Each generator is defined once, over any ring: expanded on X where
-it is printed or checked symbolically, and evaluated at a point by exact
-determinants of submatrices.
+values.  Each generator is defined once, over any ring.  It is evaluated by
+exact determinants of submatrices (``invariant_values``, the U0 test
+``vanishing_minor`` and the slice solve ``y_coordinates`` all share one
+evaluator), and expanded on X only where it is printed or an identity is
+checked symbolically: ``GeneratorSet`` expands on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable
 
 from .errors import OutsideU0Error, UnsupportedTypeError
@@ -46,10 +48,12 @@ def formal_matrix(ptype: ParabolicType) -> MatrixPoint:
     return MatrixPoint(n, rows)
 
 
-def minor_indices(base: Base, gamma: Root) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=None)
+def minor_indices(base: Base, gamma: Root) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The rows {a} + rows(S_gamma) and columns cols(S_gamma) + {b} of the minor M_gamma."""
     inner = s_gamma(base, gamma)
-    return sorted({gamma.i} | {r.i for r in inner}), sorted({r.j for r in inner} | {gamma.j})
+    rows, cols = sorted({gamma.i} | {r.i for r in inner}), sorted({r.j for r in inner} | {gamma.j})
+    return tuple(rows), tuple(cols)
 
 
 def pair_value(minor: Callable[[Root], Polynomial | Fraction], q: AdmissiblePair) -> Polynomial | Fraction:
@@ -89,14 +93,13 @@ def check_support(ptype: ParabolicType, point: MatrixPoint) -> None:
         raise ValueError(f"point has entries outside the nilradical: {sorted(extra)}")
 
 
-def _minors_at(ptype: ParabolicType, base: Base, point: MatrixPoint) -> Callable[[Root], Fraction]:
-    """M_gamma at a nilradical point, each minor the determinant of a submatrix."""
-    check_support(ptype, point)
+def _minors_at(base: Base, entry: Callable[[int, int], Fraction]) -> Callable[[Root], Fraction]:
+    """M_gamma at the point with the given entries, each minor the determinant of a submatrix."""
 
     @lru_cache(maxsize=None)
     def minor(gamma: Root) -> Fraction:
         rows, cols = minor_indices(base, gamma)
-        return det([[point.get(i, j) for j in cols] for i in rows])
+        return det([[entry(i, j) for j in cols] for i in rows])
 
     return minor
 
@@ -107,7 +110,8 @@ def vanishing_minor(ptype: ParabolicType, base: Base, point: MatrixPoint) -> Roo
     None means every base minor is nonzero there: the point lies in U0.
     A point off the nilradical raises ValueError.
     """
-    minor = _minors_at(ptype, base, point)
+    check_support(ptype, point)
+    minor = _minors_at(base, point.get)
     return next((xi for xi in base.by_column() if minor(xi) == 0), None)
 
 
@@ -141,14 +145,27 @@ def pair_name(q: AdmissiblePair) -> str:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The generators attached to one parabolic type."""
+    """The generators attached to one parabolic type, expanded on first read."""
 
     ptype: ParabolicType
     base: Base
     pairs: tuple[AdmissiblePair, ...]
-    base_minors: tuple[tuple[Root, Polynomial], ...]
-    pair_polys: tuple[tuple[AdmissiblePair, Polynomial], ...]
-    extras: tuple[tuple[str, Polynomial], ...]
+
+    @cached_property
+    def base_minors(self) -> tuple[tuple[Root, Polynomial], ...]:
+        """The base minors in column order."""
+        return tuple((xi, minor_poly(self.ptype, self.base, xi)) for xi in self.base.by_column())
+
+    @cached_property
+    def pair_polys(self) -> tuple[tuple[AdmissiblePair, Polynomial], ...]:
+        return tuple((q, l_poly(self.ptype, self.base, q)) for q in self.pairs)
+
+    @cached_property
+    def extras(self) -> tuple[tuple[str, Polynomial], ...]:
+        """The extra (2,4,2) invariant D; no other type has one."""
+        if self.ptype != CASE_242:
+            return ()
+        return (("D", power_minor(self.ptype, 2, (1, 2), (7, 8))),)
 
     def named(self) -> list[tuple[str, Polynomial]]:
         out = [(minor_name(xi), p) for xi, p in self.base_minors]
@@ -163,7 +180,7 @@ class GeneratorSet:
     def to_json_dict(self) -> dict:
         return {
             "type": list(self.ptype.block_sizes),
-            "base": [[xi.i, xi.j] for xi, _ in self.base_minors],
+            "base": [[xi.i, xi.j] for xi in self.base.by_column()],
             "pairs": [q.to_json_dict() for q in self.pairs],
             "generators": [{"name": name, "poly": str(p)} for name, p in self.named()],
         }
@@ -185,15 +202,9 @@ class GeneratorSet:
 
 
 def build_generators(ptype: ParabolicType) -> GeneratorSet:
-    """Assemble all generators for a type; lists base minors in column order."""
+    """The generators of a type; nothing is expanded until a polynomial is read."""
     base = compute_base(ptype)
-    pairs = admissible_pairs(ptype, base)
-    base_minors = tuple((xi, minor_poly(ptype, base, xi)) for xi in base.by_column())
-    pair_polys = tuple((q, l_poly(ptype, base, q)) for q in pairs)
-    extras: tuple = ()
-    if ptype == CASE_242:
-        extras = (("D", power_minor(ptype, 2, (1, 2), (7, 8))),)
-    return GeneratorSet(ptype, base, pairs, base_minors, pair_polys, extras)
+    return GeneratorSet(ptype, base, admissible_pairs(ptype, base))
 
 
 @dataclass(frozen=True)
@@ -206,16 +217,11 @@ class InvariantValues:
 
 def invariant_values(gens: GeneratorSet, point: MatrixPoint) -> InvariantValues:
     """The base minors and pair polynomials at a point, without expanding them."""
-    minor = _minors_at(gens.ptype, gens.base, point)
-    m_values = {xi: minor(xi) for xi, _ in gens.base_minors}
+    check_support(gens.ptype, point)
+    minor = _minors_at(gens.base, point.get)
+    m_values = {xi: minor(xi) for xi in gens.base.by_column()}
     l_values = {q.phi: pair_value(minor, q) for q in gens.pairs}
     return InvariantValues(m_values, l_values)
-
-
-def _single_monomial(p: Polynomial, context: str) -> tuple[Fraction, tuple]:
-    if len(p.terms) != 1:
-        raise UnsupportedTypeError(f"{context} does not restrict to a single monomial: {p}")
-    return p.as_monomial()
 
 
 def y_coordinates(
@@ -226,10 +232,12 @@ def y_coordinates(
 ) -> MatrixPoint:
     """The unique slice point whose generators take the prescribed values.
 
-    Solves the triangular monomial system given by the restricted
-    generators: first the base coordinates from the minor values (all of
-    which must be nonzero), then each marked coordinate from its pair
-    value.  Signs are read off the symbolically restricted generators.
+    On the slice each generator is a signed monomial, linear in its own
+    target coordinate and otherwise in coordinates solved before it: the
+    base coordinates innermost first from the minor values (all of which
+    must be nonzero), then each marked coordinate from its pair value.  So
+    each target is its value divided by the generator evaluated at the
+    slice point built so far with that target set to 1.
     """
     if not is_covered(ptype):
         raise UnsupportedTypeError(
@@ -243,29 +251,15 @@ def y_coordinates(
     for q in pairs:
         if q.phi not in inv_values.l_values:
             raise ValueError(f"missing pair value for {q.xi}, {q.xi_prime}")
-    phi = phi_set(pairs)
 
-    # (target, generator, value): minors innermost first, so each restricted
-    # monomial only involves coordinates already solved, then the pairs
+    # (target, value, generator as a function of the minors)
     steps = [
-        (xi, minor_poly(ptype, base, xi), inv_values.m_values[xi], f"minor at {xi}")
+        (xi, inv_values.m_values[xi], lambda minor, xi=xi: minor(xi))
         for xi in sorted(base.roots, key=lambda r: len(s_gamma(base, r)))
     ]
-    steps += [
-        (q.phi, l_poly(ptype, base, q), inv_values.l_values[q.phi],
-         f"pair polynomial at {q.xi},{q.xi_prime}")
-        for q in pairs
-    ]
+    steps += [(q.phi, inv_values.l_values[q.phi], lambda minor, q=q: pair_value(minor, q)) for q in pairs]
     coords: dict[Root, Fraction] = {}
-    for target, poly, value, context in steps:
-        coef, mono = _single_monomial(restrict(ptype, base, phi, poly), context)
-        denom = coef
-        for v, e in mono:
-            r = Root(*v)
-            if r == target:
-                if e != 1:
-                    raise UnsupportedTypeError(f"{context} restricts with exponent {e}")
-                continue
-            denom *= coords[r] ** e
-        coords[target] = value / denom
+    for target, value, generator in steps:
+        coords[target] = Fraction(1)
+        coords[target] = value / generator(_minors_at(base, lambda i, j: coords.get((i, j), 0)))
     return MatrixPoint.from_dict(ptype.n, coords)

@@ -120,8 +120,10 @@ def test_reduce_outside_u0(tmp_path, capsys):
 def test_reduce_size_mismatch(tmp_path, capsys):
     path = tmp_path / "point.json"
     path.write_text(json.dumps({"n": 3, "entries": []}))
-    code, _ = run(capsys, "reduce", "--type", "2,2", "--point", str(path))
-    assert code == 2
+    assert main(["reduce", "--type", "2,2", "--point", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: point size 3 != type size 4\n"
 
 
 @pytest.mark.parametrize(

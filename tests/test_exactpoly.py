@@ -42,6 +42,14 @@ def test_no_zero_terms_stored():
     assert () not in q.terms
 
 
+def test_repeated_variable_in_a_monomial_is_merged():
+    p = Polynomial({(((1, 2), 1), ((1, 2), 1)): 1})
+    assert p == Polynomial.var((1, 2)) ** 2
+    assert str(p) == "x[1,2]^2"
+    q = Polynomial({((T, 1), ((1, 3), 1), (T, 2)): 2, (((1, 3), 1), (T, 3)): 1})
+    assert q == 3 * X13 * Polynomial.var(T) ** 3
+
+
 def test_power_and_degree():
     p = (X13 + 1) ** 3
     assert p.terms[(((1, 3), 2),)] == 3
@@ -147,6 +155,27 @@ def test_poly_matrix_power():
     for c in range(3, 7):
         expect = expect + Polynomial.var((1, c)) * Polynomial.var((c, 7))
     assert sq.get(1, 7) == expect
+
+
+def _full_product(a, b):
+    # every pair of entries multiplied, zeros included
+    return [[sum(a.get(i, k) * b.get(k, j) for k in range(1, a.n + 1)) for j in range(1, a.n + 1)]
+            for i in range(1, a.n + 1)]
+
+
+def test_product_skipping_zeros_matches_full_product_over_both_rings():
+    x = _x_matrix_242()
+    t = Polynomial.var(T)
+    shear = MatrixPoint.identity(8)
+    shear.rows[2][3] = -t
+    point = MatrixPoint.from_dict(8, {(1, 3): Fraction(5, 3), (2, 4): -2, (4, 7): 7, (3, 8): Fraction(-1, 2)})
+    cases = [(x, x), (x * x, x), (shear, x), (x, shear), (point, point), (point, MatrixPoint.identity(8)),
+             (MatrixPoint.zeros(8), point), (point, point * point)]
+    for a, b in cases:
+        ring = Polynomial if Polynomial in {type(v) for m in (a, b) for row in m.rows for v in row} else Fraction
+        product = a * b
+        assert product.rows == _full_product(a, b)
+        assert all(type(v) is ring for row in product.rows for v in row)
 
 
 def test_rank_examples():

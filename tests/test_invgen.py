@@ -1,6 +1,8 @@
 """Tests for generator construction, restriction, and slice coordinates."""
 
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,8 @@ from nilinv.invgen import (
     vanishing_minor,
     y_coordinates,
 )
-from nilinv.orbitlab import DEFAULT_SEED, sample_point
+from nilinv.cli import main
+from nilinv.orbitlab import DEFAULT_SEED, sample_point, sample_u0_point, verify_unique_intersection
 from nilinv.rootcomb import (
     AdmissiblePair,
     ParabolicType,
@@ -283,3 +286,69 @@ def test_numeric_generators_reject_points_off_the_nilradical():
             invariant_values(gens, bad)
         with pytest.raises(ValueError):
             vanishing_minor(pt, gens.base, bad)
+
+
+def _restricted_steps(ptype, base, pairs):
+    # the symbolic solve order: each generator restricted to the slice, read as one signed monomial
+    phi = phi_set(pairs)
+    steps = [(xi, minor_poly(ptype, base, xi)) for xi in sorted(base.roots, key=lambda r: len(s_gamma(base, r)))]
+    steps += [(q.phi, l_poly(ptype, base, q)) for q in pairs]
+    return [(target, *restrict(ptype, base, phi, p).as_monomial()) for target, p in steps]
+
+
+def _y_coordinates_by_restriction(ptype, steps, vals):
+    coords = {}
+    for target, coef, mono in steps:
+        denom = coef
+        for v, e in mono:
+            if Root(*v) == target:
+                assert e == 1
+            else:
+                denom *= coords[Root(*v)] ** e
+        value = vals.m_values[target] if target in vals.m_values else vals.l_values[target]
+        coords[target] = value / denom
+    return MatrixPoint.from_dict(ptype.n, coords)
+
+
+def test_numeric_slice_solve_matches_symbolic_solve():
+    # y_coordinates divides generator values against the restrict-and-read-the-monomial solve
+    rng = random.Random(DEFAULT_SEED)
+    zero_marks = 0
+    for n in range(1, 9):
+        for sizes in _compositions(n):
+            ptype = ParabolicType(sizes)
+            if not is_covered(ptype):
+                continue
+            gens = build_generators(ptype)
+            steps = _restricted_steps(ptype, gens.base, gens.pairs)
+            entries = {r: rng.choice((-3, -2, -1, 1, 2, 3)) for r in gens.base.roots}
+            entries.update({q.phi: rng.randint(-1, 1) for q in gens.pairs})
+            zero_marks += sum(entries[q.phi] == 0 for q in gens.pairs)
+            for point in (sample_u0_point(ptype, rng), MatrixPoint.from_dict(ptype.n, entries)):
+                vals = invariant_values(gens, point)
+                want = _y_coordinates_by_restriction(ptype, steps, vals)
+                assert y_coordinates(ptype, gens.base, gens.pairs, vals) == want, sizes
+    assert zero_marks > 0
+
+
+def _refuse(name):
+    def expand(*args, **kwargs):
+        raise AssertionError(f"{name} expanded a polynomial")
+
+    return expand
+
+
+def test_reduce_path_expands_nothing(monkeypatch, tmp_path, capsys):
+    for name in ("det_minor", "minor_poly", "l_poly", "restrict"):
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "nilinv"]:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, _refuse(name))
+    rng = random.Random(DEFAULT_SEED)
+    for sizes in [(2, 4, 2), (2, 5, 3), (9, 9, 9)]:
+        ptype = ParabolicType(sizes)
+        point = sample_u0_point(ptype, rng)
+        assert verify_unique_intersection(ptype, point)["pass"], sizes
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(point.to_json_dict()))
+        assert main(["reduce", "--type", ",".join(map(str, sizes)), "--point", str(path)]) == 0, sizes
+        assert json.loads(capsys.readouterr().out)["pass"], sizes
