@@ -1,17 +1,20 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, matrices, rank.
 
 Everything is computed over arbitrary-precision rationals
-(fractions.Fraction); no floating point appears anywhere.  ``MatrixPoint``
-is the one exact-matrix type.  Its entries are rationals for nilradical
-points and unitriangular group elements (its subclass
-``orbitlab.GroupElement``), and polynomials for the formal matrix of
-variables; the matrix product works over both rings.  Polynomial
+(fractions.Fraction); no floating point appears anywhere.  ``rank`` and
+``det`` take rows of ints and Fractions alike and eliminate over the
+integers.  ``MatrixPoint`` is the one exact-matrix type.  Its entries are
+rationals for nilradical points and unitriangular group elements (its
+subclass ``orbitlab.GroupElement``), and polynomials for the formal matrix
+of variables; the matrix product works over both rings.  Polynomial
 variables are matrix positions (i, j) plus named parameters given as
 strings, with the one-parameter deformation variable ``t`` reserved for
 the group-action checks.
 
 Canonical term order for printing: graded lexicographic with position
 variables ordered by (i, j) and string parameters (t in particular) last.
+``str`` and ``latex`` share one term layout and differ only in how a
+coefficient and a factor are written.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 T = "t"  # the deformation parameter of one-parameter subgroup transforms
 
@@ -216,7 +219,7 @@ class Polynomial:
             for v, e in mono:
                 if v not in values:
                     raise ValueError(f"no value supplied for variable {v!r}")
-                acc *= Fraction(values[v]) ** e
+                acc *= values[v] ** e
             total += acc
         return total
 
@@ -249,52 +252,41 @@ class Polynomial:
             key=lambda mc: (-sum(e for _, e in mc[0]), tuple(-e for e in exps(mc[0]))),
         )
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
+    def _render(self, sep: str, coef_text: Callable[[Fraction], str], factor_text: Callable[[Var, int], str]) -> str:
+        # the one term layout: the sign, then the coefficient unless it is 1, then the factors
         chunks = []
         for mono, coef in self._sorted_terms():
-            sign = "-" if coef < 0 else "+"
-            mag = -coef if coef < 0 else coef
-            factors = []
-            if mag != 1 or not mono:
-                factors.append(str(mag))
-            for v, e in mono:
-                name = T if v == T else (v if isinstance(v, str) else f"x[{v[0]},{v[1]}]")
-                factors.append(name if e == 1 else f"{name}^{e}")
-            chunk = "*".join(factors)
-            if not chunks:
-                chunks.append(chunk if sign == "+" else "-" + chunk)
-            else:
-                chunks.append(f" {sign} {chunk}")
-        return "".join(chunks)
+            mag, sign = abs(coef), "-" if coef < 0 else "+"
+            factors = [factor_text(v, e) for v, e in mono]
+            body = sep.join([coef_text(mag)] + factors if mag != 1 or not mono else factors)
+            chunks.append(f" {sign} {body}" if chunks else ("-" if coef < 0 else "") + body)
+        return "".join(chunks) or "0"
+
+    def __str__(self):
+        return self._render("*", str, _text_factor)
 
     def __repr__(self):
         return f"Polynomial({self})"
 
     def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for mono, coef in self._sorted_terms():
-            sign = "-" if coef < 0 else "+"
-            mag = -coef if coef < 0 else coef
-            body = ""
-            if mag != 1 or not mono:
-                body += str(mag.numerator) if mag.denominator == 1 else rf"\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
-            for v, e in mono:
-                if isinstance(v, str):
-                    name = v
-                elif v[0] < 10 and v[1] < 10:
-                    name = f"x_{{{v[0]}{v[1]}}}"
-                else:
-                    name = f"x_{{{v[0]},{v[1]}}}"
-                body += name if e == 1 else f"{name}^{{{e}}}"
-            if not chunks:
-                chunks.append(body if sign == "+" else "-" + body)
-            else:
-                chunks.append(f" {sign} {body}")
-        return "".join(chunks)
+        return self._render("", _latex_coef, _latex_factor)
+
+
+def _text_factor(v: Var, e: int) -> str:
+    name = v if isinstance(v, str) else f"x[{v[0]},{v[1]}]"
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _latex_coef(c: Fraction) -> str:
+    return str(c) if c.denominator == 1 else rf"\tfrac{{{c.numerator}}}{{{c.denominator}}}"
+
+
+def _latex_factor(v: Var, e: int) -> str:
+    if isinstance(v, str):
+        name = v
+    else:
+        name = f"x_{{{v[0]}{v[1]}}}" if v[0] < 10 and v[1] < 10 else f"x_{{{v[0]},{v[1]}}}"
+    return name if e == 1 else f"{name}^{{{e}}}"
 
 
 def det_minor(m: MatrixPoint, rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
@@ -337,18 +329,20 @@ def det_minor(m: MatrixPoint, rows: Iterable[int], cols: Iterable[int]) -> Polyn
     return go(rows, cols)
 
 
-def _eliminate(matrix: Iterable[Iterable[Scalar]]) -> tuple[int, Fraction]:
-    """Fraction-free (Bareiss) elimination: the rank, and the determinant (0 unless square and regular)."""
-    work = [[Fraction(x) for x in row] for row in matrix]
-    if not work or not work[0]:
+def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, Fraction]:
+    """Fraction-free (Bareiss) elimination: the rank, and the determinant (0 unless square and regular).
+
+    Each row is scaled to integers straight from its entries' ``numerator``
+    and ``denominator`` (an ``int`` has both); no entry becomes a Fraction.
+    """
+    if not matrix or not matrix[0]:
         return 0, Fraction(0)
-    # clear denominators row by row so the elimination runs over integers
     rows = []
     scale = 1
-    for row in work:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
+    for row in matrix:
+        mult = lcm(*(x.denominator for x in row))
         scale *= mult
-        rows.append([int(x * mult) for x in row])
+        rows.append([x.numerator * (mult // x.denominator) for x in row])
     nr, nc = len(rows), len(rows[0])
     prev = 1
     r = 0
@@ -374,17 +368,16 @@ def _eliminate(matrix: Iterable[Iterable[Scalar]]) -> tuple[int, Fraction]:
     return r, Fraction(sign * prev, scale) if r == nr == nc else Fraction(0)
 
 
-def rank(matrix: Iterable[Iterable[Scalar]]) -> int:
+def rank(matrix: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank over the rationals via fraction-free (Bareiss) elimination."""
     return _eliminate(matrix)[0]
 
 
-def det(matrix: Iterable[Iterable[Scalar]]) -> Fraction:
+def det(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     """Exact determinant of a square rational matrix, by the elimination of ``rank``."""
-    rows = [list(row) for row in matrix]
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError(f"determinant of a non-square matrix with {len(rows)} rows")
-    return _eliminate(rows)[1] if rows else Fraction(1)
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError(f"determinant of a non-square matrix with {len(matrix)} rows")
+    return _eliminate(matrix)[1] if matrix else Fraction(1)
 
 
 @dataclass

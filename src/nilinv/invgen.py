@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from math import prod
 from typing import Callable, Iterable
 
 from .errors import OutsideU0Error, UnsupportedTypeError
@@ -186,19 +187,11 @@ class GeneratorSet:
         }
 
     def to_latex(self) -> str:
-        lines = [r"\begin{align*}"]
-        for name, poly in self.named():
-            if name.startswith("M["):
-                i, j = name[2:-1].split(",")
-                label = f"M_{{({i},{j})}}"
-            elif name.startswith("L["):
-                left, right = name[2:-1].split(";")
-                label = f"L_{{({left}),({right})}}"
-            else:
-                label = name
-            lines.append(f"{label} &= {poly.latex()}\\\\")
-        lines.append(r"\end{align*}")
-        return "\n".join(lines) + "\n"
+        labelled = [(f"M_{{{xi}}}", p) for xi, p in self.base_minors]
+        labelled += [(f"L_{{{q.xi},{q.xi_prime}}}", p) for q, p in self.pair_polys]
+        labelled += self.extras
+        lines = [f"{label} &= {p.latex()}\\\\" for label, p in labelled]
+        return "\n".join([r"\begin{align*}", *lines, r"\end{align*}"]) + "\n"
 
 
 def build_generators(ptype: ParabolicType) -> GeneratorSet:
@@ -235,9 +228,11 @@ def y_coordinates(
     On the slice each generator is a signed monomial, linear in its own
     target coordinate and otherwise in coordinates solved before it: the
     base coordinates innermost first from the minor values (all of which
-    must be nonzero), then each marked coordinate from its pair value.  So
-    each target is its value divided by the generator evaluated at the
-    slice point built so far with that target set to 1.
+    must be nonzero), then each marked coordinate phi from its pair value.
+    Of the splittings c = b..a' in ``pair_value``, only c = b survives on
+    the slice, so there L_q is M_xi * M_phi: two determinants instead of
+    2(a' - b + 1).  Each target is its value divided by the generator
+    evaluated at the slice point built so far with that target set to 1.
     """
     if not is_covered(ptype):
         raise UnsupportedTypeError(
@@ -252,14 +247,13 @@ def y_coordinates(
         if q.phi not in inv_values.l_values:
             raise ValueError(f"missing pair value for {q.xi}, {q.xi_prime}")
 
-    # (target, value, generator as a function of the minors)
-    steps = [
-        (xi, inv_values.m_values[xi], lambda minor, xi=xi: minor(xi))
-        for xi in sorted(base.roots, key=lambda r: len(s_gamma(base, r)))
-    ]
-    steps += [(q.phi, inv_values.l_values[q.phi], lambda minor, q=q: pair_value(minor, q)) for q in pairs]
+    # (target, value, the minors whose product is the generator on the slice)
+    inner_first = sorted(base.roots, key=lambda r: len(s_gamma(base, r)))
+    steps = [(xi, inv_values.m_values[xi], (xi,)) for xi in inner_first]
+    steps += [(q.phi, inv_values.l_values[q.phi], (q.xi, q.phi)) for q in pairs]
     coords: dict[Root, Fraction] = {}
-    for target, value, generator in steps:
+    for target, value, factors in steps:
         coords[target] = Fraction(1)
-        coords[target] = value / generator(_minors_at(base, lambda i, j: coords.get((i, j), 0)))
+        minor = _minors_at(base, lambda i, j: coords.get((i, j), 0))
+        coords[target] = value / prod(minor(gamma) for gamma in factors)
     return MatrixPoint.from_dict(ptype.n, coords)

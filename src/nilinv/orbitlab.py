@@ -54,21 +54,13 @@ class GroupElement(MatrixPoint):
         return cls(n, rows)
 
     def inverse(self) -> "GroupElement":
-        # Neumann series: (1 + N)^{-1} = 1 - N + N^2 - ... with N nilpotent
-        n = self.n
-        nil = MatrixPoint(n, [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(self.rows)])
-        inv = MatrixPoint.identity(n).rows
-        term = MatrixPoint.identity(n)
-        sign = 1
-        for _ in range(n - 1):
-            term = term * nil
-            sign = -sign
-            if not term.support():
-                break
-            for i in range(n):
-                for j in range(n):
-                    inv[i][j] += sign * term.rows[i][j]
-        return GroupElement(n, inv)
+        # back substitution for g h = 1, rows bottom up: h_ij = -sum_{i<k<=j} g_ik h_kj
+        n, g = self.n, self.rows
+        h = MatrixPoint.identity(n).rows
+        for i in range(n - 2, -1, -1):
+            for j in range(i + 1, n):
+                h[i][j] = -sum((g[i][k] * h[k][j] for k in range(i + 1, j + 1) if g[i][k]), Fraction(0))
+        return GroupElement(n, h)
 
     def to_json_dict(self) -> dict:
         # the unit diagonal is implied: list only the strictly upper entries

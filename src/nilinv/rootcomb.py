@@ -15,6 +15,7 @@ text/LaTeX/JSON diagram renderings of all of the above.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -70,15 +71,7 @@ class ParabolicType:
         """1-based index of the diagonal block containing row/column k."""
         if not 1 <= k <= self.n:
             raise ValueError(f"index {k} out of range 1..{self.n}")
-        starts = self._block_starts
-        lo, hi = 0, self.s - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if starts[mid] <= k:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
+        return bisect_right(self._block_starts, k)
 
     def block_start(self, a: int) -> int:
         return self._block_starts[a - 1]

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilinv.exactpoly import det, det_minor, rank
@@ -13,7 +13,10 @@ from nilinv.rootcomb import ParabolicType
 
 sympy = pytest.importorskip("sympy")
 
-ENTRIES = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+# plain ints as well as Fractions, so rank and det run on int, Fraction and mixed rows
+ENTRIES = st.one_of(
+    st.just(Fraction(0)), st.just(0), st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=4)
+)
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
@@ -41,6 +44,8 @@ def _sympy_poly(p, symbols):
 
 
 @given(rational_matrices(square=False))
+@example([[1, 2, 3], [2, 4, 6]])
+@example([[Fraction(1, 2), 1], [1, 2], [0, Fraction(-3, 4)]])
 @settings(max_examples=100, deadline=None)
 def test_rank_matches_sympy(rows):
     nc = len(rows[0]) if rows else 1
@@ -48,6 +53,8 @@ def test_rank_matches_sympy(rows):
 
 
 @given(rational_matrices(square=True))
+@example([[2, -1], [3, 4]])
+@example([[Fraction(1, 3), 2], [5, Fraction(-1, 2)]])
 @settings(max_examples=100, deadline=None)
 def test_det_matches_sympy(rows):
     want = _sympy_matrix(rows, len(rows)).det()

@@ -213,8 +213,12 @@ def test_json_outputs_are_byte_identical(capsys):
         ("base_242.json", ["base", "--type", "2,4,2", "--format", "json"]),
         ("invariants_2211.json", ["invariants", "--type", "2,2,1,1", "--format", "json"]),
         ("reduce_242.json", ["reduce", "--type", "2,4,2", "--point", str(GOLDEN / "point_242_u0.json")]),
+        ("invariants_242.tex", ["invariants", "--type", "2,4,2", "--format", "latex"]),
+        ("invariants_242.txt", ["invariants", "--type", "2,4,2", "--format", "text"]),
+        ("invariants_433.tex", ["invariants", "--type", "4,3,3", "--format", "latex"]),
+        ("invariants_433.txt", ["invariants", "--type", "4,3,3", "--format", "text"]),
     ],
-    ids=["base", "invariants", "reduce"],
+    ids=["base", "invariants", "reduce", "invariants-242-latex", "invariants-242-text", "invariants-433-latex", "invariants-433-text"],
 )
 def test_output_matches_golden(capsys, golden, args):
     code, out = run(capsys, *args)

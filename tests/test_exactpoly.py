@@ -99,6 +99,36 @@ def test_latex():
     assert f.latex() == "x_{13}x_{24} - x_{14}x_{23}"
 
 
+@pytest.mark.parametrize(
+    "poly, text, tex",
+    [
+        (
+            -3 * Polynomial.var((1, 2)) ** 2 * Polynomial.var((10, 11))
+            + Fraction(1, 2) * Polynomial.var((2, 3)) * Polynomial.var(T) ** 2
+            + Polynomial.var("s") ** 3
+            - Fraction(7, 3) * Polynomial.var((4, 5))
+            + 5,
+            "-3*x[1,2]^2*x[10,11] + 1/2*x[2,3]*t^2 + s^3 - 7/3*x[4,5] + 5",
+            r"-3x_{12}^{2}x_{10,11} + \tfrac{1}{2}x_{23}t^{2} + s^{3} - \tfrac{7}{3}x_{45} + 5",
+        ),
+        (
+            Fraction(-2, 5) * Polynomial.var((1, 12)) * Polynomial.var("s") - Polynomial.var((3, 4)) - Fraction(1, 3),
+            "-2/5*x[1,12]*s - x[3,4] - 1/3",
+            r"-\tfrac{2}{5}x_{1,12}s - x_{34} - \tfrac{1}{3}",
+        ),
+        (Polynomial.var((2, 3)) - 1, "x[2,3] - 1", "x_{23} - 1"),
+        (Polynomial.constant(Fraction(-3, 4)), "-3/4", r"-\tfrac{3}{4}"),
+        (Polynomial.zero(), "0", "0"),
+    ],
+    ids=["mixed", "negative-fraction", "unit", "constant", "zero"],
+)
+def test_str_and_latex_share_one_term_layout(poly, text, tex):
+    # expected strings pin the renderings: fractional coefficients (\tfrac), named
+    # parameters with exponents, two-digit indices, constants, negative leading terms
+    assert str(poly) == text
+    assert poly.latex() == tex
+
+
 def _x_matrix_242():
     blocks = [1, 1, 2, 2, 2, 2, 3, 3]
     return MatrixPoint(8, [

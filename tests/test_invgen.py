@@ -272,6 +272,24 @@ def test_restrict_equals_substituting_zero_off_the_slice():
         restrict(P242, compute_base(P242), (), V(2, 3) * Polynomial.var("a"))
 
 
+def test_pair_polynomial_on_the_slice_is_the_splitting_c_equals_b():
+    # y_coordinates solves each pair step with M_xi * M_phi in place of the whole sum L_q
+    checked = 0
+    for n in range(1, 9):
+        for sizes in _compositions(n):
+            ptype = ParabolicType(sizes)
+            if not is_covered(ptype):
+                continue
+            gens = build_generators(ptype)
+            phi = phi_set(gens.pairs)
+            for q in gens.pairs:
+                split = minor_poly(ptype, gens.base, q.xi) * minor_poly(ptype, gens.base, q.phi)
+                got = restrict(ptype, gens.base, phi, l_poly(ptype, gens.base, q))
+                assert got == restrict(ptype, gens.base, phi, split), (sizes, q)
+                checked += 1
+    assert checked == 74
+
+
 def test_numeric_generators_reject_points_off_the_nilradical():
     pt = ParabolicType((2, 2))
     gens = build_generators(pt)

@@ -37,9 +37,13 @@ def test_group_element_validation():
 
 def test_group_inverse():
     rng = random.Random(0)
-    for _ in range(10):
-        g = random_unitriangular(6, rng)
-        assert (g * g.inverse()).rows == GroupElement.identity(6).rows
+    for n in range(1, 9):
+        for _ in range(10):
+            g = random_unitriangular(n, rng, ops=12 if n > 1 else 0)
+            h = g.inverse()
+            assert isinstance(h, GroupElement) and all(isinstance(v, Fraction) for row in h.rows for v in row)
+            assert (g * h).rows == GroupElement.identity(n).rows
+            assert (h * g).rows == GroupElement.identity(n).rows
 
 
 def test_adjoint_identity_and_composition():

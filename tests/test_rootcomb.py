@@ -37,6 +37,15 @@ PAPER_PHI = {
 types = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(lambda xs: ParabolicType(tuple(xs)))
 
 
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
 def as_pairs(roots):
     return {tuple(r) for r in roots}
 
@@ -51,6 +60,15 @@ def test_parabolic_type_validation():
     pt = ParabolicType.from_string("2,4,2")
     assert pt.n == 8 and pt.s == 3
     assert [pt.block_of(k) for k in range(1, 9)] == [1, 1, 2, 2, 2, 2, 3, 3]
+    # block_of against a scan of block_range on every composition with n <= 8
+    for n in range(1, 9):
+        for sizes in _compositions(n):
+            pt = ParabolicType(sizes)
+            scan = {k: a for a in range(1, pt.s + 1) for k in pt.block_range(a)}
+            assert [pt.block_of(k) for k in range(1, n + 1)] == [scan[k] for k in range(1, n + 1)], sizes
+            for k in (0, n + 1):
+                with pytest.raises(ValueError, match="out of range"):
+                    pt.block_of(k)
 
 
 def test_nilradical_sizes():
