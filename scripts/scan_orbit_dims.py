@@ -6,26 +6,12 @@ Usage: python3 scripts/scan_orbit_dims.py [--max-n 6] [--trials 20] [--seed N]
 """
 
 import argparse
-import itertools
 import json
 import pathlib
 import sys
 
 from nilinv.orbitlab import DEFAULT_SEED, orbit_experiment
-from nilinv.rootcomb import ParabolicType
-
-
-def compositions(n):
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        sizes, cur = [], 1
-        for b in bits:
-            if b:
-                sizes.append(cur)
-                cur = 1
-            else:
-                cur += 1
-        sizes.append(cur)
-        yield tuple(sizes)
+from nilinv.rootcomb import ParabolicType, compositions
 
 
 def main() -> int:

@@ -10,7 +10,7 @@ the evaluation table on the parameter family Y_{a,b,c}).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Iterable, Sequence
@@ -81,16 +81,8 @@ class IndependenceResult:
         return self.rank == self.expected
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "expected": self.expected,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "independent": self.independent,
-            "note": None
-            if self.independent
-            else "dependent or unlucky (failure probability bounded by Schwartz-Zippel)",
-        }
+        note = None if self.independent else "dependent or unlucky (failure probability bounded by Schwartz-Zippel)"
+        return {**asdict(self), "independent": self.independent, "note": note}
 
 
 def independence_details(
@@ -145,16 +137,14 @@ class VerificationReport:
     corank_alpha: int
     corank_s_phi: int
     trdeg_field_n: int  # |S| + |Q|
-    trdeg_field_b_claimed: int  # = corank_alpha
-    flags: dict[str, bool] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.flags:
-            self.flags = {
-                "invariance": all(all(v) for v in self.invariance.values()),
-                "independence": self.independence.independent,
-                "corank_bookkeeping": self.corank_alpha == self.corank_s_phi,
-            }
+    @property
+    def flags(self) -> dict[str, bool]:
+        return {
+            "invariance": all(all(v) for v in self.invariance.values()),
+            "independence": self.independence.independent,
+            "corank_bookkeeping": self.corank_alpha == self.corank_s_phi,
+        }
 
     @property
     def passed(self) -> bool:
@@ -173,10 +163,10 @@ class VerificationReport:
             },
             "trdeg": {
                 "field_n": self.trdeg_field_n,
-                "field_b_claimed": self.trdeg_field_b_claimed,
+                "field_b_claimed": self.corank_alpha,
                 "field_b_lattice": self.corank_s_phi,
             },
-            "flags": dict(sorted(self.flags.items())),
+            "flags": self.flags,
             "passed": self.passed,
         }
 
@@ -192,16 +182,14 @@ def verify_type(ptype: ParabolicType, seed: int = DEFAULT_SEED) -> VerificationR
         independence = IndependenceResult(rank=0, expected=0, seed=seed, attempts=0)
     pairs = gens.pairs
     s_phi = list(gens.base.roots) + sorted(phi_set(pairs))
-    corank_alpha = weight_corank(pairs, ptype.n)
     return VerificationReport(
         ptype=ptype,
         seed=seed,
         invariance=invariance,
         independence=independence,
-        corank_alpha=corank_alpha,
+        corank_alpha=weight_corank(pairs, ptype.n),
         corank_s_phi=corank_of_roots(s_phi, ptype.n),
         trdeg_field_n=len(gens.base) + len(pairs),
-        trdeg_field_b_claimed=corank_alpha,
     )
 
 
@@ -303,56 +291,28 @@ class Case242Report:
         }
 
 
+def _sign(computed: Polynomial, want: Polynomial) -> int | None:
+    """1 or -1 when computed equals want up to that sign, else None."""
+    return 1 if computed == want else -1 if computed == -want else None
+
+
 def case242_report(seed: int = DEFAULT_SEED) -> Case242Report:
     gens = case242_generators()
-
-    lhs = gens["L12"] * gens["L21"] - gens["L11"] * gens["L22"]
-    rhs = gens["M1"] * gens["N1"] * gens["D"]
-    if lhs == rhs:
-        identity_holds, identity_sign = True, 1
-    elif lhs == -rhs:
-        identity_holds, identity_sign = True, -1
-    else:
-        identity_holds, identity_sign = False, None
-
-    d_invariant = is_n_invariant(CASE_242, gens["D"])
-
+    identity_sign = _sign(gens["L12"] * gens["L21"] - gens["L11"] * gens["L22"], gens["M1"] * gens["N1"] * gens["D"])
     y_map = y_family_map()
-    expected = _expected_y_table()
     table = []
-    table_ok = True
-    signs: dict[str, int | None] = {}
-    for name in ("M1", "M2", "N1", "N2", "L11", "L12", "L21", "L22", "D"):
+    for name, want in _expected_y_table().items():
         computed = gens[name].substitute(y_map)
-        want = expected[name]
-        if computed == want:
-            sign = 1
-        elif computed == -want:
-            sign = -1
-        else:
-            sign = None
-            table_ok = False
-        signs[name] = sign
-        table.append(
-            {
-                "name": name,
-                "computed": str(computed),
-                "expected": str(want),
-                "sign": sign,
-            }
-        )
-
-    nine = list(gens.values())
-    nine_rank = independence_details(CASE_242, nine, seed).rank
-
+        table.append({"name": name, "computed": str(computed), "expected": str(want), "sign": _sign(computed, want)})
+    signs = {row["name"]: row["sign"] for row in table}
     return Case242Report(
         seed=seed,
-        identity_holds=identity_holds,
+        identity_holds=identity_sign is not None,
         identity_sign=identity_sign,
-        d_invariant=d_invariant,
+        d_invariant=is_n_invariant(CASE_242, gens["D"]),
         table=table,
-        table_ok=table_ok,
-        l11_sign_exact=signs.get("L11") == 1,
-        d_sign_exact=signs.get("D") == 1,
-        nine_generator_rank=nine_rank,
+        table_ok=None not in signs.values(),
+        l11_sign_exact=signs["L11"] == 1,
+        d_sign_exact=signs["D"] == 1,
+        nine_generator_rank=independence_details(CASE_242, list(gens.values()), seed).rank,
     )

@@ -87,47 +87,89 @@ def _base_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _diagram(args) -> tuple[str, int]:
+    return render_diagram(args.type, args.format, args.marked, args.offset), 0
+
+
+def _base(args) -> tuple[str, int]:
+    doc = _base_doc(args.type)
+    return (_json_doc(doc) if args.format == "json" else _base_text(doc)), 0
+
+
+def _invariants(args) -> tuple[str, int]:
+    gens = build_generators(args.type)
+    if args.format == "json":
+        return _json_doc(gens.to_json_dict()), 0
+    if args.format == "latex":
+        return gens.to_latex(), 0
+    return "\n".join(f"{name} = {poly}" for name, poly in gens.named()) + "\n", 0
+
+
+def _verify(args) -> tuple[str, int]:
+    report = verify_type(args.type, args.seed)
+    code = 0 if report.passed else 1
+    if args.format == "json":
+        return _json_doc(report.to_json_dict()), code
+    flags = " ".join(f"{k}={v}" for k, v in sorted(report.flags.items()))
+    return f"type {args.type} passed={report.passed} {flags}\n", code
+
+
+def _orbit_dim(args) -> tuple[str, int]:
+    record = orbit_experiment(args.type, args.trials, args.seed)
+    return _json_doc(record), 0 if record["pass"] else 1
+
+
+def _reduce(args) -> tuple[str, int]:
+    with open(args.point, "r", encoding="utf-8") as fh:
+        point = MatrixPoint.from_json_dict(json.load(fh))
+    try:
+        record = verify_unique_intersection(args.type, point)
+    except OutsideU0Error as exc:
+        return _json_doc({"error": "outside U0", "xi": list(exc.xi)}), 1
+    return _json_doc(record), 0 if record["pass"] else 1
+
+
+def _case242(args) -> tuple[str, int]:
+    report = case242_report(args.seed)
+    return _json_doc(report.to_json_dict()), 0 if report.passed else 1
+
+
+TYPE = ("--type", {"required": True})
+SEED = ("--seed", {"type": int, "default": DEFAULT_SEED})
+
+
+def _format(*names: str) -> tuple[str, dict]:
+    return "--format", {"default": names[0], "choices": list(names)}
+
+
+# name -> (help, handler, options in --help order); every parser ends with --out
+COMMANDS = {
+    "diagram": ("render the diagram of a type", _diagram, [
+        TYPE, _format("text", "latex", "json"),
+        ("--marked", {"default": "phi", "choices": ["phi", "psi"]}),
+        ("--offset", {"type": int, "default": 0}),
+    ]),
+    "base": ("base roots, pairs, marked sets, dimensions", _base, [TYPE, _format("text", "json")]),
+    "invariants": ("print the generator polynomials", _invariants, [TYPE, _format("text", "json", "latex")]),
+    "verify": ("invariance/independence/corank report", _verify, [TYPE, SEED, _format("json", "text")]),
+    "orbit-dim": ("sampled maximal orbit dimension", _orbit_dim, [
+        TYPE, ("--trials", {"type": int, "default": 20}), SEED,
+    ]),
+    "reduce": ("conjugate a point file onto the slice", _reduce, [
+        TYPE, ("--point", {"required": True, "help": "JSON file {n, entries: [[i,j,'p/q'],...]}"}),
+    ]),
+    "case242": ("the full (2,4,2) study", _case242, [SEED]),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="nilinv", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_diagram = sub.add_parser("diagram", help="render the diagram of a type")
-    p_diagram.add_argument("--type", required=True)
-    p_diagram.add_argument("--format", default="text", choices=["text", "latex", "json"])
-    p_diagram.add_argument("--marked", default="phi", choices=["phi", "psi"])
-    p_diagram.add_argument("--offset", type=int, default=0)
-    p_diagram.add_argument("--out")
-
-    p_base = sub.add_parser("base", help="base roots, pairs, marked sets, dimensions")
-    p_base.add_argument("--type", required=True)
-    p_base.add_argument("--format", default="text", choices=["text", "json"])
-    p_base.add_argument("--out")
-
-    p_inv = sub.add_parser("invariants", help="print the generator polynomials")
-    p_inv.add_argument("--type", required=True)
-    p_inv.add_argument("--format", default="text", choices=["text", "json", "latex"])
-    p_inv.add_argument("--out")
-
-    p_verify = sub.add_parser("verify", help="invariance/independence/corank report")
-    p_verify.add_argument("--type", required=True)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--format", default="json", choices=["json", "text"])
-    p_verify.add_argument("--out")
-
-    p_orbit = sub.add_parser("orbit-dim", help="sampled maximal orbit dimension")
-    p_orbit.add_argument("--type", required=True)
-    p_orbit.add_argument("--trials", type=int, default=20)
-    p_orbit.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_orbit.add_argument("--out")
-
-    p_reduce = sub.add_parser("reduce", help="conjugate a point file onto the slice")
-    p_reduce.add_argument("--type", required=True)
-    p_reduce.add_argument("--point", required=True, help="JSON file {n, entries: [[i,j,'p/q'],...]}")
-    p_reduce.add_argument("--out")
-
-    p_case = sub.add_parser("case242", help="the full (2,4,2) study")
-    p_case.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_case.add_argument("--out")
+    for name, (help_text, handler, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, spec in options + [("--out", {})]:
+            command.add_argument(flag, **spec)
+        command.set_defaults(handler=handler)
 
     try:
         args = parser.parse_args(argv)
@@ -135,68 +177,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command in ("diagram", "base", "invariants", "verify", "orbit-dim", "reduce"):
-            ptype = ParabolicType.from_string(args.type)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "diagram":
-            _emit(render_diagram(ptype, args.format, args.marked, args.offset), args.out)
-            return 0
-
-        if args.command == "base":
-            doc = _base_doc(ptype)
-            _emit(_json_doc(doc) if args.format == "json" else _base_text(doc), args.out)
-            return 0
-
-        if args.command == "invariants":
-            gens = build_generators(ptype)
-            if args.format == "json":
-                _emit(_json_doc(gens.to_json_dict()), args.out)
-            elif args.format == "latex":
-                _emit(gens.to_latex(), args.out)
-            else:
-                lines = [f"{name} = {poly}" for name, poly in gens.named()]
-                _emit("\n".join(lines) + "\n", args.out)
-            return 0
-
-        if args.command == "verify":
-            report = verify_type(ptype, args.seed)
-            doc = report.to_json_dict()
-            if args.format == "text":
-                flags = " ".join(f"{k}={v}" for k, v in sorted(report.flags.items()))
-                _emit(f"type {ptype} passed={report.passed} {flags}\n", args.out)
-            else:
-                _emit(_json_doc(doc), args.out)
-            return 0 if report.passed else 1
-
-        if args.command == "orbit-dim":
-            record = orbit_experiment(ptype, args.trials, args.seed)
-            _emit(_json_doc(record), args.out)
-            return 0 if record["pass"] else 1
-
-        if args.command == "reduce":
-            with open(args.point, "r", encoding="utf-8") as fh:
-                point = MatrixPoint.from_json_dict(json.load(fh))
-            try:
-                record = verify_unique_intersection(ptype, point)
-            except OutsideU0Error as exc:
-                _emit(_json_doc({"error": "outside U0", "xi": list(exc.xi)}), args.out)
-                return 1
-            _emit(_json_doc(record), args.out)
-            return 0 if record["pass"] else 1
-
-        if args.command == "case242":
-            report = case242_report(args.seed)
-            _emit(_json_doc(report.to_json_dict()), args.out)
-            return 0 if report.passed else 1
+        if "type" in vars(args):
+            args.type = ParabolicType.from_string(args.type)
+        text, code = args.handler(args)
+        _emit(text, args.out)
     except (ValueError, NilinvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    return 2
+    return code
 
 
 def entry() -> None:

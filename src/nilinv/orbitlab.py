@@ -70,9 +70,12 @@ class GroupElement(MatrixPoint):
 
 
 def random_unitriangular(n: int, rng: random.Random, ops: int = 12, lo: int = -4, hi: int = 4) -> GroupElement:
-    """Product of random elementary unitriangular matrices (for tests and sampling)."""
+    """Product of random elementary unitriangular matrices (for tests and sampling).
+
+    For n = 1 there is no elementary matrix: the identity, with nothing drawn.
+    """
     g = GroupElement.identity(n)
-    for _ in range(ops):
+    for _ in range(ops if n > 1 else 0):
         u = rng.randint(1, n - 1)
         v = rng.randint(u + 1, n)
         g = GroupElement.elementary(n, u, v, Fraction(rng.randint(lo, hi))) * g

@@ -15,10 +15,12 @@ text/LaTeX/JSON diagram renderings of all of the above.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from itertools import accumulate, product
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Root(NamedTuple):
@@ -38,19 +40,22 @@ class ParabolicType:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(x) for x in self.block_sizes)
-        if len(sizes) < 1 or any(x < 1 for x in sizes):
+        sizes = tuple(self.block_sizes)
+        if not sizes or any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in sizes):
             raise ValueError(f"block sizes must be positive integers, got {sizes!r}")
         object.__setattr__(self, "block_sizes", sizes)
 
     @classmethod
     def from_string(cls, text: str) -> "ParabolicType":
-        """Parse a comma-separated list of block sizes, e.g. '2,4,2'."""
-        try:
-            sizes = tuple(int(part) for part in text.split(","))
-        except ValueError:
+        """Parse a comma-separated list of ASCII numerals, e.g. '2,4,2'.
+
+        No sign, space, underscore or non-ASCII digit is read as part of a
+        size; a '-' passes here only for the size check to reject.
+        """
+        parts = text.split(",")
+        if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
             raise ValueError(f"cannot parse block sizes from {text!r}")
-        return cls(sizes)
+        return cls(tuple(map(int, parts)))
 
     @cached_property
     def n(self) -> int:
@@ -89,6 +94,22 @@ class ParabolicType:
 
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.block_sizes) + ")"
+
+
+def compositions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every composition of n >= 1, ordered by cut pattern.
+
+    The k-th bit of each pattern in product((0, 1), repeat=n-1) starts a new
+    block after position k; so (n,) comes first and (1,)*n last.
+    """
+    for cuts in product((0, 1), repeat=n - 1):
+        sizes = [1]
+        for cut in cuts:
+            if cut:
+                sizes.append(1)
+            else:
+                sizes[-1] += 1
+        yield tuple(sizes)
 
 
 def is_covered(ptype: ParabolicType) -> bool:
@@ -246,15 +267,7 @@ class Dims:
         return self.predicted_regular_orbit_dim + self.y_dim == self.dim_m
 
     def to_dict(self) -> dict:
-        return {
-            "dim_m": self.dim_m,
-            "base_size": self.base_size,
-            "pair_count": self.pair_count,
-            "phi_count": self.phi_count,
-            "predicted_regular_orbit_dim": self.predicted_regular_orbit_dim,
-            "y_dim": self.y_dim,
-            "consistent": self.consistent,
-        }
+        return {**asdict(self), "consistent": self.consistent}
 
 
 def dims(ptype: ParabolicType) -> Dims:
@@ -302,65 +315,37 @@ def diagram_dict(ptype: ParabolicType, marked: str = "phi", offset: int = 0) -> 
     }
 
 
-def _diagram_cells(doc: dict):
-    n, offset = doc["n"], doc["offset"]
-    base = {tuple(r) for r in doc["base"]}
-    marks = {tuple(r) for r in doc["phi"]}
-    cells = [["" for _ in range(n)] for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if (i, j) in base:
-                cells[i - 1][j - 1] = "⊗"
-            elif (i, j) in marks:
-                cells[i - 1][j - 1] = "×"
-            elif i == j and i > offset:
-                cells[i - 1][j - 1] = "1"
-    boundaries = {offset} if offset else set()
-    acc = offset
-    for size in doc["blocks"]:
-        acc += size
-        boundaries.add(acc)
-    return n, cells, boundaries
-
-
 def render_diagram(ptype: ParabolicType, fmt: str = "text", marked: str = "phi", offset: int = 0) -> str:
-    """Render the diagram with base roots as ⊗ and marked roots as ×."""
+    """Render the diagram with base roots as ⊗ and marked roots as ×.
+
+    Text and LaTeX share one layout: a head, the opening rule, each row
+    followed by the rule where a block ends (the last row included), then a
+    tail.  The two formats differ only in those four pieces.
+    """
     if fmt not in DIAGRAM_FORMATS:
         raise ValueError(f"unknown diagram format {fmt!r}; expected one of {DIAGRAM_FORMATS}")
     doc = diagram_dict(ptype, marked, offset)
     if fmt == "json":
         return json.dumps(doc, sort_keys=True, indent=2)
 
-    n, cells, boundaries = _diagram_cells(doc)
-    if fmt == "text":
-        lines = ["    " + " ".join(f"{j:>2}" for j in range(1, n + 1))]
-        rule = "   +" + "".join("---" + ("+" if j in boundaries else "") for j in range(1, n + 1))
-        lines.append(rule)
-        for i in range(1, n + 1):
-            row = [f"{i:>2} |"]
-            for j in range(1, n + 1):
-                sym = cells[i - 1][j - 1] or "·"
-                row.append(f" {sym} " + ("|" if j in boundaries else ""))
-            lines.append("".join(row))
-            if i in boundaries:
-                lines.append(rule)
-        if n not in boundaries:
-            lines.append(rule)
-        return "\n".join(line.rstrip() for line in lines) + "\n"
-
-    # latex
-    colspec = "|"
+    base = {tuple(r) for r in doc["base"]}
+    marks = {tuple(r) for r in doc["phi"]}
     groups = ([offset] if offset else []) + list(ptype.block_sizes)
-    for size in groups:
-        colspec += "c" * size + "|"
-    tex_sym = {"⊗": r"$\otimes$", "×": r"$\times$", "1": "1", "": ""}
-    lines = [rf"\begin{{tabular}}{{{colspec}}}", r"\hline"]
-    for i in range(1, n + 1):
-        row = " & ".join(tex_sym[cells[i - 1][j - 1]] for j in range(1, n + 1))
-        lines.append(row + r" \\")
-        if i in boundaries:
-            lines.append(r"\hline")
-    if n not in boundaries:
-        lines.append(r"\hline")
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines) + "\n"
+    boundaries = set(accumulate(groups))
+    cols = range(1, doc["n"] + 1)
+    cell = lambda i, j: "⊗" if (i, j) in base else "×" if (i, j) in marks else "1" if i == j > offset else ""
+    if fmt == "text":
+        head = "    " + " ".join(f"{j:>2}" for j in cols)
+        rule = "   +" + "".join("---" + ("+" if j in boundaries else "") for j in cols)
+        row = lambda i: f"{i:>2} |" + "".join(f" {cell(i, j) or '·'} " + ("|" if j in boundaries else "") for j in cols)
+        tail = []
+    else:
+        tex = {"⊗": r"$\otimes$", "×": r"$\times$"}
+        head = r"\begin{tabular}{|" + "".join("c" * size + "|" for size in groups) + "}"
+        rule = r"\hline"
+        row = lambda i: " & ".join(tex.get(cell(i, j), cell(i, j)) for j in cols) + r" \\"
+        tail = [r"\end{tabular}"]
+    lines = [head, rule]
+    for i in cols:
+        lines += [row(i), rule] if i in boundaries else [row(i)]
+    return "\n".join(line.rstrip() for line in lines + tail) + "\n"

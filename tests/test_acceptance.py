@@ -4,7 +4,6 @@ Every criterion is checked at its stated tolerance (exact equality unless
 noted) and within its stated time budget.
 """
 
-import itertools
 import json
 import random
 import time
@@ -37,6 +36,7 @@ from nilinv.rootcomb import (
     ParabolicType,
     Root,
     admissible_pairs,
+    compositions,
     compute_base,
     dims,
     phi_set,
@@ -217,25 +217,12 @@ def test_criterion_06_restriction_structure():
     report("criterion 6: restricted generators are fresh-variable monomials", ok and elapsed < 10.0, f"{elapsed:.2f}s")
 
 
-def _compositions(n):
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        sizes, cur = [], 1
-        for b in bits:
-            if b:
-                sizes.append(cur)
-                cur = 1
-            else:
-                cur += 1
-        sizes.append(cur)
-        yield tuple(sizes)
-
-
 def test_criterion_07_orbit_dimension_oracle():
     start = time.time()
     ok = True
     covered_count = uncovered_count = 0
     for n in range(1, 7):
-        for sizes in _compositions(n):
+        for sizes in compositions(n):
             rec = orbit_experiment(ParabolicType(sizes), trials=20, seed=271828)
             if rec["covered"]:
                 covered_count += 1

@@ -1,4 +1,4 @@
-"""Differential tests of the exact linear algebra against sympy."""
+"""Differential tests of the exact polynomial arithmetic and linear algebra against sympy."""
 
 import itertools
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilinv.exactpoly import det, det_minor, rank
+from nilinv.exactpoly import Polynomial, T, det, det_minor, rank
 from nilinv.invgen import formal_matrix
 from nilinv.rootcomb import ParabolicType
 
@@ -85,3 +85,64 @@ def test_det_minor_matches_sympy_on_formal_242():
                 assert sympy.expand(got - sub.det(method="berkowitz")) == 0, (rows, cols)
                 checked += 1
     assert checked > 200
+
+
+# -- Polynomial arithmetic -----------------------------------------------------
+
+# a few position variables and the deformation parameter t, as in one_param_transform
+VARS = [(1, 3), (1, 4), (2, 4), T]
+SYMBOLS = {v: sympy.Symbol(v if v == T else f"x_{v[0]}_{v[1]}") for v in VARS}
+# a monomial may repeat a variable; the constructor merges the factors
+MONOMIALS = st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 3)), max_size=3).map(tuple)
+POLYS = st.dictionaries(MONOMIALS, COEFFS, max_size=5).map(Polynomial)
+VALUES = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _sym(p):
+    return _sympy_poly(p, SYMBOLS)
+
+
+def _agrees(p, want):
+    # p's terms are canonical (sorted, merged, no zero coefficient) and equal want once expanded
+    assert Polynomial(p.terms).terms == p.terms and all(p.terms.values())
+    return sympy.expand(_sym(p) - want) == 0
+
+
+@given(POLYS, POLYS)
+@settings(max_examples=60, deadline=None)
+def test_polynomial_ring_operations_match_sympy(p, q):
+    assert _agrees(p + q, _sym(p) + _sym(q))
+    assert _agrees(p - q, _sym(p) - _sym(q))
+    assert _agrees(p - p, 0) and (p - p).is_zero
+    assert _agrees(-p, -_sym(p))
+    assert _agrees(p * q, _sym(p) * _sym(q))
+    assert (p == q) == (sympy.expand(_sym(p) - _sym(q)) == 0)
+
+
+@given(POLYS, st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_polynomial_power_matches_sympy(p, k):
+    assert _agrees(p**k, _sym(p) ** k)
+
+
+@given(POLYS, st.sampled_from(VARS))
+@settings(max_examples=60, deadline=None)
+def test_polynomial_derivative_matches_sympy(p, v):
+    assert _agrees(p.derivative(v), sympy.diff(_sym(p), SYMBOLS[v]))
+
+
+@given(POLYS, st.dictionaries(st.sampled_from(VARS), st.one_of(POLYS, VALUES, st.integers(-3, 3)), max_size=3))
+@settings(max_examples=50, deadline=None)
+def test_polynomial_substitute_matches_sympy(p, mapping):
+    image = {SYMBOLS[v]: _sym(img) if isinstance(img, Polynomial) else sympy.Rational(img) for v, img in mapping.items()}
+    assert _agrees(p.substitute(mapping), _sym(p).xreplace(image))
+
+
+@given(POLYS, st.tuples(*[VALUES] * len(VARS)))
+@settings(max_examples=60, deadline=None)
+def test_polynomial_evaluate_matches_sympy(p, values):
+    point = dict(zip(VARS, values))
+    got = p.evaluate(point)
+    assert isinstance(got, Fraction)
+    want = _sym(p).xreplace({SYMBOLS[v]: sympy.Rational(x.numerator, x.denominator) for v, x in point.items()})
+    assert sympy.Rational(got.numerator, got.denominator) == want

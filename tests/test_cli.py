@@ -181,6 +181,12 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["diagram", "--type", "2,2", "--offset", "-3"]) == 2
     assert capsys.readouterr().out == ""
+    # --type is ASCII numerals and commas only: nothing else is read as a size
+    for text in ("2_2,1", "+2,2", " 2 , 2", "\u0662,2", "2,2\n"):
+        assert main(["base", "--type", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse block sizes from {text!r}\n"
 
 
 def test_out_file_and_outdir_env(tmp_path, capsys, monkeypatch):
@@ -208,22 +214,42 @@ def test_json_outputs_are_byte_identical(capsys):
 
 
 @pytest.mark.parametrize(
-    "golden, args",
+    "golden, args, exit_code",
     [
-        ("base_242.json", ["base", "--type", "2,4,2", "--format", "json"]),
-        ("invariants_2211.json", ["invariants", "--type", "2,2,1,1", "--format", "json"]),
-        ("reduce_242.json", ["reduce", "--type", "2,4,2", "--point", str(GOLDEN / "point_242_u0.json")]),
-        ("invariants_242.tex", ["invariants", "--type", "2,4,2", "--format", "latex"]),
-        ("invariants_242.txt", ["invariants", "--type", "2,4,2", "--format", "text"]),
-        ("invariants_433.tex", ["invariants", "--type", "4,3,3", "--format", "latex"]),
-        ("invariants_433.txt", ["invariants", "--type", "4,3,3", "--format", "text"]),
+        ("base_242.json", ["base", "--type", "2,4,2", "--format", "json"], 0),
+        ("invariants_2211.json", ["invariants", "--type", "2,2,1,1", "--format", "json"], 0),
+        ("reduce_242.json", ["reduce", "--type", "2,4,2", "--point", str(GOLDEN / "point_242_u0.json")], 0),
+        ("invariants_242.tex", ["invariants", "--type", "2,4,2", "--format", "latex"], 0),
+        ("invariants_242.txt", ["invariants", "--type", "2,4,2", "--format", "text"], 0),
+        ("invariants_433.tex", ["invariants", "--type", "4,3,3", "--format", "latex"], 0),
+        ("invariants_433.txt", ["invariants", "--type", "4,3,3", "--format", "text"], 0),
+        ("verify_242_seed13.json", ["verify", "--type", "2,4,2", "--seed", "13"], 0),
+        ("verify_22211.txt", ["verify", "--type", "2,2,2,1,1", "--format", "text"], 1),
+        ("orbit_dim_222.json", ["orbit-dim", "--type", "2,2,2", "--trials", "10", "--seed", "7"], 0),
+        ("base_242.txt", ["base", "--type", "2,4,2"], 0),
+        ("case242_seed5.json", ["case242", "--seed", "5"], 0),
     ],
-    ids=["base", "invariants", "reduce", "invariants-242-latex", "invariants-242-text", "invariants-433-latex", "invariants-433-text"],
+    ids=[
+        "base", "invariants", "reduce", "invariants-242-latex", "invariants-242-text", "invariants-433-latex",
+        "invariants-433-text", "verify-242-json", "verify-22211-text", "orbit-dim", "base-242-text", "case242-seed5",
+    ],
 )
-def test_output_matches_golden(capsys, golden, args):
+def test_output_matches_golden(capsys, golden, args, exit_code):
     code, out = run(capsys, *args)
-    assert code == 0
+    assert code == exit_code
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_help_matches_golden(capsys, monkeypatch):
+    # argparse wraps usage lines at the terminal width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for command in ([], ["diagram"], ["base"], ["invariants"], ["verify"], ["orbit-dim"], ["reduce"], ["case242"]):
+        argv = command + ["--help"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        parts.append("$ nilinv " + " ".join(argv) + "\n" + out)
+    assert "".join(parts) == (GOLDEN / "help.txt").read_text(encoding="utf-8")
 
 
 @st.composite
@@ -238,7 +264,7 @@ def block_sizes(draw):
 
 TYPE_ARGS = st.one_of(
     block_sizes().map(lambda s: ",".join(map(str, s))),
-    st.sampled_from(["", "0,2", "2,x", "-1", "2,,2", "1.5"]),
+    st.sampled_from(["", "0,2", "2,x", "-1", "2,,2", "1.5", "2_2", "+2", " 2", "\u0662"]),
 )
 SMALL = st.integers(-4, 3).map(str)
 

@@ -28,6 +28,7 @@ from nilinv.rootcomb import (
     ParabolicType,
     Root,
     admissible_pairs,
+    compositions,
     compute_base,
     is_covered,
     nilradical_roots,
@@ -225,22 +226,13 @@ def test_y_coordinates_inverts_invariants_on_slice():
     assert solved == point
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
 def test_numeric_generators_match_expanded_polynomials():
     # the determinant path against Polynomial.evaluate of the expanded generators;
     # entries in -1..1 make vanishing minors common, so both U0 verdicts occur
     rng = random.Random(DEFAULT_SEED)
     verdicts = set()
     for n in range(1, 9):
-        for sizes in _compositions(n):
+        for sizes in compositions(n):
             ptype = ParabolicType(sizes)
             gens = build_generators(ptype)
             for lo, hi in ((-9, 9), (-1, 1)):
@@ -258,7 +250,7 @@ def test_numeric_generators_match_expanded_polynomials():
 def test_restrict_equals_substituting_zero_off_the_slice():
     # dropping terms against the substitution of 0 for every off-slice variable
     for n in range(1, 9):
-        for sizes in _compositions(n):
+        for sizes in compositions(n):
             ptype = ParabolicType(sizes)
             if not is_covered(ptype):
                 continue
@@ -276,7 +268,7 @@ def test_pair_polynomial_on_the_slice_is_the_splitting_c_equals_b():
     # y_coordinates solves each pair step with M_xi * M_phi in place of the whole sum L_q
     checked = 0
     for n in range(1, 9):
-        for sizes in _compositions(n):
+        for sizes in compositions(n):
             ptype = ParabolicType(sizes)
             if not is_covered(ptype):
                 continue
@@ -333,7 +325,7 @@ def test_numeric_slice_solve_matches_symbolic_solve():
     rng = random.Random(DEFAULT_SEED)
     zero_marks = 0
     for n in range(1, 9):
-        for sizes in _compositions(n):
+        for sizes in compositions(n):
             ptype = ParabolicType(sizes)
             if not is_covered(ptype):
                 continue

@@ -39,11 +39,17 @@ def test_group_inverse():
     rng = random.Random(0)
     for n in range(1, 9):
         for _ in range(10):
-            g = random_unitriangular(n, rng, ops=12 if n > 1 else 0)
+            g = random_unitriangular(n, rng)
             h = g.inverse()
             assert isinstance(h, GroupElement) and all(isinstance(v, Fraction) for row in h.rows for v in row)
             assert (g * h).rows == GroupElement.identity(n).rows
             assert (h * g).rows == GroupElement.identity(n).rows
+    # n = 1 has no elementary matrix: the identity, and the generator is left untouched
+    rng = random.Random(0)
+    assert random_unitriangular(1, rng).rows == GroupElement.identity(1).rows
+    assert rng.getstate() == random.Random(0).getstate()
+    # draws for n >= 2 are pinned
+    assert random_unitriangular(3, random.Random(0)).rows == [[1, 2, 24], [0, 1, 11], [0, 0, 1]]
 
 
 def test_adjoint_identity_and_composition():

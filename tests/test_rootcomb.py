@@ -10,6 +10,7 @@ from nilinv.rootcomb import (
     ParabolicType,
     Root,
     admissible_pairs,
+    compositions,
     compute_base,
     diagram_dict,
     dims,
@@ -37,17 +38,17 @@ PAPER_PHI = {
 types = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(lambda xs: ParabolicType(tuple(xs)))
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
 def as_pairs(roots):
     return {tuple(r) for r in roots}
+
+
+def test_compositions_lists_each_composition_once_in_cut_pattern_order():
+    assert list(compositions(1)) == [(1,)]
+    assert list(compositions(3)) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
+    for n in range(1, 11):
+        got = list(compositions(n))
+        assert len(got) == len(set(got)) == 2 ** (n - 1)
+        assert all(sum(sizes) == n and min(sizes) >= 1 for sizes in got)
 
 
 def test_parabolic_type_validation():
@@ -57,12 +58,20 @@ def test_parabolic_type_validation():
         ParabolicType(())
     with pytest.raises(ValueError):
         ParabolicType.from_string("2,x")
+    # sizes are ints, never converted: no truncation, no parsing, no bool
+    for sizes in ((2.5, 2), ("3", 1), (True, 2), (2, False)):
+        with pytest.raises(ValueError, match="positive integers"):
+            ParabolicType(sizes)
+    for text in ("2_2,1", "+2,2", " 2 , 2", "\u0662,2", "2,2\n", "2,2,"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            ParabolicType.from_string(text)
+    assert ParabolicType([2, 1]).block_sizes == (2, 1)
     pt = ParabolicType.from_string("2,4,2")
     assert pt.n == 8 and pt.s == 3
     assert [pt.block_of(k) for k in range(1, 9)] == [1, 1, 2, 2, 2, 2, 3, 3]
     # block_of against a scan of block_range on every composition with n <= 8
     for n in range(1, 9):
-        for sizes in _compositions(n):
+        for sizes in compositions(n):
             pt = ParabolicType(sizes)
             scan = {k: a for a in range(1, pt.s + 1) for k in pt.block_range(a)}
             assert [pt.block_of(k) for k in range(1, n + 1)] == [scan[k] for k in range(1, n + 1)], sizes

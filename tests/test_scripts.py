@@ -1,0 +1,43 @@
+"""The experiment scripts, run as a user runs them."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+from nilinv.cli import main
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+def _run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def test_scan_orbit_dims_finds_no_mismatch():
+    result = _run_script("scan_orbit_dims.py", "--max-n", "5", "--trials", "3")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 32 and lines[0].startswith("(1,) ")
+    assert lines[-1] == "31 types, 0 mismatches"
+
+
+def test_verify_paper_types_reports_equal_the_cli(tmp_path, capsys):
+    result = _run_script("verify_paper_types.py", "--outdir", str(tmp_path))
+    # the honest corank_bookkeeping failure on (2,2,2,1,1) makes the battery fail
+    assert result.returncode == 1, result.stderr
+    assert "(2, 2, 2, 1, 1): passed=False  corank_bookkeeping=False" in result.stdout
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == [
+        "case242.json", "verify_2-1-3-2.json", "verify_2-2-1-1.json", "verify_2-2-2-1-1.json", "verify_2-4-2.json",
+    ]
+    for name in written:
+        argv = ["case242"] if name == "case242.json" else ["verify", "--type", name[7:-5].replace("-", ",")]
+        code = main(argv)
+        assert capsys.readouterr().out == (tmp_path / name).read_text(), name
+        assert code == (0 if json.loads((tmp_path / name).read_text())["passed"] else 1)
