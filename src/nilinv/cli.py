@@ -121,7 +121,7 @@ def _orbit_dim(args) -> tuple[str, int]:
 
 def _reduce(args) -> tuple[str, int]:
     with open(args.point, "r", encoding="utf-8") as fh:
-        point = MatrixPoint.from_json_dict(json.load(fh))
+        point = MatrixPoint.from_json_dict(json.load(fh), args.type.n)
     try:
         record = verify_unique_intersection(args.type, point)
     except OutsideU0Error as exc:

@@ -38,16 +38,12 @@ def _var_key(v: Var):
     return (0, False, (v[0], v[1]))
 
 
-def _canon_mono(items) -> tuple:
-    return tuple(sorted(((v, e) for v, e in items if e), key=lambda ve: _var_key(ve[0])))
-
-
 def _merge_mono(items) -> tuple:
-    # adds up the exponents of a variable that occurs more than once
+    # adds up the exponents of a variable that occurs more than once, drops zero exponents, sorts
     exps: dict = {}
     for v, e in items:
         exps[v] = exps.get(v, 0) + e
-    return _canon_mono(exps.items())
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda ve: _var_key(ve[0])))
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
@@ -56,6 +52,20 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     if not m2:
         return m1
     return _merge_mono(m1 + m2)
+
+
+def _collect(pairs: Iterable[tuple], into: dict | None = None) -> dict:
+    """Add (monomial, nonzero coefficient) pairs into a term dict; a term that cancels is dropped."""
+    out = {} if into is None else into
+    for mono, coef in pairs:
+        old = out.get(mono)
+        if old is None:
+            out[mono] = coef
+        elif acc := old + coef:
+            out[mono] = acc
+        else:
+            del out[mono]
+    return out
 
 
 class Polynomial:
@@ -69,19 +79,16 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
-        canon: dict = {}
-        if terms:
-            for mono, coef in terms.items():
-                coef = Fraction(coef)
-                if coef == 0:
-                    continue
-                mono = _merge_mono(mono)
-                acc = canon.get(mono, Fraction(0)) + coef
-                if acc:
-                    canon[mono] = acc
-                elif mono in canon:
-                    del canon[mono]
-        self.terms = canon
+        # a zero coefficient is dropped before its monomial is merged: most coerced scalars are 0
+        pairs = ((_merge_mono(mono), Fraction(coef)) for mono, coef in terms.items() if coef) if terms else ()
+        self.terms = _collect(pairs)
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> "Polynomial":
+        # a dict that is already canonical: merged monomials, nonzero Fraction coefficients
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -113,23 +120,12 @@ class Polynomial:
 
     def __add__(self, other):
         other = Polynomial._coerce(other)
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + coef
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        return Polynomial._wrap(_collect(other.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Polynomial._wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-Polynomial._coerce(other))
@@ -139,18 +135,8 @@ class Polynomial:
 
     def __mul__(self, other):
         other = Polynomial._coerce(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = out.get(mono, Fraction(0)) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                elif mono in out:
-                    del out[mono]
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        pairs = ((_mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())
+        return Polynomial._wrap(_collect(pairs))
 
     __rmul__ = __mul__
 
@@ -231,26 +217,14 @@ class Polynomial:
                 if var == v:
                     out[mono[:idx] + ((var, e - 1),) * (e > 1) + mono[idx + 1 :]] = coef * e
                     break
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        return Polynomial._wrap(out)
 
     # -- rendering -----------------------------------------------------------
 
     def _sorted_terms(self):
-        all_vars = sorted(self.variables(), key=_var_key)
-        index = {v: k for k, v in enumerate(all_vars)}
-
-        def exps(mono):
-            vec = [0] * len(all_vars)
-            for v, e in mono:
-                vec[index[v]] = e
-            return tuple(vec)
-
-        return sorted(
-            self.terms.items(),
-            key=lambda mc: (-sum(e for _, e in mc[0]), tuple(-e for e in exps(mc[0]))),
-        )
+        # graded lex read off each monomial's own sorted factors: at the first factor where
+        # two monomials of one degree differ, the earlier variable or the larger exponent leads
+        return sorted(self.terms.items(), key=lambda mc: (-sum(e for _, e in mc[0]), [(_var_key(v), -e) for v, e in mc[0]]))
 
     def _render(self, sep: str, coef_text: Callable[[Fraction], str], factor_text: Callable[[Var, int], str]) -> str:
         # the one term layout: the sign, then the coefficient unless it is 1, then the factors
@@ -438,12 +412,15 @@ class MatrixPoint:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "MatrixPoint":
+    def from_json_dict(cls, doc: Mapping, size: int | None = None) -> "MatrixPoint":
+        """Parse a point document; an 'n' other than ``size`` is rejected before any matrix is built."""
         if not isinstance(doc, Mapping) or not {"n", "entries"} <= doc.keys():
             raise ValueError("a point document needs the keys 'n' and 'entries'")
         n, items = doc["n"], doc["entries"]
         if not _is_int(n) or not isinstance(items, list):
             raise ValueError(f"'n' must be an integer and 'entries' a list, got n={n!r} and a {type(items).__name__}")
+        if size is not None and n != size:
+            raise ValueError(f"point size {n} != type size {size}")
         entries = {}
         for item in items:
             if not (isinstance(item, list) and len(item) == 3):

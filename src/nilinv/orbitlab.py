@@ -69,16 +69,16 @@ class GroupElement(MatrixPoint):
         return doc
 
 
-def random_unitriangular(n: int, rng: random.Random, ops: int = 12, lo: int = -4, hi: int = 4) -> GroupElement:
-    """Product of random elementary unitriangular matrices (for tests and sampling).
+def random_unitriangular(n: int, rng: random.Random) -> GroupElement:
+    """Product of 12 random elementary matrices 1 + s E_uv, s in -4..4 (for tests and sampling).
 
     For n = 1 there is no elementary matrix: the identity, with nothing drawn.
     """
     g = GroupElement.identity(n)
-    for _ in range(ops if n > 1 else 0):
+    for _ in range(12 if n > 1 else 0):
         u = rng.randint(1, n - 1)
         v = rng.randint(u + 1, n)
-        g = GroupElement.elementary(n, u, v, Fraction(rng.randint(lo, hi))) * g
+        g = GroupElement.elementary(n, u, v, Fraction(rng.randint(-4, 4))) * g
     return g
 
 
@@ -101,27 +101,31 @@ def bracket(positions: list[tuple], i: int, j: int, x: MatrixPoint) -> list:
 
 
 def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
-    """Exact rank of a -> [a, x] from strictly upper matrices into the nilradical."""
+    """Exact rank of a -> [a, x] from strictly upper matrices into the nilradical.
+
+    A point of the wrong size or with entries off the nilradical raises ValueError.
+    """
+    check_support(ptype, x)
     positions = sorted(nilradical_roots(ptype))
     n = ptype.n
     return rank([bracket(positions, i, j, x) for i in range(1, n) for j in range(i + 1, n + 1)])
 
 
-def sample_point(ptype: ParabolicType, rng: random.Random, lo: int = SAMPLE_RANGE[0], hi: int = SAMPLE_RANGE[1]) -> MatrixPoint:
-    """Random integer point of the nilradical, entries drawn in a fixed order."""
+def sample_point(ptype: ParabolicType, rng: random.Random) -> MatrixPoint:
+    """Random integer point of the nilradical, entries drawn from SAMPLE_RANGE in a fixed order."""
     return MatrixPoint.from_dict(
-        ptype.n, {tuple(r): rng.randint(lo, hi) for r in sorted(nilradical_roots(ptype))}
+        ptype.n, {tuple(r): rng.randint(*SAMPLE_RANGE) for r in sorted(nilradical_roots(ptype))}
     )
 
 
-def sample_u0_point(ptype: ParabolicType, rng: random.Random, max_tries: int = 200) -> MatrixPoint:
-    """Random nilradical point with all base minors nonzero."""
+def sample_u0_point(ptype: ParabolicType, rng: random.Random) -> MatrixPoint:
+    """Random nilradical point with all base minors nonzero, within 200 draws."""
     base = compute_base(ptype)
-    for _ in range(max_tries):
+    for _ in range(200):
         point = sample_point(ptype, rng)
         if vanishing_minor(ptype, base, point) is None:
             return point
-    raise RuntimeError(f"could not sample a U0 point of type {ptype} in {max_tries} tries")
+    raise RuntimeError(f"could not sample a U0 point of type {ptype} in 200 tries")
 
 
 def max_orbit_dim(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -> int:

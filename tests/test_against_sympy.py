@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilinv.exactpoly import Polynomial, T, det, det_minor, rank
+from nilinv.exactpoly import Polynomial, T, _var_key, det, det_minor, rank
 from nilinv.invgen import formal_matrix
 from nilinv.rootcomb import ParabolicType
 
@@ -136,6 +136,25 @@ def test_polynomial_derivative_matches_sympy(p, v):
 def test_polynomial_substitute_matches_sympy(p, mapping):
     image = {SYMBOLS[v]: _sym(img) if isinstance(img, Polynomial) else sympy.Rational(img) for v, img in mapping.items()}
     assert _agrees(p.substitute(mapping), _sym(p).xreplace(image))
+
+
+# positions, one named parameter and t, listed out of order; _var_key puts t last
+ORDER_VARS = [T, (2, 4), "a", (1, 3), (1, 4), (3, 5)]
+ORDER_GENS = sorted(ORDER_VARS, key=_var_key)
+ORDER_MONOMIALS = st.lists(st.tuples(st.sampled_from(ORDER_VARS), st.integers(1, 3)), max_size=4).map(tuple)
+
+
+@given(st.dictionaries(ORDER_MONOMIALS, COEFFS, max_size=8).map(Polynomial))
+# two monomials of one degree that first differ in an exponent, then in a variable
+@example(Polynomial({(((1, 3), 1), ((2, 4), 2)): 1, (((1, 3), 2), ((2, 4), 1)): 2, (((1, 4), 1), ("a", 2)): -1, ((T, 3),): 1}))
+@settings(max_examples=100, deadline=None)
+def test_printed_term_order_is_sympy_grlex(p):
+    # str and latex print the terms in this order
+    symbols = {v: sympy.Symbol(v if isinstance(v, str) else f"x_{v[0]}_{v[1]}") for v in ORDER_VARS}
+    got = [(tuple(dict(mono).get(v, 0) for v in ORDER_GENS), coef) for mono, coef in p._sorted_terms()]
+    poly = sympy.Poly(_sympy_poly(p, symbols), *(symbols[v] for v in ORDER_GENS))
+    want = [(monom, Fraction(int(c.p), int(c.q))) for monom, c in poly.terms(order="grlex") if c != 0]
+    assert got == want
 
 
 @given(POLYS, st.tuples(*[VALUES] * len(VARS)))

@@ -5,6 +5,7 @@ import io
 import json
 import pathlib
 import tempfile
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -118,12 +119,20 @@ def test_reduce_outside_u0(tmp_path, capsys):
 
 
 def test_reduce_size_mismatch(tmp_path, capsys):
+    # the size is checked before the dense n x n matrix is built (at n = 3000 that takes about 70 MB)
     path = tmp_path / "point.json"
-    path.write_text(json.dumps({"n": 3, "entries": []}))
-    assert main(["reduce", "--type", "2,2", "--point", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: point size 3 != type size 4\n"
+    for n in (3, 3000):
+        path.write_text(json.dumps({"n": n, "entries": []}))
+        tracemalloc.start()
+        try:
+            assert main(["reduce", "--type", "2,2", "--point", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: point size {n} != type size 4\n"
+        assert peak < 1 << 20, n
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,10 @@ def test_no_zero_terms_stored():
     assert p.terms == {}
     q = Polynomial({((T, 1),): Fraction(1, 2), (): 0})
     assert () not in q.terms
+    # a repeated monomial that cancels once its factors are merged, and a product term that cancels
+    a, b = (1, 3), (2, 4)
+    assert Polynomial({((a, 1), (b, 1)): 1, ((b, 1), (a, 1)): -1}).terms == {}
+    assert ((X13 + X24) * (X13 - X24)).terms == {((a, 2),): 1, ((b, 2),): -1}
 
 
 def test_repeated_variable_in_a_monomial_is_merged():

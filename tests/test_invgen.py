@@ -22,7 +22,7 @@ from nilinv.invgen import (
     y_coordinates,
 )
 from nilinv.cli import main
-from nilinv.orbitlab import DEFAULT_SEED, sample_point, sample_u0_point, verify_unique_intersection
+from nilinv.orbitlab import DEFAULT_SEED, SAMPLE_RANGE, sample_u0_point, verify_unique_intersection
 from nilinv.rootcomb import (
     AdmissiblePair,
     ParabolicType,
@@ -235,8 +235,9 @@ def test_numeric_generators_match_expanded_polynomials():
         for sizes in compositions(n):
             ptype = ParabolicType(sizes)
             gens = build_generators(ptype)
-            for lo, hi in ((-9, 9), (-1, 1)):
-                point = sample_point(ptype, rng, lo, hi)
+            for lo, hi in (SAMPLE_RANGE, (-1, 1)):
+                draws = {tuple(r): rng.randint(lo, hi) for r in sorted(nilradical_roots(ptype))}
+                point = MatrixPoint.from_dict(ptype.n, draws)
                 values = point.values(nilradical_roots(ptype))
                 got = invariant_values(gens, point)
                 assert got.m_values == {xi: p.evaluate(values) for xi, p in gens.base_minors}, sizes

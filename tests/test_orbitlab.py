@@ -67,6 +67,21 @@ def test_adjoint_rejects_off_nilradical_points():
         adjoint(P242, GroupElement.identity(8), bad)
 
 
+@pytest.mark.parametrize(
+    "n, entries",
+    [
+        (4, {(1, 3): 1, (2, 4): 1, (1, 2): 5}),  # a reductive position of (2,2)
+        (5, {(1, 3): 1, (2, 4): 1, (4, 5): 1}),  # one row and column too many
+        (3, {(1, 3): 1}),  # too small
+    ],
+)
+def test_orbit_dim_rejects_points_off_the_nilradical(n, entries):
+    p22 = ParabolicType((2, 2))
+    assert orbit_dim(p22, MatrixPoint.from_dict(4, {(1, 3): 1, (2, 4): 1})) == 1
+    with pytest.raises(ValueError):
+        orbit_dim(p22, MatrixPoint.from_dict(n, entries))
+
+
 def test_adjoint_preserves_generator_values():
     gens = build_generators(P242)
     rng = random.Random(2)
