@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from typing import Iterable, Sequence
 
@@ -23,6 +24,26 @@ from .rootcomb import AdmissiblePair, ParabolicType, Root, nilradical_roots, phi
 INDEPENDENCE_RETRIES = 5
 
 
+@lru_cache(maxsize=1)
+def _derivations(ptype: ParabolicType) -> tuple[frozenset[Root], list[dict[Root, Polynomial]]]:
+    # one type at a time, and verify_type frees its type's derivations when its invariance
+    # checks are done: a cache of every type raised the peak memory of a ladder of types
+    positions = nilradical_roots(ptype)
+    order, x = sorted(positions), formal_matrix(ptype)
+    return positions, [{r: -d for r, d in zip(order, bracket(order, k, k + 1, x)) if d != 0} for k in range(1, ptype.n)]
+
+
+def derivation(ptype: ParabolicType, k: int) -> tuple[frozenset[Root], dict[Root, Polynomial]]:
+    """The nilradical positions and D_k on them: x_v -> delta_k(x_v), for each x_v it does not kill.
+
+    Built once per (type, k) while the calls stay on one type; callers share the result and only read it.
+    """
+    if not 1 <= k < ptype.n:
+        raise ValueError(f"k must satisfy 1 <= k < {ptype.n}, got {k}")
+    positions, deltas = _derivations(ptype)
+    return positions, deltas[k - 1]
+
+
 def one_param_transform(ptype: ParabolicType, k: int, f: Polynomial) -> Polynomial:
     """Action of g_k(t) = 1 + t E_{k,k+1} on a polynomial in the matrix entries.
 
@@ -32,14 +53,10 @@ def one_param_transform(ptype: ParabolicType, k: int, f: Polynomial) -> Polynomi
     derivation D_k f = sum_v df/dx_v delta_k(x_v), D_k t = 0: the finite
     series sum_m t^m/m! D_k^m f, which is f itself exactly when D_k f = 0.
     """
-    if not 1 <= k < ptype.n:
-        raise ValueError(f"k must satisfy 1 <= k < {ptype.n}, got {k}")
-    positions = nilradical_roots(ptype)
+    positions, delta = derivation(ptype, k)
     bad = [v for v in f.variables() if isinstance(v, str) and v != T or not isinstance(v, str) and Root(*v) not in positions]
     if bad:
         raise ValueError(f"polynomial not supported on nilradical variables: {bad}")
-    order = sorted(positions)
-    delta = {r: -d for r, d in zip(order, bracket(order, k, k + 1, formal_matrix(ptype))) if d != 0}
     out = term = f
     for m in count(1):
         # t^m/m! D_k^m f from the previous term, as D_k t = 0
@@ -175,6 +192,7 @@ def verify_type(ptype: ParabolicType, seed: int = DEFAULT_SEED) -> VerificationR
     """Run the full battery of checks for one type."""
     gens = build_generators(ptype)
     invariance = {name: invariance_table(ptype, p) for name, p in gens.named()}
+    _derivations.cache_clear()
     core = gens.core_polys()
     if core:
         independence = independence_details(ptype, core, seed)

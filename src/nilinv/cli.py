@@ -11,6 +11,9 @@ Subcommands expose the whole toolkit with text, JSON, and LaTeX output:
   case242    the full (2,4,2) study
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
+Each command bounds the size n of --type (the last field of its COMMANDS
+row) and orbit-dim bounds --trials by MAX_TRIALS; a larger value is a usage
+error, raised before any work is done.
 JSON outputs are deterministic for fixed seeds.  The NILINV_OUTDIR
 environment variable supplies a base directory for relative --out paths.
 """
@@ -115,6 +118,8 @@ def _verify(args) -> tuple[str, int]:
 
 
 def _orbit_dim(args) -> tuple[str, int]:
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials {args.trials} is above the limit {MAX_TRIALS}")
     record = orbit_experiment(args.type, args.trials, args.seed)
     return _json_doc(record), 0 if record["pass"] else 1
 
@@ -142,34 +147,36 @@ def _format(*names: str) -> tuple[str, dict]:
     return "--format", {"default": names[0], "choices": list(names)}
 
 
-# name -> (help, handler, options in --help order); every parser ends with --out
+MAX_TRIALS = 10_000  # orbit-dim; the limits and their measured cost are listed in README
+
+# name -> (help, handler, options in --help order, largest n of --type); every parser ends with --out
 COMMANDS = {
     "diagram": ("render the diagram of a type", _diagram, [
         TYPE, _format("text", "latex", "json"),
         ("--marked", {"default": "phi", "choices": ["phi", "psi"]}),
         ("--offset", {"type": int, "default": 0}),
-    ]),
-    "base": ("base roots, pairs, marked sets, dimensions", _base, [TYPE, _format("text", "json")]),
-    "invariants": ("print the generator polynomials", _invariants, [TYPE, _format("text", "json", "latex")]),
-    "verify": ("invariance/independence/corank report", _verify, [TYPE, SEED, _format("json", "text")]),
+    ], 200),
+    "base": ("base roots, pairs, marked sets, dimensions", _base, [TYPE, _format("text", "json")], 200),
+    "invariants": ("print the generator polynomials", _invariants, [TYPE, _format("text", "json", "latex")], 24),
+    "verify": ("invariance/independence/corank report", _verify, [TYPE, SEED, _format("json", "text")], 24),
     "orbit-dim": ("sampled maximal orbit dimension", _orbit_dim, [
         TYPE, ("--trials", {"type": int, "default": 20}), SEED,
-    ]),
+    ], 24),
     "reduce": ("conjugate a point file onto the slice", _reduce, [
         TYPE, ("--point", {"required": True, "help": "JSON file {n, entries: [[i,j,'p/q'],...]}"}),
-    ]),
-    "case242": ("the full (2,4,2) study", _case242, [SEED]),
+    ], 60),
+    "case242": ("the full (2,4,2) study", _case242, [SEED], None),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="nilinv", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, options) in COMMANDS.items():
+    for name, (help_text, handler, options, max_n) in COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for flag, spec in options + [("--out", {})]:
             command.add_argument(flag, **spec)
-        command.set_defaults(handler=handler)
+        command.set_defaults(handler=handler, max_n=max_n)
 
     try:
         args = parser.parse_args(argv)
@@ -179,6 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "type" in vars(args):
             args.type = ParabolicType.from_string(args.type)
+            if args.type.n > args.max_n:
+                raise ValueError(f"type size {args.type.n} is above the limit {args.max_n} of {args.command}")
         text, code = args.handler(args)
         _emit(text, args.out)
     except (ValueError, NilinvError, OSError) as exc:

@@ -97,7 +97,11 @@ def bracket(positions: list[tuple], i: int, j: int, x: MatrixPoint) -> list:
     ring of ``MatrixPoint``: rationals at a point, polynomials on the formal
     matrix X.  An entry that neither term reaches is the integer 0.
     """
-    return [(x.get(j, q) if p == i else 0) - (x.get(p, i) if q == j else 0) for p, q in positions]
+    out = []
+    for p, q in positions:
+        left = x.get(j, q) if p == i else 0
+        out.append(left - x.get(p, i) if q == j else left)
+    return out
 
 
 def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
@@ -191,14 +195,18 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
 
     def conj(u: int, v: int, scale: Fraction) -> None:
         # A <- (1 + s E_{uv}) A (1 - s E_{uv}); G <- (1 + s E_{uv}) G; 1-based u < v
+        # only nonzero operands are multiplied: adding zero would leave a Fraction as it is
         au, av = a[u - 1], a[v - 1]
-        for c in range(n):
-            au[c] += scale * av[c]
-        for r in range(n):
-            a[r][v - 1] -= scale * a[r][u - 1]
-        gu, gv = g[u - 1], g[v - 1]
-        for c in range(n):
-            gu[c] += scale * gv[c]
+        for c, x in enumerate(av):
+            if x:
+                au[c] += scale * x
+        for row in a:
+            if x := row[u - 1]:
+                row[v - 1] -= scale * x
+        gu = g[u - 1]
+        for c, x in enumerate(g[v - 1]):
+            if x:
+                gu[c] += scale * x
 
     # windows from the trailing pair of blocks to the whole matrix
     for bi in range(s - 1, 0, -1):

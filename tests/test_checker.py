@@ -14,6 +14,7 @@ from nilinv.checker import (
     case242_generators,
     case242_report,
     corank_of_roots,
+    derivation,
     independence_details,
     invariance_table,
     is_n_invariant,
@@ -54,6 +55,17 @@ def _matrix_product_images(ptype, k):
 
 def _transform_via_matrix_product(ptype, k, f):
     return f.substitute(_matrix_product_images(ptype, k))
+
+
+def test_derivation_is_built_once_per_type_and_k():
+    positions, delta = derivation(P242, 3)
+    assert positions == nilradical_roots(P242)
+    # delta_3(X) = -[E_34, X]: row 3 takes -x_(4,q), column 4 takes x_(p,3)
+    assert delta == {(1, 4): V(1, 3), (2, 4): V(2, 3), (3, 7): -V(4, 7), (3, 8): -V(4, 8)}
+    assert derivation(P242, 3)[1] is delta
+    # verify_type frees the derivations of its type once its invariance checks are done
+    verify_type(ParabolicType((2, 2)))
+    assert derivation(P242, 3)[1] is not delta
 
 
 def test_transform_examples():

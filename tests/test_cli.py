@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilinv.cli import main
+from nilinv.cli import COMMANDS, MAX_TRIALS, main
 
 SCHEMAS = pathlib.Path(__file__).parent.parent / "src" / "nilinv" / "schemas"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -196,6 +196,41 @@ def test_usage_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot parse block sizes from {text!r}\n"
+
+
+# the documented size limits (README, "Input limits"), each well above what tests, golden files and examples use
+SIZE_LIMITS = {"diagram": 200, "base": 200, "invariants": 24, "verify": 24, "orbit-dim": 24, "reduce": 60, "case242": None}
+
+
+def test_size_limits(capsys, tmp_path):
+    assert {name: row[-1] for name, row in COMMANDS.items()} == SIZE_LIMITS
+    for name, limit in SIZE_LIMITS.items():
+        if limit is None:
+            continue
+        # one above the limit: exit 2 with one line, before any work (reduce never opens its point file)
+        argv = [name, "--type", f"{limit},1"]
+        if name == "reduce":
+            argv += ["--point", str(tmp_path / "missing.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: type size {limit + 1} is above the limit {limit} of {name}\n"
+    for name in ("diagram", "base"):
+        assert main([name, "--type", ",".join(["1"] * SIZE_LIMITS[name])]) == 0
+        assert capsys.readouterr().out
+
+
+def test_trials_limit(capsys):
+    assert MAX_TRIALS == 10_000
+    assert main(["orbit-dim", "--type", "1,1", "--trials", str(MAX_TRIALS)]) == 0
+    capsys.readouterr()
+    assert main(["orbit-dim", "--type", "2,2", "--trials", "99999999999999999999"]) == 2
+    assert main(["orbit-dim", "--type", "2,2", "--trials", str(MAX_TRIALS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --trials {n} is above the limit {MAX_TRIALS}" for n in (99999999999999999999, MAX_TRIALS + 1)
+    ]
 
 
 def test_out_file_and_outdir_env(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for the orbit geometry: adjoint action, dimensions, reduction."""
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -21,7 +23,15 @@ from nilinv.orbitlab import (
     sample_u0_point,
     verify_unique_intersection,
 )
-from nilinv.rootcomb import ParabolicType, admissible_pairs, compute_base, nilradical_roots, phi_set
+from nilinv.rootcomb import (
+    ParabolicType,
+    admissible_pairs,
+    compositions,
+    compute_base,
+    is_covered,
+    nilradical_roots,
+    phi_set,
+)
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -173,6 +183,33 @@ def test_reduce_lands_on_slice_and_is_conjugation():
             g, y = reduce_to_canonical(pt, A)
             assert y.support() <= slice_pos
             assert adjoint(pt, g, A) == y
+
+
+REDUCE_PINS = pathlib.Path(__file__).parent / "golden" / "reduce_pins.json"
+
+
+def _pinned_points(pt):
+    """Two seeded U0 draws and one seeded slice point conjugated by a seeded g."""
+    rng = random.Random(int("".join(map(str, pt.block_sizes))))
+    points = [sample_u0_point(pt, rng) for _ in range(2)]
+    base = compute_base(pt)
+    slice_pos = sorted(set(base.roots) | set(phi_set(admissible_pairs(pt, base))))
+    y = MatrixPoint.from_dict(pt.n, {tuple(r): rng.choice((-1, 1)) * rng.randint(1, 9) for r in slice_pos})
+    return points + [adjoint(pt, random_unitriangular(pt.n, rng), y)]
+
+
+def test_reduce_matches_pinned_g_and_y():
+    # g and y of three points per covered type with 2 <= n <= 7, recorded before the
+    # conjugation step learnt to skip zero operands; they must stay exactly the same
+    pins = json.loads(REDUCE_PINS.read_text())
+    covered = [s for n in range(2, 8) for s in compositions(n) if is_covered(ParabolicType(s))]
+    assert sorted(pins) == sorted(",".join(map(str, s)) for s in covered)
+    for key, records in pins.items():
+        pt = ParabolicType.from_string(key)
+        for point, rec in zip(_pinned_points(pt), records, strict=True):
+            assert point.to_json_dict()["entries"] == rec["point"]
+            g, y = reduce_to_canonical(pt, point)
+            assert (g.to_json_dict()["entries"], y.to_json_dict()["entries"]) == (rec["g"], rec["y"]), key
 
 
 def test_reduce_errors():
