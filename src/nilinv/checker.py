@@ -60,8 +60,7 @@ def one_param_transform(ptype: ParabolicType, k: int, f: Polynomial) -> Polynomi
     out = term = f
     for m in count(1):
         # t^m/m! D_k^m f from the previous term, as D_k t = 0
-        term = sum((term.derivative(v) * delta[v] for v in term.variables() if v in delta), Polynomial.zero())
-        term = term * Polynomial.var(T) * Fraction(1, m)
+        term = term.derive(delta) * (Polynomial.var(T) * Fraction(1, m))
         if term.is_zero:
             return out
         out = out + term
@@ -77,13 +76,15 @@ def invariance_table(ptype: ParabolicType, f: Polynomial) -> list[bool]:
     return [one_param_transform(ptype, k, f) == f for k in range(1, ptype.n)]
 
 
-def jacobian_rank_at(ptype: ParabolicType, polys: Sequence[Polynomial], assignment: dict) -> int:
+def jacobian_at(ptype: ParabolicType, polys: Sequence[Polynomial], assignment: dict) -> list[list[Fraction]]:
+    """The Jacobian at a point, one row per polynomial (its gradient) and one column per nilradical position."""
     variables = sorted(nilradical_roots(ptype))
-    matrix = [
-        [p.derivative(tuple(v)).evaluate(assignment) for v in variables]
-        for p in polys
-    ]
-    return rank(matrix)
+    grads = [p.gradient(assignment) for p in polys]
+    return [[grad.get(v, Fraction(0)) for v in variables] for grad in grads]
+
+
+def jacobian_rank_at(ptype: ParabolicType, polys: Sequence[Polynomial], assignment: dict) -> int:
+    return rank(jacobian_at(ptype, polys, assignment))
 
 
 @dataclass

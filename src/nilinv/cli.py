@@ -12,8 +12,9 @@ Subcommands expose the whole toolkit with text, JSON, and LaTeX output:
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
 Each command bounds the size n of --type (the last field of its COMMANDS
-row) and orbit-dim bounds --trials by MAX_TRIALS; a larger value is a usage
-error, raised before any work is done.
+row), invariants and verify also bound the order of the largest corner
+minor they expand, and orbit-dim bounds --trials by MAX_TRIALS; a larger
+value is a usage error, raised before any work is done.
 JSON outputs are deterministic for fixed seeds.  The NILINV_OUTDIR
 environment variable supplies a base directory for relative --out paths.
 """
@@ -149,34 +150,35 @@ def _format(*names: str) -> tuple[str, dict]:
 
 MAX_TRIALS = 10_000  # orbit-dim; the limits and their measured cost are listed in README
 
-# name -> (help, handler, options in --help order, largest n of --type); every parser ends with --out
+# name -> (help, handler, options in --help order, largest corner minor order, largest n of --type);
+# every parser ends with --out
 COMMANDS = {
     "diagram": ("render the diagram of a type", _diagram, [
         TYPE, _format("text", "latex", "json"),
         ("--marked", {"default": "phi", "choices": ["phi", "psi"]}),
         ("--offset", {"type": int, "default": 0}),
-    ], 200),
-    "base": ("base roots, pairs, marked sets, dimensions", _base, [TYPE, _format("text", "json")], 200),
-    "invariants": ("print the generator polynomials", _invariants, [TYPE, _format("text", "json", "latex")], 24),
-    "verify": ("invariance/independence/corank report", _verify, [TYPE, SEED, _format("json", "text")], 24),
+    ], None, 200),
+    "base": ("base roots, pairs, marked sets, dimensions", _base, [TYPE, _format("text", "json")], None, 200),
+    "invariants": ("print the generator polynomials", _invariants, [TYPE, _format("text", "json", "latex")], 8, 24),
+    "verify": ("invariance/independence/corank report", _verify, [TYPE, SEED, _format("json", "text")], 7, 24),
     "orbit-dim": ("sampled maximal orbit dimension", _orbit_dim, [
         TYPE, ("--trials", {"type": int, "default": 20}), SEED,
-    ], 24),
+    ], None, 24),
     "reduce": ("conjugate a point file onto the slice", _reduce, [
         TYPE, ("--point", {"required": True, "help": "JSON file {n, entries: [[i,j,'p/q'],...]}"}),
-    ], 60),
-    "case242": ("the full (2,4,2) study", _case242, [SEED], None),
+    ], None, 60),
+    "case242": ("the full (2,4,2) study", _case242, [SEED], None, None),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="nilinv", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, options, max_n) in COMMANDS.items():
+    for name, (help_text, handler, options, max_minor, max_n) in COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for flag, spec in options + [("--out", {})]:
             command.add_argument(flag, **spec)
-        command.set_defaults(handler=handler, max_n=max_n)
+        command.set_defaults(handler=handler, max_minor=max_minor, max_n=max_n)
 
     try:
         args = parser.parse_args(argv)
@@ -188,6 +190,8 @@ def main(argv: list[str] | None = None) -> int:
             args.type = ParabolicType.from_string(args.type)
             if args.type.n > args.max_n:
                 raise ValueError(f"type size {args.type.n} is above the limit {args.max_n} of {args.command}")
+            if args.max_minor is not None and (order := build_generators(args.type).largest_minor_order()) > args.max_minor:
+                raise ValueError(f"corner minor order {order} is above the limit {args.max_minor} of {args.command}")
         text, code = args.handler(args)
         _emit(text, args.out)
     except (ValueError, NilinvError, OSError) as exc:

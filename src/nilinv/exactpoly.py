@@ -22,7 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 T = "t"  # the deformation parameter of one-parameter subgroup transforms
@@ -209,15 +211,47 @@ class Polynomial:
             total += acc
         return total
 
-    def derivative(self, v: Var) -> "Polynomial":
-        # distinct monomials have distinct derivatives, so nothing merges or cancels
-        out: dict = {}
+    def gradient(self, values: Mapping[Var, Scalar]) -> dict:
+        """{v: df/dv at the point} for every variable v that occurs, from one sweep over the terms.
+
+        Within a monomial, each partial derivative is the product of the
+        factor values before and after it; a value or coefficient with
+        denominator 1 is multiplied as an int.
+        """
+        ints = {v: x.numerator if x.denominator == 1 else x for v, x in values.items()}
+        grad: dict = {}
         for mono, coef in self.terms.items():
-            for idx, (var, e) in enumerate(mono):
-                if var == v:
-                    out[mono[:idx] + ((var, e - 1),) * (e > 1) + mono[idx + 1 :]] = coef * e
-                    break
-        return Polynomial._wrap(out)
+            try:
+                powers = [ints[v] ** e for v, e in mono]
+            except KeyError as exc:
+                raise ValueError(f"no value supplied for variable {exc.args[0]!r}") from None
+            prefix = list(accumulate(powers, mul, initial=coef.numerator if coef.denominator == 1 else coef))
+            suffix = 1
+            for idx in range(len(mono) - 1, -1, -1):
+                v, e = mono[idx]
+                part = prefix[idx] * suffix
+                grad[v] = grad.get(v, 0) + (part if e == 1 else part * e * ints[v] ** (e - 1))
+                suffix *= powers[idx]
+        return {v: Fraction(g) for v, g in grad.items()}
+
+    def derive(self, images: Mapping[Var, "Polynomial | Scalar"]) -> "Polynomial":
+        """The derivation sum_v df/dv * images[v]; a variable without an image is a constant of it."""
+        images = {v: Polynomial._coerce(img).terms for v, img in images.items()}
+
+        def pairs():
+            for mono, coef in self.terms.items():
+                for idx, (v, e) in enumerate(mono):
+                    image = images.get(v)
+                    if image:
+                        rest = mono[:idx] + ((v, e - 1),) * (e > 1) + mono[idx + 1 :]
+                        c = coef * e if e > 1 else coef
+                        for m2, c2 in image.items():  # most coefficients are 1 or -1: no Fraction product
+                            yield _mono_mul(rest, m2), c if c2 == 1 else -c if c2 == -1 else c * c2
+
+        return Polynomial._wrap(_collect(pairs()))
+
+    def derivative(self, v: Var) -> "Polynomial":
+        return self.derive({v: 1})
 
     # -- rendering -----------------------------------------------------------
 
@@ -279,28 +313,25 @@ def det_minor(m: MatrixPoint, rows: Iterable[int], cols: Iterable[int]) -> Polyn
             raise ValueError(f"indices out of range 1..{m.n}: {seq}")
         if any(x >= y for x, y in zip(seq, seq[1:])):
             raise ValueError(f"indices must be strictly ascending: {seq}")
-    memo: dict = {}
+    # the memo is local and the expansion is not a closure over itself, so every sub-minor is freed on return
+    return _expand_minor(m, rows, cols, {})
 
-    def go(rs: tuple, cs: tuple) -> Polynomial:
-        if not rs:
-            return Polynomial.one()
-        key = (rs, cs)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        acc = Polynomial.zero()
-        r0 = rs[0]
-        for k, c in enumerate(cs):
-            entry = m.get(r0, c)
-            if entry.is_zero:
-                continue
-            sub = go(rs[1:], cs[:k] + cs[k + 1 :])
-            term = entry * sub
-            acc = acc + (term if k % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
 
-    return go(rows, cols)
+def _expand_minor(m: MatrixPoint, rs: tuple, cs: tuple, memo: dict) -> Polynomial:
+    if not rs:
+        return Polynomial.one()
+    cached = memo.get((rs, cs))
+    if cached is not None:
+        return cached
+    acc = Polynomial.zero()
+    for k, c in enumerate(cs):
+        entry = m.get(rs[0], c)
+        if entry.is_zero:
+            continue
+        term = entry * _expand_minor(m, rs[1:], cs[:k] + cs[k + 1 :], memo)
+        acc = acc + (term if k % 2 == 0 else -term)
+    memo[rs, cs] = acc
+    return acc
 
 
 def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, Fraction]:
@@ -394,7 +425,7 @@ class MatrixPoint:
         return self.rows[i - 1][j - 1]
 
     def values(self, positions: Iterable[tuple]) -> dict[tuple, Fraction]:
-        """The assignment {(i, j): entry} of the given positions, for Polynomial.evaluate."""
+        """The assignment {(i, j): entry} of the given positions, for Polynomial.evaluate and gradient."""
         return {tuple(r): self.get(*r) for r in positions}
 
     def support(self) -> set[tuple]:

@@ -178,6 +178,14 @@ class GeneratorSet:
         """The base minors and pair polynomials, without extras."""
         return [p for _, p in self.base_minors] + [p for _, p in self.pair_polys]
 
+    def largest_minor_order(self) -> int:
+        """The largest order of a corner minor in the generators; expanding them costs about its factorial."""
+        gammas = list(self.base.roots)
+        for q in self.pairs:  # the two minors of each splitting in pair_value
+            for c in range(q.xi.j, q.xi_prime.i + 1):
+                gammas += [Root(q.xi.i, c), Root(c, q.xi_prime.j)]
+        return max((len(minor_indices(self.base, gamma)[0]) for gamma in gammas), default=0)
+
     def to_json_dict(self) -> dict:
         return {
             "type": list(self.ptype.block_sizes),

@@ -131,6 +131,40 @@ def test_polynomial_derivative_matches_sympy(p, v):
     assert _agrees(p.derivative(v), sympy.diff(_sym(p), SYMBOLS[v]))
 
 
+# a named parameter besides t, so the gradient also sees two string variables
+GRAD_VARS = VARS + ["a"]
+GRAD_SYMBOLS = {**SYMBOLS, "a": sympy.Symbol("a")}
+GRAD_MONOMIALS = st.lists(st.tuples(st.sampled_from(GRAD_VARS), st.integers(1, 3)), max_size=4).map(tuple)
+GRAD_POLYS = st.dictionaries(GRAD_MONOMIALS, COEFFS, max_size=6).map(Polynomial)
+GRAD_POINTS = st.tuples(*[st.one_of(VALUES, st.integers(-4, 4))] * len(GRAD_VARS))
+
+
+@given(GRAD_POLYS, GRAD_POINTS)
+@settings(max_examples=60, deadline=None)
+def test_polynomial_gradient_matches_derivatives_and_sympy(p, values):
+    point = dict(zip(GRAD_VARS, values))
+    grad = p.gradient(point)
+    # the path it replaces: one derivative polynomial per variable, then evaluated
+    assert grad == {v: p.derivative(v).evaluate(point) for v in p.variables()}
+    at = {GRAD_SYMBOLS[v]: sympy.Rational(x.numerator, x.denominator) for v, x in point.items()}
+    for v, g in grad.items():
+        want = sympy.diff(_sympy_poly(p, GRAD_SYMBOLS), GRAD_SYMBOLS[v]).xreplace(at)
+        assert sympy.Rational(g.numerator, g.denominator) == want
+
+
+@given(POLYS, st.dictionaries(st.sampled_from(VARS), st.one_of(POLYS, VALUES, st.integers(-3, 3)), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_polynomial_derive_matches_derivatives_and_sympy(p, images):
+    got = p.derive(images)
+    # the path it replaces: one derivative polynomial per variable, times its image, summed
+    assert got == sum((p.derivative(v) * images[v] for v in p.variables() if v in images), Polynomial.zero())
+    want = sum(
+        sympy.diff(_sym(p), SYMBOLS[v]) * (_sym(img) if isinstance(img, Polynomial) else sympy.Rational(img))
+        for v, img in images.items()
+    )
+    assert _agrees(got, want)
+
+
 @given(POLYS, st.dictionaries(st.sampled_from(VARS), st.one_of(POLYS, VALUES, st.integers(-3, 3)), max_size=3))
 @settings(max_examples=50, deadline=None)
 def test_polynomial_substitute_matches_sympy(p, mapping):

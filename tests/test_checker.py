@@ -3,13 +3,14 @@
 import functools
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilinv.exactpoly import MatrixPoint, Polynomial, T
+from nilinv.exactpoly import MatrixPoint, Polynomial, T, rank
 from nilinv.checker import (
     case242_generators,
     case242_report,
@@ -18,15 +19,19 @@ from nilinv.checker import (
     independence_details,
     invariance_table,
     is_n_invariant,
+    jacobian_at,
+    jacobian_rank_at,
     one_param_transform,
     verify_type,
     weight_corank,
 )
 from nilinv.invgen import build_generators, formal_matrix, l_poly, minor_poly
+from nilinv.orbitlab import sample_point
 from nilinv.rootcomb import (
     ParabolicType,
     Root,
     admissible_pairs,
+    compositions,
     compute_base,
     nilradical_roots,
     phi_set,
@@ -162,6 +167,28 @@ def test_independence_ranks():
     assert independence_details(pt, [V(1, 2)]).rank == 1
     details = independence_details(P242, gens.core_polys(), seed=5)
     assert details.independent and details.expected == 8
+
+
+def _jacobian_via_derivatives(ptype, polys, assignment):
+    # the path the gradient replaced: one derivative polynomial per (generator, position), then evaluated
+    return [[p.derivative(tuple(v)).evaluate(assignment) for v in sorted(nilradical_roots(ptype))] for p in polys]
+
+
+def test_jacobian_from_gradients_matches_derivatives():
+    checked = 0
+    for n in range(1, 7):
+        for sizes in compositions(n):
+            pt = ParabolicType(sizes)
+            gens = build_generators(pt)
+            polys = gens.core_polys() + [p for _, p in gens.extras]
+            for seed in (13, 14):
+                values = sample_point(pt, random.Random(seed)).values(nilradical_roots(pt))
+                got, want = jacobian_at(pt, polys, values), _jacobian_via_derivatives(pt, polys, values)
+                assert got == want, (sizes, seed)
+                assert all(isinstance(x, Fraction) for row in got for x in row)
+                assert jacobian_rank_at(pt, polys, values) == rank(want), (sizes, seed)
+                checked += 1
+    assert checked == 2 * 63
 
 
 def test_weight_coranks():

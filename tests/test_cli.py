@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilinv.cli import COMMANDS, MAX_TRIALS, main
+from nilinv.invgen import build_generators
+from nilinv.rootcomb import ParabolicType
 
 SCHEMAS = pathlib.Path(__file__).parent.parent / "src" / "nilinv" / "schemas"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -218,6 +220,31 @@ def test_size_limits(capsys, tmp_path):
     for name in ("diagram", "base"):
         assert main([name, "--type", ",".join(["1"] * SIZE_LIMITS[name])]) == 0
         assert capsys.readouterr().out
+
+
+# the corner-minor limits (README, "Input limits"): the cost of invariants and verify follows the largest minor
+MINOR_LIMITS = {"invariants": 8, "verify": 7}
+
+
+def test_minor_order_limits(capsys, monkeypatch):
+    assert {name: row[3] for name, row in COMMANDS.items() if row[3] is not None} == MINOR_LIMITS
+    for name, limit in MINOR_LIMITS.items():
+        # (k, k) has one corner minor of each order up to k
+        for k in (limit, limit + 1):
+            assert build_generators(ParabolicType((k, k))).largest_minor_order() == k
+        # one above the limit: exit 2 with one line, before any expansion (9! terms would take minutes)
+        assert main([name, "--type", f"{limit + 1},{limit + 1}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: corner minor order {limit + 1} is above the limit {limit} of {name}\n"
+        # at the limit the command runs; a stand-in handler keeps the test from expanding 8! terms
+        help_text, _, options, max_minor, max_n = COMMANDS[name]
+        monkeypatch.setitem(COMMANDS, name, (help_text, lambda args: ("ran\n", 0), options, max_minor, max_n))
+        assert main([name, "--type", f"{limit},{limit}"]) == 0
+        assert capsys.readouterr().out == "ran\n"
+    # the orders behind the golden files and the README examples sit at or below both limits
+    for sizes in [(2, 4, 2), (4, 3, 3), (2, 2, 1, 1), (2, 2, 2, 1, 1), (2, 1, 3, 2), (6, 6, 6), (7, 7, 7)]:
+        assert build_generators(ParabolicType(sizes)).largest_minor_order() <= min(MINOR_LIMITS.values()), sizes
 
 
 def test_trials_limit(capsys):

@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic substrate."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilinv.exactpoly import MatrixPoint, Polynomial, T, det_minor, rank
+from nilinv.invgen import formal_matrix
+from nilinv.rootcomb import ParabolicType
 
 X13 = Polynomial.var((1, 3))
 X14 = Polynomial.var((1, 4))
@@ -88,6 +91,27 @@ def test_derivative():
     assert f.derivative((1, 3)) == 2 * X13 * X24
     assert f.derivative((1, 4)) == Polynomial.constant(3)
     assert f.derivative((2, 3)) == Polynomial.zero()
+
+
+def test_gradient_and_derive():
+    f = X13 * X13 * X24 + 3 * X14 - Fraction(1, 2) * Polynomial.var(T)
+    grad = f.gradient({(1, 3): 2, (2, 4): Fraction(-1, 3), (1, 4): 7, T: 5, (2, 3): 9})
+    assert grad == {(1, 3): Fraction(-4, 3), (2, 4): 4, (1, 4): 3, T: Fraction(-1, 2)}
+    assert all(isinstance(x, Fraction) for x in grad.values())
+    assert Polynomial.constant(4).gradient({}) == {} and Polynomial.zero().gradient({}) == {}
+    # D(f) = df/dx13 * x23 + df/dt * 2; a variable without an image is a constant of D
+    assert f.derive({(1, 3): X23, T: 2}) == 2 * X13 * X23 * X24 - 1
+    assert f.derive({}) == Polynomial.zero()
+
+
+def test_gradient_names_a_missing_variable_as_evaluate_does():
+    f = X13 * X24 - X14 * X23
+    values = {(1, 3): 2, (2, 4): 3, (1, 4): 1}
+    with pytest.raises(ValueError) as by_evaluate:
+        f.evaluate(values)
+    with pytest.raises(ValueError) as by_gradient:
+        f.gradient(values)
+    assert str(by_gradient.value) == str(by_evaluate.value) == "no value supplied for variable (2, 3)"
 
 
 def test_canonical_str():
@@ -173,6 +197,19 @@ def _perm_expansion(m, rows, cols):
             term = term * m.get(rows[a], cols[perm[a]])
         total = total + term
     return total
+
+
+def test_det_minor_leaves_no_garbage():
+    # the sub-minor memo is freed on return, not left in a reference cycle for the collector
+    x = formal_matrix(ParabolicType((1,) * 8))
+    gc.collect()
+    gc.disable()
+    try:
+        minor = det_minor(x, (1, 2, 3, 4), (5, 6, 7, 8))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(minor.terms) == 24
 
 
 def test_det_matches_permutation_expansion():
