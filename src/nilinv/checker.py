@@ -121,22 +121,10 @@ def independence_details(
     return IndependenceResult(rank=best, expected=len(polys), seed=seed, attempts=attempts)
 
 
-def root_weight_matrix(roots: Iterable[Root], n: int) -> list[list[int]]:
-    """Rows are the weight vectors e_i - e_j of the given roots."""
-    out = []
-    for r in roots:
-        row = [0] * n
-        row[r.i - 1] = 1
-        row[r.j - 1] = -1
-        out.append(row)
-    return out
-
-
 def corank_of_roots(roots: Iterable[Root], n: int) -> int:
-    roots = list(roots)
-    if not roots:
-        return 0
-    return len(roots) - rank(root_weight_matrix(roots, n))
+    """The number of roots minus the rank of their weight vectors e_i - e_j."""
+    rows = [[(k == r.i) - (k == r.j) for k in range(1, n + 1)] for r in roots]
+    return len(rows) - rank(rows)
 
 
 def weight_corank(pairs: Iterable[AdmissiblePair], n: int) -> int:

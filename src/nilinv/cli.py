@@ -11,9 +11,9 @@ Subcommands expose the whole toolkit with text, JSON, and LaTeX output:
   case242    the full (2,4,2) study
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
-Each command bounds the size n of --type (the last field of its COMMANDS
-row), invariants and verify also bound the order of the largest corner
-minor they expand, and orbit-dim bounds --trials by MAX_TRIALS; a larger
+Each command bounds the size n of --type (n + --offset for diagram; the last
+field of its COMMANDS row), invariants and verify the order of the largest
+corner minor they expand, and orbit-dim --trials and its rank work; a larger
 value is a usage error, raised before any work is done.
 JSON outputs are deterministic for fixed seeds.  The NILINV_OUTDIR
 environment variable supplies a base directory for relative --out paths.
@@ -92,6 +92,8 @@ def _base_text(doc: dict) -> str:
 
 
 def _diagram(args) -> tuple[str, int]:
+    if args.type.n + args.offset > args.max_n:  # the grid has n + offset rows
+        raise ValueError(f"type size {args.type.n} plus --offset {args.offset} is above the limit {args.max_n} of diagram")
     return render_diagram(args.type, args.format, args.marked, args.offset), 0
 
 
@@ -119,8 +121,6 @@ def _verify(args) -> tuple[str, int]:
 
 
 def _orbit_dim(args) -> tuple[str, int]:
-    if args.trials > MAX_TRIALS:
-        raise ValueError(f"--trials {args.trials} is above the limit {MAX_TRIALS}")
     record = orbit_experiment(args.type, args.trials, args.seed)
     return _json_doc(record), 0 if record["pass"] else 1
 
@@ -149,6 +149,7 @@ def _format(*names: str) -> tuple[str, dict]:
 
 
 MAX_TRIALS = 10_000  # orbit-dim; the limits and their measured cost are listed in README
+MAX_ORBIT_WORK = 20 * 276**3  # the default 20 trials on (1,)*24, whose bracket matrix is 276 x 276
 
 # name -> (help, handler, options in --help order, largest corner minor order, largest n of --type);
 # every parser ends with --out
@@ -192,6 +193,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"type size {args.type.n} is above the limit {args.max_n} of {args.command}")
             if args.max_minor is not None and (order := build_generators(args.type).largest_minor_order()) > args.max_minor:
                 raise ValueError(f"corner minor order {order} is above the limit {args.max_minor} of {args.command}")
+            if "trials" in vars(args):  # orbit-dim ranks one n(n-1)/2 x dim m bracket matrix per trial
+                rows, cols = args.type.n * (args.type.n - 1) // 2, dims(args.type).dim_m
+                if args.trials > MAX_TRIALS:
+                    raise ValueError(f"--trials {args.trials} is above the limit {MAX_TRIALS}")
+                if (work := args.trials * rows * cols * min(rows, cols)) > MAX_ORBIT_WORK:
+                    raise ValueError(f"--trials {args.trials} needs rank work {work}, above the limit {MAX_ORBIT_WORK}")
         text, code = args.handler(args)
         _emit(text, args.out)
     except (ValueError, NilinvError, OSError) as exc:

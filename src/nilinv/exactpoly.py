@@ -20,8 +20,10 @@ coefficient and a factor are written.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import lcm
 from operator import mul
@@ -40,20 +42,20 @@ def _var_key(v: Var):
     return (0, False, (v[0], v[1]))
 
 
-def _merge_mono(items) -> tuple:
-    # adds up the exponents of a variable that occurs more than once, drops zero exponents, sorts
-    exps: dict = {}
-    for v, e in items:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda ve: _var_key(ve[0])))
-
-
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
-    if not m1:
-        return m2
+    """The canonical product of two canonical monomials; a factor whose exponent reaches 0 is dropped."""
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
     if not m2:
         return m1
-    return _merge_mono(m1 + m2)
+    out = list(m1)
+    for v, e in m2:  # each factor of the shorter goes into its place in the longer, adding a shared exponent
+        k = bisect_left(out, _var_key(v), key=lambda f: _var_key(f[0]))
+        if k < len(out) and out[k][0] == v:
+            e += out.pop(k)[1]
+        if e:
+            out.insert(k, (v, e))
+    return tuple(out)
 
 
 def _collect(pairs: Iterable[tuple], into: dict | None = None) -> dict:
@@ -81,13 +83,14 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
-        # a zero coefficient is dropped before its monomial is merged: most coerced scalars are 0
-        pairs = ((_merge_mono(mono), Fraction(coef)) for mono, coef in terms.items() if coef) if terms else ()
+        # a zero coefficient is dropped before its monomial is made canonical: most coerced scalars are 0
+        canon = lambda mono: reduce(_mono_mul, (((v, e),) for v, e in mono if e), ())
+        pairs = ((canon(mono), Fraction(coef)) for mono, coef in terms.items() if coef) if terms else ()
         self.terms = _collect(pairs)
 
     @classmethod
     def _wrap(cls, terms: dict) -> "Polynomial":
-        # a dict that is already canonical: merged monomials, nonzero Fraction coefficients
+        # a dict that is already canonical: canonical monomials, nonzero Fraction coefficients
         p = cls.__new__(cls)
         p.terms = terms
         return p
@@ -145,14 +148,7 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.one()
-        square = self
-        while k:
-            if k & 1:
-                result = result * square
-            square = square * square if k > 1 else square
-            k >>= 1
-        return result
+        return reduce(mul, [self] * k, Polynomial.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -188,16 +184,13 @@ class Polynomial:
     def substitute(self, mapping: Mapping[Var, "Polynomial | Scalar"]) -> "Polynomial":
         """Substitute polynomials (or scalars) for variables; missing variables stay."""
         images = {v: Polynomial._coerce(img) for v, img in mapping.items()}
-        out = Polynomial.zero()
+        out: dict = {}
         for mono, coef in self.terms.items():
             term = Polynomial.constant(coef)
             for v, e in mono:
-                factor = images.get(v)
-                if factor is None:
-                    factor = Polynomial.var(v)
-                term = term * factor**e
-            out = out + term
-        return out
+                term = term * (images[v] if v in images else Polynomial.var(v)) ** e
+            _collect(term.terms.items(), out)
+        return Polynomial._wrap(out)
 
     def evaluate(self, values: Mapping[Var, Scalar]) -> Fraction:
         """Evaluate at a total assignment of the variables that occur."""
@@ -323,15 +316,14 @@ def _expand_minor(m: MatrixPoint, rs: tuple, cs: tuple, memo: dict) -> Polynomia
     cached = memo.get((rs, cs))
     if cached is not None:
         return cached
-    acc = Polynomial.zero()
+    acc: dict = {}
     for k, c in enumerate(cs):
         entry = m.get(rs[0], c)
-        if entry.is_zero:
-            continue
-        term = entry * _expand_minor(m, rs[1:], cs[:k] + cs[k + 1 :], memo)
-        acc = acc + (term if k % 2 == 0 else -term)
-    memo[rs, cs] = acc
-    return acc
+        if not entry.is_zero:
+            sub = _expand_minor(m, rs[1:], cs[:k] + cs[k + 1 :], memo)
+            _collect(((entry if k % 2 == 0 else -entry) * sub).terms.items(), acc)
+    memo[rs, cs] = minor = Polynomial._wrap(acc)
+    return minor
 
 
 def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, Fraction]:

@@ -57,15 +57,21 @@ def minor_indices(base: Base, gamma: Root) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(rows), tuple(cols)
 
 
-def pair_value(minor: Callable[[Root], Polynomial | Fraction], q: AdmissiblePair) -> Polynomial | Fraction:
-    """L_q from the corner minors: sum of M_(a,c) * M_(c,b') over c from xi.j to xi'.i.
+def splittings(q: AdmissiblePair) -> list[tuple[Root, Root]]:
+    """The roots ((a, c), (c, b')) of the minors in L_q, one pair per splitting (b, c) + (c, a') of alpha_q, c = b..a'.
 
-    The sum runs over all splittings of alpha_q = (b, a') into two reductive
-    roots (allowing either summand to vanish), which is exactly c = b..a'.
-    ``minor`` gives M_gamma as a polynomial or as its value at a point.
+    Either summand of a splitting may vanish (c = b or c = a').
     """
     (a, b), (a2, b2) = q.xi, q.xi_prime
-    return sum(minor(Root(a, c)) * minor(Root(c, b2)) for c in range(b, a2 + 1))
+    return [(Root(a, c), Root(c, b2)) for c in range(b, a2 + 1)]
+
+
+def pair_value(minor: Callable[[Root], Polynomial | Fraction], q: AdmissiblePair) -> Polynomial | Fraction:
+    """L_q from the corner minors: the sum of M_(a,c) * M_(c,b') over ``splittings(q)``.
+
+    ``minor`` gives M_gamma as a polynomial or as its value at a point.
+    """
+    return sum(minor(left) * minor(right) for left, right in splittings(q))
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +89,12 @@ def l_poly(ptype: ParabolicType, base: Base, q: AdmissiblePair) -> Polynomial:
     if not (b < a2 and ptype.block_of(b) == ptype.block_of(a2)):
         raise ValueError(f"pair {q.xi}, {q.xi_prime} is not admissible for type {ptype}")
     return pair_value(lambda gamma: minor_poly(ptype, base, gamma), q)
+
+
+def check_covered(ptype: ParabolicType) -> None:
+    """Reject a type outside the reduction theory: it needs non-increasing sizes or at most 3 blocks."""
+    if not is_covered(ptype):
+        raise UnsupportedTypeError(f"type {ptype} not supported: need non-increasing sizes or at most 3 blocks")
 
 
 def check_support(ptype: ParabolicType, point: MatrixPoint) -> None:
@@ -127,13 +139,13 @@ def restrict(ptype: ParabolicType, base: Base, phi: Iterable[Root], f: Polynomia
     """Restriction to the slice: 0 at every position outside the base and marked positions.
 
     Keeps exactly the terms whose variables all lie on the slice; the
-    surviving monomials are distinct, so nothing cancels.
+    surviving terms are canonical and distinct, so nothing cancels.
     """
     keep = set(base.roots) | set(phi)
     named = [v for v in f.variables() if isinstance(v, str)]
     if named:
         raise ValueError(f"polynomial has non-position variable {named[0]!r}")
-    return Polynomial({mono: c for mono, c in f.terms.items() if all(v in keep for v, _ in mono)})
+    return Polynomial._wrap({mono: c for mono, c in f.terms.items() if all(v in keep for v, _ in mono)})
 
 
 def minor_name(gamma: Root) -> str:
@@ -180,10 +192,7 @@ class GeneratorSet:
 
     def largest_minor_order(self) -> int:
         """The largest order of a corner minor in the generators; expanding them costs about its factorial."""
-        gammas = list(self.base.roots)
-        for q in self.pairs:  # the two minors of each splitting in pair_value
-            for c in range(q.xi.j, q.xi_prime.i + 1):
-                gammas += [Root(q.xi.i, c), Root(c, q.xi_prime.j)]
+        gammas = list(self.base.roots) + [gamma for q in self.pairs for split in splittings(q) for gamma in split]
         return max((len(minor_indices(self.base, gamma)[0]) for gamma in gammas), default=0)
 
     def to_json_dict(self) -> dict:
@@ -237,15 +246,12 @@ def y_coordinates(
     target coordinate and otherwise in coordinates solved before it: the
     base coordinates innermost first from the minor values (all of which
     must be nonzero), then each marked coordinate phi from its pair value.
-    Of the splittings c = b..a' in ``pair_value``, only c = b survives on
+    Of the ``splittings`` c = b..a' of a pair, only c = b survives on
     the slice, so there L_q is M_xi * M_phi: two determinants instead of
     2(a' - b + 1).  Each target is its value divided by the generator
     evaluated at the slice point built so far with that target set to 1.
     """
-    if not is_covered(ptype):
-        raise UnsupportedTypeError(
-            f"type {ptype} not supported: need non-increasing sizes or at most 3 blocks"
-        )
+    check_covered(ptype)
     for xi in base.roots:
         if xi not in inv_values.m_values:
             raise ValueError(f"missing minor value for base root {xi}")

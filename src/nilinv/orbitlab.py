@@ -13,9 +13,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OutsideU0Error, ReductionError, UnsupportedTypeError
+from .errors import OutsideU0Error, ReductionError
 from .exactpoly import MatrixPoint, rank
-from .invgen import GeneratorSet, build_generators, check_support, invariant_values, vanishing_minor, y_coordinates
+from .invgen import GeneratorSet, build_generators, check_covered, check_support, invariant_values
+from .invgen import vanishing_minor, y_coordinates
 from .rootcomb import (
     ParabolicType,
     Root,
@@ -176,10 +177,7 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
     anchor.  Supported for non-increasing block sizes and for any sizes
     with at most three blocks.
     """
-    if not is_covered(ptype):
-        raise UnsupportedTypeError(
-            f"type {ptype} not supported: need non-increasing sizes or at most 3 blocks"
-        )
+    check_covered(ptype)
     n, s = ptype.n, ptype.s
     base = compute_base(ptype)
     pairs = admissible_pairs(ptype, base)

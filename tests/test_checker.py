@@ -195,6 +195,7 @@ def test_weight_coranks():
     assert weight_corank(admissible_pairs(P242), 8) == 1
     assert weight_corank(admissible_pairs(ParabolicType((2, 2, 2, 1, 1))), 8) == 0
     assert weight_corank((), 8) == 0
+    assert corank_of_roots([], 8) == 0
 
 
 def test_corank_s_phi_values():

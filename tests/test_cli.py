@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilinv.cli import COMMANDS, MAX_TRIALS, main
+from nilinv.cli import COMMANDS, MAX_ORBIT_WORK, MAX_TRIALS, main
 from nilinv.invgen import build_generators
 from nilinv.rootcomb import ParabolicType
 
@@ -220,6 +220,13 @@ def test_size_limits(capsys, tmp_path):
     for name in ("diagram", "base"):
         assert main([name, "--type", ",".join(["1"] * SIZE_LIMITS[name])]) == 0
         assert capsys.readouterr().out
+    # diagram draws n + --offset rows, so the limit bounds the sum
+    assert main(["diagram", "--type", "2,2", "--offset", "196"]) == 0
+    assert "\n200 |" in capsys.readouterr().out
+    assert main(["diagram", "--type", "2,2", "--offset", "197"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: type size 4 plus --offset 197 is above the limit 200 of diagram\n"
 
 
 # the corner-minor limits (README, "Input limits"): the cost of invariants and verify follows the largest minor
@@ -258,6 +265,27 @@ def test_trials_limit(capsys):
     assert captured.err.splitlines() == [
         f"error: --trials {n} is above the limit {MAX_TRIALS}" for n in (99999999999999999999, MAX_TRIALS + 1)
     ]
+
+
+def test_orbit_work_limit(capsys, monkeypatch):
+    # trials x rows x cols x min(rows, cols) of the bracket matrix; (1,)*24 has the largest one, 276 x 276
+    ones24 = ",".join(["1"] * 24)
+    assert MAX_ORBIT_WORK == 20 * 276 * 276 * 276
+    assert main(["orbit-dim", "--type", ones24, "--trials", "21"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --trials 21 needs rank work {21 * 276**3}, above the limit {MAX_ORBIT_WORK}\n"
+    # (4,)*6: a 276 x 240 matrix; 26 trials pass and 27 do not
+    assert main(["orbit-dim", "--type", "4,4,4,4,4,4", "--trials", "27"]) == 2
+    work = 27 * 276 * 240 * 240
+    assert capsys.readouterr().err == f"error: --trials 27 needs rank work {work}, above the limit {MAX_ORBIT_WORK}\n"
+    # the default trials at n = 24 and 10,000 trials on (2,2) are admitted; a stand-in handler keeps (1,)*24 from sampling
+    help_text, _, options, max_minor, max_n = COMMANDS["orbit-dim"]
+    monkeypatch.setitem(COMMANDS, "orbit-dim", (help_text, lambda args: (f"{args.trials}\n", 0), options, max_minor, max_n))
+    for sizes, trials in ((ones24, None), ("4,4,4,4,4,4", 26), ("2,2", MAX_TRIALS)):
+        argv = ["orbit-dim", "--type", sizes] + ([] if trials is None else ["--trials", str(trials)])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{trials or 20}\n"
 
 
 def test_out_file_and_outdir_env(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilinv.exactpoly import MatrixPoint, Polynomial, T, det_minor, rank
+from nilinv.exactpoly import MatrixPoint, Polynomial, T, _mono_mul, _var_key, det_minor, rank
 from nilinv.invgen import formal_matrix
 from nilinv.rootcomb import ParabolicType
 
@@ -55,6 +55,45 @@ def test_repeated_variable_in_a_monomial_is_merged():
     assert str(p) == "x[1,2]^2"
     q = Polynomial({((T, 1), ((1, 3), 1), (T, 2)): 2, (((1, 3), 1), (T, 3)): 1})
     assert q == 3 * X13 * Polynomial.var(T) ** 3
+
+
+def merge_oracle(items) -> tuple:
+    # the dict-plus-sort canonicalizer that _mono_mul replaced: add shared exponents, drop zeros, sort every factor
+    exps: dict = {}
+    for v, e in items:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda ve: _var_key(ve[0])))
+
+
+# positions, named parameters and t, so that the three kinds of variable interleave and shared ones are frequent
+MIXED_VARIABLES = st.sampled_from([(1, 2), (1, 3), (2, 3), (2, 10), (10, 2), "a", "b1", "c", T])
+
+
+def canonical_monos():
+    return st.lists(st.tuples(MIXED_VARIABLES, st.integers(1, 3)), max_size=6).map(merge_oracle)
+
+
+@given(canonical_monos(), canonical_monos())
+@settings(max_examples=300, deadline=None)
+def test_mono_mul_matches_the_dict_and_sort_merge(m1, m2):
+    assert _mono_mul(m1, m2) == merge_oracle(m1 + m2)
+    assert _mono_mul(m2, m1) == _mono_mul(m1, m2)
+
+
+@given(st.lists(st.tuples(MIXED_VARIABLES, st.integers(-2, 3)), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_constructor_makes_any_monomial_canonical(factors):
+    # unsorted input, repeated variables and zero (or negative) exponents all come out as the oracle's monomial
+    canonical = merge_oracle(factors)
+    assert Polynomial({tuple(factors): 3}).terms == {canonical: 3}
+    assert Polynomial({tuple(reversed(factors)): 3}).terms == {canonical: 3}
+
+
+def test_constructor_drops_a_factor_whose_exponents_cancel():
+    a, b = (1, 3), (2, 4)
+    p = Polynomial({((T, 1), (b, 2), (a, 0), (b, -2), ("s", 1)): 5})
+    assert p.terms == {(("s", 1), (T, 1)): 5}
+    assert Polynomial({((a, 1), (a, -1)): 2}) == Polynomial.constant(2)
 
 
 def test_power_and_degree():

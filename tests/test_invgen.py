@@ -204,8 +204,9 @@ def test_y_coordinates_errors():
     with pytest.raises(OutsideU0Error):
         y_coordinates(pt, base, pairs, InvariantValues({Root(2, 3): Fraction(0), Root(1, 4): Fraction(1)}, {}))
     bad = ParabolicType((2, 1, 3, 2))
-    with pytest.raises(UnsupportedTypeError):
+    with pytest.raises(UnsupportedTypeError) as err:
         y_coordinates(bad, compute_base(bad), admissible_pairs(bad), InvariantValues({}, {}))
+    assert str(err.value) == "type (2,1,3,2) not supported: need non-increasing sizes or at most 3 blocks"
 
 
 def test_y_coordinates_inverts_invariants_on_slice():

@@ -216,8 +216,9 @@ def test_reduce_errors():
     with pytest.raises(OutsideU0Error) as err:
         reduce_to_canonical(ParabolicType((2, 2)), MatrixPoint.from_dict(4, {(1, 4): 3}))
     assert tuple(err.value.xi) == (2, 3)
-    with pytest.raises(UnsupportedTypeError):
+    with pytest.raises(UnsupportedTypeError) as unsupported:
         reduce_to_canonical(ParabolicType((2, 1, 3, 2)), MatrixPoint.zeros(8))
+    assert str(unsupported.value) == "type (2,1,3,2) not supported: need non-increasing sizes or at most 3 blocks"
     with pytest.raises(ValueError):
         reduce_to_canonical(P242, MatrixPoint.from_dict(8, {(3, 5): 1}))
 
