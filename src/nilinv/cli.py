@@ -149,7 +149,8 @@ def _format(*names: str) -> tuple[str, dict]:
 
 
 MAX_TRIALS = 10_000  # orbit-dim; the limits and their measured cost are listed in README
-MAX_ORBIT_WORK = 20 * 276**3  # the default 20 trials on (1,)*24, whose bracket matrix is 276 x 276
+# default 20 trials on (1,)*24 (276 x 276); rank updates at most Bareiss's rows*cols*min cells plus a lift per touched row
+MAX_ORBIT_WORK = 20 * 276**3
 
 # name -> (help, handler, options in --help order, largest corner minor order, largest n of --type);
 # every parser ends with --out

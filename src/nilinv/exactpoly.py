@@ -331,42 +331,56 @@ def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, Fraction]:
 
     Each row is scaled to integers straight from its entries' ``numerator``
     and ``denominator`` (an ``int`` has both); no entry becomes a Fraction.
+    A step updates only the rows with a nonzero pivot-column entry.  Bareiss
+    would scale each other row by P[r+1]/P[r] at step r, with pivots P and
+    P[0] = 1.  These factors telescope, so a row last updated before step s
+    is lifted by the exact x * P[r] // P[s] when next touched.  Rows, pivots
+    and the determinant are the Bareiss values.
     """
-    if not matrix or not matrix[0]:
-        return 0, Fraction(0)
+    nc = len(matrix[0]) if matrix else 0
     rows = []
     scale = 1
     for row in matrix:
+        if len(row) != nc:
+            raise ValueError(f"ragged rows: a row of length {len(row)} after one of length {nc}")
         mult = lcm(*(x.denominator for x in row))
         scale *= mult
         rows.append([x.numerator * (mult // x.denominator) for x in row])
-    nr, nc = len(rows), len(rows[0])
+    nr = len(rows)
+    last = [1] * nr  # P[s] for the step s before which each row was last updated
     prev = 1
     r = 0
     sign = 1
     for c in range(nc):
-        pivot_row = next((p for p in range(r, nr) if rows[p][c] != 0), None)
+        pivot_row = r if r < nr and rows[r][c] else next((p for p in range(r + 1, nr) if rows[p][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            last[r], last[pivot_row] = last[pivot_row], last[r]
             sign = -sign
-        pivot = rows[r][c]
+        top = rows[r]
+        if last[r] != prev:
+            top[c:] = [x * prev // last[r] for x in top[c:]]
+        pivot = top[c]
         for p in range(r + 1, nr):
-            factor = rows[p][c]
-            for q in range(c + 1, nc):
-                rows[p][q] = (rows[p][q] * pivot - factor * rows[r][q]) // prev
-            rows[p][c] = 0
+            row = rows[p]
+            if factor := row[c]:
+                if last[p] != prev:
+                    row[c:] = [x * prev // last[p] for x in row[c:]]
+                    factor = row[c]
+                for q in range(c + 1, nc):
+                    row[q] = (row[q] * pivot - factor * top[q]) // prev
+                row[c] = 0
+                last[p] = pivot
         prev = pivot
         r += 1
-        if r == nr:
-            break
     # the last Bareiss pivot is the determinant of the scaled, row-swapped matrix
     return r, Fraction(sign * prev, scale) if r == nr == nc else Fraction(0)
 
 
 def rank(matrix: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank over the rationals via fraction-free (Bareiss) elimination."""
+    """Exact rank over the rationals via fraction-free (Bareiss) elimination; ragged rows raise ValueError."""
     return _eliminate(matrix)[0]
 
 
@@ -374,7 +388,7 @@ def det(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     """Exact determinant of a square rational matrix, by the elimination of ``rank``."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError(f"determinant of a non-square matrix with {len(matrix)} rows")
-    return _eliminate(matrix)[1] if matrix else Fraction(1)
+    return _eliminate(matrix)[1]
 
 
 @dataclass

@@ -32,6 +32,19 @@ def rational_matrices(draw, square: bool):
     return rows
 
 
+# mostly zeros, ints and Fractions mixed, up to 8 x 8: elimination leaves rows alone and lifts them later
+SPARSE_ENTRIES = st.one_of(
+    st.just(0), st.just(0), st.just(Fraction(0)), st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=4)
+)
+
+
+@st.composite
+def sparse_matrices(draw, square: bool):
+    nr = draw(st.integers(1, 8))
+    nc = nr if square else draw(st.integers(1, 8))
+    return draw(st.lists(st.lists(SPARSE_ENTRIES, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+
+
 def _sympy_matrix(rows, nc):
     return sympy.Matrix(len(rows), nc, [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row])
 
@@ -61,6 +74,25 @@ def test_det_matches_sympy(rows):
     got = det(rows)
     assert isinstance(got, Fraction)
     assert sympy.Rational(got.numerator, got.denominator) == want
+
+
+# row 2 is left alone at step 0 and lifted by P[1]/P[0] = 2 at step 1; without the lift det reads 8
+LIFTED = [[2, 1, 0], [0, 3, 1], [0, 5, 7]]
+
+
+@given(sparse_matrices(square=False))
+@example(LIFTED)
+@settings(max_examples=100, deadline=None)
+def test_rank_matches_sympy_on_sparse_matrices(rows):
+    assert rank(rows) == _sympy_matrix(rows, len(rows[0])).rank()
+
+
+@given(sparse_matrices(square=True))
+@example(LIFTED)
+@settings(max_examples=100, deadline=None)
+def test_det_matches_sympy_on_sparse_matrices(rows):
+    got = det(rows)
+    assert sympy.Rational(got.numerator, got.denominator) == _sympy_matrix(rows, len(rows)).det()
 
 
 def test_det_rejects_non_square():

@@ -1,16 +1,23 @@
 """Tests for the exact arithmetic substrate."""
 
+import functools
 import gc
+import inspect
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilinv.exactpoly import MatrixPoint, Polynomial, T, _mono_mul, _var_key, det_minor, rank
+from nilinv import exactpoly
+from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, _var_key, det_minor, rank
 from nilinv.invgen import formal_matrix
-from nilinv.rootcomb import ParabolicType
+from nilinv.orbitlab import DEFAULT_SEED, bracket, orbit_dim, sample_point
+from nilinv.rootcomb import ParabolicType, compositions, nilradical_roots
+from oracles import bareiss
 
 X13 = Polynomial.var((1, 3))
 X14 = Polynomial.var((1, 4))
@@ -307,6 +314,46 @@ def test_rank_with_fractions():
     # second row is a rational multiple of the first
     m2 = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(2, 3), Fraction(1, 3)]]
     assert rank(m2) == 1
+
+
+def test_rank_rejects_ragged_rows():
+    # one row shorter than the first, and one longer: neither is cut to the first row's width
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="ragged rows"):
+            rank(ragged)
+
+
+@functools.cache
+def _bracket_cases():
+    """orbit_dim's bracket matrix at a DEFAULT_SEED sample point of each composition with n <= 7, and its leading minors."""
+    cases = []
+    for n in range(1, 8):
+        for sizes in compositions(n):
+            pt = ParabolicType(sizes)
+            x = sample_point(pt, random.Random(DEFAULT_SEED))
+            positions = sorted(nilradical_roots(pt))
+            m = [bracket(positions, i, j, x) for i in range(1, n) for j in range(i + 1, n + 1)]
+            assert rank(m) == orbit_dim(pt, x)
+            cases.append((sizes, m))
+            cases += [((sizes, k), [row[:k] for row in m[:k]]) for k in range(1, min(len(m), len(positions)) + 1)]
+    return cases
+
+
+def test_eliminate_matches_textbook_bareiss_on_bracket_matrices():
+    cases = _bracket_cases()
+    assert len(cases) > 1000
+    for label, m in cases:
+        assert _eliminate(m) == bareiss(m), label
+
+
+def test_eliminate_without_the_lift_is_caught_on_bracket_matrices():
+    # the mutant reads a row left alone since an earlier step as if it were current
+    source, lifts = re.subn(r"if last\[\w\] != prev:", "if False:", inspect.getsource(_eliminate))
+    assert lifts == 2
+    namespace = dict(vars(exactpoly))
+    exec(source, namespace)
+    mutant = namespace["_eliminate"]
+    assert any(mutant(m) != bareiss(m) for _, m in _bracket_cases())
 
 
 def _rank_row_reduce(matrix):
