@@ -11,12 +11,10 @@ from .rootcomb import (
     admissible_pairs,
     compute_base,
     dims,
-    higher,
     is_covered,
     nilradical_roots,
     phi_set,
     psi_set,
-    reductive_roots,
     render_diagram,
     s_gamma,
 )
@@ -24,11 +22,12 @@ from .invgen import (
     GeneratorSet,
     InvariantValues,
     build_generators,
+    expand,
     formal_matrix,
     invariant_values,
-    l_poly,
+    minor_form,
     minor_poly,
-    power_minor,
+    pair_form,
     restrict,
     y_coordinates,
 )

@@ -1,8 +1,9 @@
 """Verification engines.
 
 Symbolic invariance of polynomials under every one-parameter unitriangular
-subgroup, algebraic independence via exact Jacobian rank at random rational
-points, weight-system coranks, and the full (2,4,2) case study (the
+subgroup, algebraic independence via the exact rank at random rational
+points of the Jacobian read by cofactors off the generators' forms,
+weight-system coranks, and the full (2,4,2) case study (the
 quadratic identity among the pair polynomials, the extra invariant D, and
 the evaluation table on the parameter family Y_{a,b,c}).
 """
@@ -16,8 +17,8 @@ from functools import lru_cache
 from itertools import count
 from typing import Iterable, Sequence
 
-from .exactpoly import Polynomial, T, rank
-from .invgen import CASE_242, build_generators, formal_matrix
+from .exactpoly import MatrixPoint, Polynomial, T, rank
+from .invgen import CASE_242, Form, build_generators, expand, formal_matrix, jacobian_row, minors_at
 from .orbitlab import DEFAULT_SEED, bracket, sample_point
 from .rootcomb import AdmissiblePair, ParabolicType, Root, nilradical_roots, phi_set
 
@@ -76,15 +77,11 @@ def invariance_table(ptype: ParabolicType, f: Polynomial) -> list[bool]:
     return [one_param_transform(ptype, k, f) == f for k in range(1, ptype.n)]
 
 
-def jacobian_at(ptype: ParabolicType, polys: Sequence[Polynomial], assignment: dict) -> list[list[Fraction]]:
-    """The Jacobian at a point, one row per polynomial (its gradient) and one column per nilradical position."""
-    variables = sorted(nilradical_roots(ptype))
-    grads = [p.gradient(assignment) for p in polys]
-    return [[grad.get(v, Fraction(0)) for v in variables] for grad in grads]
-
-
-def jacobian_rank_at(ptype: ParabolicType, polys: Sequence[Polynomial], assignment: dict) -> int:
-    return rank(jacobian_at(ptype, polys, assignment))
+def jacobian_rank_at(ptype: ParabolicType, forms: Sequence[Form], point: MatrixPoint) -> int:
+    """The rank of the Jacobian at a point: one cofactor row per form, one column per nilradical position."""
+    column = {v: k for k, v in enumerate(sorted(nilradical_roots(ptype)))}
+    minor = minors_at(point.get)
+    return rank([jacobian_row(form, minor, column) for form in forms])
 
 
 @dataclass
@@ -103,22 +100,17 @@ class IndependenceResult:
         return {**asdict(self), "independent": self.independent, "note": note}
 
 
-def independence_details(
-    ptype: ParabolicType,
-    polys: Sequence[Polynomial],
-    seed: int = DEFAULT_SEED,
-) -> IndependenceResult:
-    """Best Jacobian rank over a few random rational points with a fixed seed."""
-    if not polys:
-        raise ValueError("need at least one polynomial")
+def independence_details(ptype: ParabolicType, forms: Sequence[Form], seed: int = DEFAULT_SEED) -> IndependenceResult:
+    """Best Jacobian rank of the forms over a few random rational points with a fixed seed; nothing is expanded."""
+    if not forms:
+        raise ValueError("need at least one form")
     rng = random.Random(seed)
-    positions = nilradical_roots(ptype)
     best = 0
     for attempts in range(1, INDEPENDENCE_RETRIES + 1):
-        best = max(best, jacobian_rank_at(ptype, polys, sample_point(ptype, rng).values(positions)))
-        if best == len(polys):
+        best = max(best, jacobian_rank_at(ptype, forms, sample_point(ptype, rng)))
+        if best == len(forms):
             break
-    return IndependenceResult(rank=best, expected=len(polys), seed=seed, attempts=attempts)
+    return IndependenceResult(rank=best, expected=len(forms), seed=seed, attempts=attempts)
 
 
 def corank_of_roots(roots: Iterable[Root], n: int) -> int:
@@ -182,7 +174,7 @@ def verify_type(ptype: ParabolicType, seed: int = DEFAULT_SEED) -> VerificationR
     gens = build_generators(ptype)
     invariance = {name: invariance_table(ptype, p) for name, p in gens.named()}
     _derivations.cache_clear()
-    core = gens.core_polys()
+    core = gens.core_forms()
     if core:
         independence = independence_details(ptype, core, seed)
     else:
@@ -241,21 +233,17 @@ def _expected_y_table() -> dict[str, Polynomial]:
     }
 
 
-def case242_generators() -> dict[str, Polynomial]:
-    """The nine named generators of the (2,4,2) study, read off ``build_generators``.
+# the study's names: alpha_1=(2,3), alpha_2=(1,4), beta_1=(6,7), beta_2=(5,8); L_ij belongs to (alpha_i, beta_j)
+CASE242_NAMES = {
+    "M1": "M[2,3]", "M2": "M[1,4]", "N1": "M[6,7]", "N2": "M[5,8]",
+    "L11": "L[2,3;6,7]", "L12": "L[2,3;5,8]", "L21": "L[1,4;6,7]", "L22": "L[1,4;5,8]", "D": "D",
+}
 
-    M1, M2, N1, N2 are the base minors at alpha_1=(2,3), alpha_2=(1,4),
-    beta_1=(6,7), beta_2=(5,8) (column order); L_ij belongs to (alpha_i, beta_j).
-    """
-    gens = build_generators(CASE_242)
-    (alpha1, m1), (alpha2, m2), (beta1, n1), (beta2, n2) = gens.base_minors
-    out = {"M1": m1, "M2": m2, "N1": n1, "N2": n2}
-    by_key = {(q.xi, q.xi_prime): p for q, p in gens.pair_polys}
-    for i, alpha in enumerate((alpha1, alpha2), 1):
-        for j, beta in enumerate((beta1, beta2), 1):
-            out[f"L{i}{j}"] = by_key[alpha, beta]
-    out.update(gens.extras)
-    return out
+
+def case242_generators() -> dict[str, Form]:
+    """The forms of the nine generators of the (2,4,2) study, read off ``build_generators`` by their names there."""
+    forms = dict(build_generators(CASE_242).forms)
+    return {short: forms[name] for short, name in CASE242_NAMES.items()}
 
 
 @dataclass
@@ -304,7 +292,8 @@ def _sign(computed: Polynomial, want: Polynomial) -> int | None:
 
 
 def case242_report(seed: int = DEFAULT_SEED) -> Case242Report:
-    gens = case242_generators()
+    forms = case242_generators()
+    gens = {name: expand(CASE_242, form) for name, form in forms.items()}
     identity_sign = _sign(gens["L12"] * gens["L21"] - gens["L11"] * gens["L22"], gens["M1"] * gens["N1"] * gens["D"])
     y_map = y_family_map()
     table = []
@@ -321,5 +310,5 @@ def case242_report(seed: int = DEFAULT_SEED) -> Case242Report:
         table_ok=None not in signs.values(),
         l11_sign_exact=signs["L11"] == 1,
         d_sign_exact=signs["D"] == 1,
-        nine_generator_rank=independence_details(CASE_242, list(gens.values()), seed).rank,
+        nine_generator_rank=independence_details(CASE_242, list(forms.values()), seed).rank,
     )

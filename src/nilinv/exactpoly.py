@@ -24,7 +24,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -166,19 +165,6 @@ class Polynomial:
     def variables(self) -> set:
         return {v for mono in self.terms for v, _ in mono}
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
-    def as_monomial(self) -> tuple[Fraction, tuple]:
-        """Return (coefficient, monomial) if the polynomial has exactly one term."""
-        if len(self.terms) != 1:
-            raise ValueError(f"not a monomial: {self}")
-        ((mono, coef),) = self.terms.items()
-        return coef, mono
-
     # -- substitution and calculus -----------------------------------------
 
     def substitute(self, mapping: Mapping[Var, "Polynomial | Scalar"]) -> "Polynomial":
@@ -203,29 +189,6 @@ class Polynomial:
                 acc *= values[v] ** e
             total += acc
         return total
-
-    def gradient(self, values: Mapping[Var, Scalar]) -> dict:
-        """{v: df/dv at the point} for every variable v that occurs, from one sweep over the terms.
-
-        Within a monomial, each partial derivative is the product of the
-        factor values before and after it; a value or coefficient with
-        denominator 1 is multiplied as an int.
-        """
-        ints = {v: x.numerator if x.denominator == 1 else x for v, x in values.items()}
-        grad: dict = {}
-        for mono, coef in self.terms.items():
-            try:
-                powers = [ints[v] ** e for v, e in mono]
-            except KeyError as exc:
-                raise ValueError(f"no value supplied for variable {exc.args[0]!r}") from None
-            prefix = list(accumulate(powers, mul, initial=coef.numerator if coef.denominator == 1 else coef))
-            suffix = 1
-            for idx in range(len(mono) - 1, -1, -1):
-                v, e = mono[idx]
-                part = prefix[idx] * suffix
-                grad[v] = grad.get(v, 0) + (part if e == 1 else part * e * ints[v] ** (e - 1))
-                suffix *= powers[idx]
-        return {v: Fraction(g) for v, g in grad.items()}
 
     def derive(self, images: Mapping[Var, "Polynomial | Scalar"]) -> "Polynomial":
         """The derivation sum_v df/dv * images[v]; a variable without an image is a constant of it."""
@@ -429,10 +392,6 @@ class MatrixPoint:
 
     def get(self, i: int, j: int) -> Fraction:
         return self.rows[i - 1][j - 1]
-
-    def values(self, positions: Iterable[tuple]) -> dict[tuple, Fraction]:
-        """The assignment {(i, j): entry} of the given positions, for Polynomial.evaluate and gradient."""
-        return {tuple(r): self.get(*r) for r in positions}
 
     def support(self) -> set[tuple]:
         return {

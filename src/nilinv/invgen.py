@@ -1,16 +1,22 @@
 """Construction of the invariant generators and the slice coordinates.
 
 For a parabolic type this module builds the formal matrix X (one variable
-per nilradical position), the corner minors M_gamma attached to base
-roots, the pair polynomials L_q attached to admissible pairs, minors of
-powers of X (the extra (2,4,2) invariant D), the restriction map to the
-linear slice spanned by the base and marked positions, and the inverse
-problem: reconstructing the unique slice point with prescribed generator
-values.  Each generator is defined once, over any ring.  It is evaluated by
-exact determinants of submatrices (``invariant_values``, the U0 test
-``vanishing_minor`` and the slice solve ``y_coordinates`` all share one
-evaluator), and expanded on X only where it is printed or an identity is
-checked symbolically: ``GeneratorSet`` expands on first read.
+per nilradical position) and gives each generator one form: a sum of
+products of minors of X, each minor a pair (rows, cols) of ascending index
+tuples.  A corner minor M_gamma attached to a base root is one product of
+one minor; a pair polynomial L_q is one product of two corner minors per
+splitting; the extra (2,4,2) invariant D = det_{12,78}(X^2) is, by
+Cauchy-Binet, the 28 products det_{12,K}(X) det_{K,78}(X) over the
+2-subsets K.  Three readers consume a form.  ``expand`` multiplies out
+expanded minors of X, only where a generator is printed or an identity is
+checked symbolically (``GeneratorSet`` expands on first read).
+``form_value`` at a point reads each minor from ``minors_at``, the
+determinant of a submatrix computed once per point; ``invariant_values``,
+the U0 test ``vanishing_minor`` and the slice solve ``y_coordinates`` share
+that memo.  ``jacobian_row`` differentiates a form at a point by
+cofactors, read from the same memo.  The module also gives the restriction
+map to the linear slice spanned by the base and marked positions, and the
+inverse problem: the unique slice point with prescribed generator values.
 """
 
 from __future__ import annotations
@@ -18,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from itertools import combinations
 from math import prod
-from typing import Callable, Iterable
+from operator import mul
+from typing import Callable, Iterable, Mapping
 
 from .errors import OutsideU0Error, UnsupportedTypeError
 from .exactpoly import MatrixPoint, Polynomial, det, det_minor
@@ -32,9 +40,11 @@ from .rootcomb import (
     compute_base,
     is_covered,
     nilradical_roots,
-    phi_set,
     s_gamma,
 )
+
+Minor = tuple[tuple[int, ...], tuple[int, ...]]  # the rows and the columns of a minor of X, each ascending
+Form = tuple[tuple[Minor, ...], ...]  # a generator: the sum of the products of these minors
 
 CASE_242 = ParabolicType((2, 4, 2))
 
@@ -50,7 +60,7 @@ def formal_matrix(ptype: ParabolicType) -> MatrixPoint:
 
 
 @lru_cache(maxsize=None)
-def minor_indices(base: Base, gamma: Root) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def minor_indices(base: Base, gamma: Root) -> Minor:
     """The rows {a} + rows(S_gamma) and columns cols(S_gamma) + {b} of the minor M_gamma."""
     inner = s_gamma(base, gamma)
     rows, cols = sorted({gamma.i} | {r.i for r in inner}), sorted({r.j for r in inner} | {gamma.j})
@@ -66,29 +76,40 @@ def splittings(q: AdmissiblePair) -> list[tuple[Root, Root]]:
     return [(Root(a, c), Root(c, b2)) for c in range(b, a2 + 1)]
 
 
-def pair_value(minor: Callable[[Root], Polynomial | Fraction], q: AdmissiblePair) -> Polynomial | Fraction:
-    """L_q from the corner minors: the sum of M_(a,c) * M_(c,b') over ``splittings(q)``.
-
-    ``minor`` gives M_gamma as a polynomial or as its value at a point.
-    """
-    return sum(minor(left) * minor(right) for left, right in splittings(q))
-
-
-@lru_cache(maxsize=None)
-def minor_poly(ptype: ParabolicType, base: Base, gamma: Root) -> Polynomial:
-    """The minor M_gamma of the formal matrix X, expanded."""
+def minor_form(ptype: ParabolicType, base: Base, gamma: Root) -> Form:
+    """M_gamma: one product of one minor."""
     gamma = Root(*gamma)
     if gamma not in nilradical_roots(ptype):
         raise ValueError(f"{gamma} is not a nilradical position of type {ptype}")
-    return det_minor(formal_matrix(ptype), *minor_indices(base, gamma))
+    return ((minor_indices(base, gamma),),)
 
 
-def l_poly(ptype: ParabolicType, base: Base, q: AdmissiblePair) -> Polynomial:
-    """The pair polynomial L_q of an admissible pair, expanded."""
+def pair_form(ptype: ParabolicType, base: Base, q: AdmissiblePair) -> Form:
+    """L_q: the sum of M_(a,c) * M_(c,b') over ``splittings(q)``."""
     b, a2 = q.xi.j, q.xi_prime.i
     if not (b < a2 and ptype.block_of(b) == ptype.block_of(a2)):
         raise ValueError(f"pair {q.xi}, {q.xi_prime} is not admissible for type {ptype}")
-    return pair_value(lambda gamma: minor_poly(ptype, base, gamma), q)
+    return tuple((minor_indices(base, left), minor_indices(base, right)) for left, right in splittings(q))
+
+
+# D = det_{12,78}(X^2) on (2,4,2), by Cauchy-Binet
+D_FORM: Form = tuple((((1, 2), k), (k, (7, 8))) for k in combinations(range(1, 9), 2))
+
+
+@lru_cache(maxsize=None)
+def minor_poly(ptype: ParabolicType, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+    """The minor of the formal matrix X on the given rows and columns, expanded once per type."""
+    return det_minor(formal_matrix(ptype), rows, cols)
+
+
+def form_value(form: Form, minor: Callable[[Minor], Polynomial | Fraction]) -> Polynomial | Fraction:
+    """The sum of the products of a form's minors, each read through ``minor``."""
+    return sum(reduce(mul, map(minor, product)) for product in form)
+
+
+def expand(ptype: ParabolicType, form: Form) -> Polynomial:
+    """A form expanded on the formal matrix X."""
+    return form_value(form, lambda m: minor_poly(ptype, *m))
 
 
 def check_covered(ptype: ParabolicType) -> None:
@@ -106,15 +127,35 @@ def check_support(ptype: ParabolicType, point: MatrixPoint) -> None:
         raise ValueError(f"point has entries outside the nilradical: {sorted(extra)}")
 
 
-def _minors_at(base: Base, entry: Callable[[int, int], Fraction]) -> Callable[[Root], Fraction]:
-    """M_gamma at the point with the given entries, each minor the determinant of a submatrix."""
+def minors_at(entry: Callable[[int, int], Fraction]) -> Callable[[Minor], Fraction]:
+    """The minors of the matrix with the given entries, each the determinant of its submatrix, computed once."""
 
     @lru_cache(maxsize=None)
-    def minor(gamma: Root) -> Fraction:
-        rows, cols = minor_indices(base, gamma)
+    def minor(m: Minor) -> Fraction:
+        rows, cols = m
         return det([[entry(i, j) for j in cols] for i in rows])
 
     return minor
+
+
+def jacobian_row(form: Form, minor: Callable[[Minor], Fraction], column: Mapping[tuple, int]) -> list[Fraction]:
+    """The gradient of a form at a point, at the index in ``column`` of each variable position.
+
+    By Jacobi's formula dM_{R,C}/dx_(r,c) is the cofactor (-1)^(a+b) det(R - r, C - c),
+    where r is R[a] and c is C[b]; the product rule does the rest.  ``minor`` gives
+    the minors at the point, and a position outside ``column`` is 0 in X.
+    """
+    row = [Fraction(0)] * len(column)
+    for product in form:
+        values = [minor(m) for m in product]
+        for k, (rows, cols) in enumerate(product):
+            if rest := prod(values[:k] + values[k + 1 :]):
+                for a, r in enumerate(rows):
+                    for b, c in enumerate(cols):
+                        if (r, c) in column:
+                            cofactor = rest * minor((rows[:a] + rows[a + 1 :], cols[:b] + cols[b + 1 :]))
+                            row[column[r, c]] += -cofactor if (a + b) % 2 else cofactor
+    return row
 
 
 def vanishing_minor(ptype: ParabolicType, base: Base, point: MatrixPoint) -> Root | None:
@@ -124,15 +165,8 @@ def vanishing_minor(ptype: ParabolicType, base: Base, point: MatrixPoint) -> Roo
     A point off the nilradical raises ValueError.
     """
     check_support(ptype, point)
-    minor = _minors_at(base, point.get)
-    return next((xi for xi in base.by_column() if minor(xi) == 0), None)
-
-
-def power_minor(ptype: ParabolicType, k: int, rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
-    """Minor of the k-th power of the formal matrix on the given rows/columns."""
-    if k < 1:
-        raise ValueError("power must be a positive integer")
-    return det_minor(reduce(MatrixPoint.__mul__, [formal_matrix(ptype)] * k), rows, cols)
+    minor = minors_at(point.get)
+    return next((xi for xi in base.by_column() if minor(minor_indices(base, xi)) == 0), None)
 
 
 def restrict(ptype: ParabolicType, base: Base, phi: Iterable[Root], f: Polynomial) -> Polynomial:
@@ -158,42 +192,34 @@ def pair_name(q: AdmissiblePair) -> str:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The generators attached to one parabolic type, expanded on first read."""
+    """The generators attached to one parabolic type, each by its one form; expanded on first read."""
 
     ptype: ParabolicType
     base: Base
     pairs: tuple[AdmissiblePair, ...]
 
     @cached_property
-    def base_minors(self) -> tuple[tuple[Root, Polynomial], ...]:
-        """The base minors in column order."""
-        return tuple((xi, minor_poly(self.ptype, self.base, xi)) for xi in self.base.by_column())
+    def forms(self) -> tuple[tuple[str, Form], ...]:
+        """Each generator by name: the base minors in column order, the pair polynomials, then D on (2,4,2)."""
+        out = [(minor_name(xi), minor_form(self.ptype, self.base, xi)) for xi in self.base.by_column()]
+        out += [(pair_name(q), pair_form(self.ptype, self.base, q)) for q in self.pairs]
+        return tuple(out + [("D", D_FORM)] * (self.ptype == CASE_242))
+
+    def core_forms(self) -> list[Form]:
+        """The forms of the base minors and pair polynomials, without D."""
+        return [form for _, form in self.forms[: len(self.base) + len(self.pairs)]]
 
     @cached_property
-    def pair_polys(self) -> tuple[tuple[AdmissiblePair, Polynomial], ...]:
-        return tuple((q, l_poly(self.ptype, self.base, q)) for q in self.pairs)
-
-    @cached_property
-    def extras(self) -> tuple[tuple[str, Polynomial], ...]:
-        """The extra (2,4,2) invariant D; no other type has one."""
-        if self.ptype != CASE_242:
-            return ()
-        return (("D", power_minor(self.ptype, 2, (1, 2), (7, 8))),)
+    def _expanded(self) -> tuple[tuple[str, Polynomial], ...]:
+        return tuple((name, expand(self.ptype, form)) for name, form in self.forms)
 
     def named(self) -> list[tuple[str, Polynomial]]:
-        out = [(minor_name(xi), p) for xi, p in self.base_minors]
-        out += [(pair_name(q), p) for q, p in self.pair_polys]
-        out += list(self.extras)
-        return out
-
-    def core_polys(self) -> list[Polynomial]:
-        """The base minors and pair polynomials, without extras."""
-        return [p for _, p in self.base_minors] + [p for _, p in self.pair_polys]
+        """Each generator by name, expanded on X."""
+        return list(self._expanded)
 
     def largest_minor_order(self) -> int:
-        """The largest order of a corner minor in the generators; expanding them costs about its factorial."""
-        gammas = list(self.base.roots) + [gamma for q in self.pairs for split in splittings(q) for gamma in split]
-        return max((len(minor_indices(self.base, gamma)[0]) for gamma in gammas), default=0)
+        """The largest order of a minor in the forms; expanding a generator costs about its factorial."""
+        return max((len(rows) for _, form in self.forms for product in form for rows, _ in product), default=0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,10 +230,8 @@ class GeneratorSet:
         }
 
     def to_latex(self) -> str:
-        labelled = [(f"M_{{{xi}}}", p) for xi, p in self.base_minors]
-        labelled += [(f"L_{{{q.xi},{q.xi_prime}}}", p) for q, p in self.pair_polys]
-        labelled += self.extras
-        lines = [f"{label} &= {p.latex()}\\\\" for label, p in labelled]
+        labels = [f"M_{{{xi}}}" for xi in self.base.by_column()] + [f"L_{{{q.xi},{q.xi_prime}}}" for q in self.pairs]
+        lines = [f"{label} &= {p.latex()}\\\\" for label, (_, p) in zip(labels + ["D"], self.named())]
         return "\n".join([r"\begin{align*}", *lines, r"\end{align*}"]) + "\n"
 
 
@@ -228,9 +252,10 @@ class InvariantValues:
 def invariant_values(gens: GeneratorSet, point: MatrixPoint) -> InvariantValues:
     """The base minors and pair polynomials at a point, without expanding them."""
     check_support(gens.ptype, point)
-    minor = _minors_at(gens.base, point.get)
-    m_values = {xi: minor(xi) for xi in gens.base.by_column()}
-    l_values = {q.phi: pair_value(minor, q) for q in gens.pairs}
+    minor = minors_at(point.get)
+    values = [form_value(form, minor) for form in gens.core_forms()]
+    m_values = dict(zip(gens.base.by_column(), values))
+    l_values = dict(zip((q.phi for q in gens.pairs), values[len(m_values) :]))
     return InvariantValues(m_values, l_values)
 
 
@@ -247,9 +272,10 @@ def y_coordinates(
     base coordinates innermost first from the minor values (all of which
     must be nonzero), then each marked coordinate phi from its pair value.
     Of the ``splittings`` c = b..a' of a pair, only c = b survives on
-    the slice, so there L_q is M_xi * M_phi: two determinants instead of
-    2(a' - b + 1).  Each target is its value divided by the generator
-    evaluated at the slice point built so far with that target set to 1.
+    the slice, so there L_q is the first product of its form, M_xi * M_phi:
+    two determinants instead of 2(a' - b + 1).  Each target is its value
+    divided by the generator evaluated at the slice point built so far with
+    that target set to 1.
     """
     check_covered(ptype)
     for xi in base.roots:
@@ -268,6 +294,6 @@ def y_coordinates(
     coords: dict[Root, Fraction] = {}
     for target, value, factors in steps:
         coords[target] = Fraction(1)
-        minor = _minors_at(base, lambda i, j: coords.get((i, j), 0))
-        coords[target] = value / prod(minor(gamma) for gamma in factors)
+        minor = minors_at(lambda i, j: coords.get((i, j), 0))
+        coords[target] = value / prod(minor(minor_indices(base, gamma)) for gamma in factors)
     return MatrixPoint.from_dict(ptype.n, coords)

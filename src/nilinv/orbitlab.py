@@ -45,15 +45,6 @@ class GroupElement(MatrixPoint):
                 if i > j and v != 0:
                     raise ValueError("entries below the diagonal must be 0")
 
-    @classmethod
-    def elementary(cls, n: int, u: int, v: int, s) -> "GroupElement":
-        """1 + s E_{u,v} with 1 <= u < v <= n."""
-        if not 1 <= u < v <= n:
-            raise ValueError(f"need 1 <= u < v <= n, got u={u}, v={v}")
-        rows = MatrixPoint.identity(n).rows
-        rows[u - 1][v - 1] = Fraction(s)
-        return cls(n, rows)
-
     def inverse(self) -> "GroupElement":
         # back substitution for g h = 1, rows bottom up: h_ij = -sum_{i<k<=j} g_ik h_kj
         n, g = self.n, self.rows
@@ -68,19 +59,6 @@ class GroupElement(MatrixPoint):
         doc = super().to_json_dict()
         doc["entries"] = [e for e in doc["entries"] if e[0] < e[1]]
         return doc
-
-
-def random_unitriangular(n: int, rng: random.Random) -> GroupElement:
-    """Product of 12 random elementary matrices 1 + s E_uv, s in -4..4 (for tests and sampling).
-
-    For n = 1 there is no elementary matrix: the identity, with nothing drawn.
-    """
-    g = GroupElement.identity(n)
-    for _ in range(12 if n > 1 else 0):
-        u = rng.randint(1, n - 1)
-        v = rng.randint(u + 1, n)
-        g = GroupElement.elementary(n, u, v, Fraction(rng.randint(-4, 4))) * g
-    return g
 
 
 def adjoint(ptype: ParabolicType, g: GroupElement, x: MatrixPoint) -> MatrixPoint:
@@ -121,16 +99,6 @@ def sample_point(ptype: ParabolicType, rng: random.Random) -> MatrixPoint:
     return MatrixPoint.from_dict(
         ptype.n, {tuple(r): rng.randint(*SAMPLE_RANGE) for r in sorted(nilradical_roots(ptype))}
     )
-
-
-def sample_u0_point(ptype: ParabolicType, rng: random.Random) -> MatrixPoint:
-    """Random nilradical point with all base minors nonzero, within 200 draws."""
-    base = compute_base(ptype)
-    for _ in range(200):
-        point = sample_point(ptype, rng)
-        if vanishing_minor(ptype, base, point) is None:
-            return point
-    raise RuntimeError(f"could not sample a U0 point of type {ptype} in 200 tries")
 
 
 def max_orbit_dim(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -> int:

@@ -165,31 +165,6 @@ def nilradical_roots(ptype: ParabolicType) -> frozenset[Root]:
     return frozenset(out)
 
 
-def reductive_roots(ptype: ParabolicType) -> frozenset[Root]:
-    """Positive roots (i, j) with both indices in one diagonal block."""
-    out = []
-    for a in range(1, ptype.s + 1):
-        block = list(ptype.block_range(a))
-        for x in range(len(block)):
-            for y in range(x + 1, len(block)):
-                out.append(Root(block[x], block[y]))
-    return frozenset(out)
-
-
-def higher(ptype: ParabolicType, g1: Root, g2: Root) -> bool:
-    """Whether g1 - g2 is a positive root of the reductive part.
-
-    Equivalently: same row with g2's column left of g1's in one block, or
-    same column with g1's row above g2's in one block.
-    """
-    g1, g2 = Root(*g1), Root(*g2)
-    if g1.i == g2.i and g1.j != g2.j:
-        return g2.j < g1.j and ptype.block_of(g1.j) == ptype.block_of(g2.j)
-    if g1.j == g2.j and g1.i != g2.i:
-        return g1.i < g2.i and ptype.block_of(g1.i) == ptype.block_of(g2.i)
-    return False
-
-
 def compute_base(ptype: ParabolicType) -> Base:
     """Greedy staircase construction of the base.
 

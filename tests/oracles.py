@@ -1,7 +1,16 @@
-"""Slow, textbook forms of fast paths in ``nilinv``, kept for tests to compare against."""
+"""Slow, textbook forms of fast paths in ``nilinv`` for tests to compare against, and helpers that only tests use."""
 
+import random
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
 from math import lcm
+from operator import mul
+
+from nilinv.exactpoly import MatrixPoint, det_minor
+from nilinv.invgen import formal_matrix, vanishing_minor
+from nilinv.orbitlab import GroupElement, sample_point
+from nilinv.rootcomb import ParabolicType, Root, compute_base
 
 
 def bareiss(matrix):
@@ -40,3 +49,108 @@ def bareiss(matrix):
         if r == nr:
             break
     return r, Fraction(sign * prev, scale) if r == nr == nc else Fraction(0)
+
+
+# -- polynomials --------------------------------------------------------------
+
+
+def gradient(p, values):
+    """{v: dp/dv at the point} for every variable v of the polynomial p, from one sweep over its terms.
+
+    Within a monomial, each partial derivative is the product of the factor
+    values before and after it; a value or coefficient with denominator 1 is
+    multiplied as an int.  The Jacobian oracle of the cofactor rows.
+    """
+    ints = {v: x.numerator if x.denominator == 1 else x for v, x in values.items()}
+    grad = {}
+    for mono, coef in p.terms.items():
+        try:
+            powers = [ints[v] ** e for v, e in mono]
+        except KeyError as exc:
+            raise ValueError(f"no value supplied for variable {exc.args[0]!r}") from None
+        prefix = list(accumulate(powers, mul, initial=coef.numerator if coef.denominator == 1 else coef))
+        suffix = 1
+        for idx in range(len(mono) - 1, -1, -1):
+            v, e = mono[idx]
+            part = prefix[idx] * suffix
+            grad[v] = grad.get(v, 0) + (part if e == 1 else part * e * ints[v] ** (e - 1))
+            suffix *= powers[idx]
+    return {v: Fraction(g) for v, g in grad.items()}
+
+
+def degree(p):
+    """Total degree; -1 for the zero polynomial."""
+    return max((sum(e for _, e in mono) for mono in p.terms), default=-1)
+
+
+def as_monomial(p):
+    """(coefficient, monomial) of a polynomial with exactly one term."""
+    if len(p.terms) != 1:
+        raise ValueError(f"not a monomial: {p}")
+    ((mono, coef),) = p.terms.items()
+    return coef, mono
+
+
+def power_minor(ptype, k, rows, cols):
+    """Minor of the k-th power of the formal matrix on the given rows and columns, expanded."""
+    if k < 1:
+        raise ValueError("power must be a positive integer")
+    return det_minor(reduce(MatrixPoint.__mul__, [formal_matrix(ptype)] * k), rows, cols)
+
+
+# -- roots, group elements and points ------------------------------------------
+
+
+def reductive_roots(ptype):
+    """Positive roots (i, j) with both indices in one diagonal block."""
+    out = []
+    for a in range(1, ptype.s + 1):
+        block = list(ptype.block_range(a))
+        out += [Root(block[x], block[y]) for x in range(len(block)) for y in range(x + 1, len(block))]
+    return frozenset(out)
+
+
+def higher(ptype, g1, g2):
+    """Whether g1 - g2 is a positive root of the reductive part.
+
+    Equivalently: same row with g2's column left of g1's in one block, or
+    same column with g1's row above g2's in one block.
+    """
+    g1, g2 = Root(*g1), Root(*g2)
+    if g1.i == g2.i and g1.j != g2.j:
+        return g2.j < g1.j and ptype.block_of(g1.j) == ptype.block_of(g2.j)
+    if g1.j == g2.j and g1.i != g2.i:
+        return g1.i < g2.i and ptype.block_of(g1.i) == ptype.block_of(g2.i)
+    return False
+
+
+def elementary(n, u, v, s):
+    """1 + s E_{u,v} with 1 <= u < v <= n."""
+    if not 1 <= u < v <= n:
+        raise ValueError(f"need 1 <= u < v <= n, got u={u}, v={v}")
+    rows = MatrixPoint.identity(n).rows
+    rows[u - 1][v - 1] = Fraction(s)
+    return GroupElement(n, rows)
+
+
+def random_unitriangular(n, rng: random.Random):
+    """Product of 12 random elementary matrices 1 + s E_uv, s in -4..4.
+
+    For n = 1 there is no elementary matrix: the identity, with nothing drawn.
+    """
+    g = GroupElement.identity(n)
+    for _ in range(12 if n > 1 else 0):
+        u = rng.randint(1, n - 1)
+        v = rng.randint(u + 1, n)
+        g = elementary(n, u, v, Fraction(rng.randint(-4, 4))) * g
+    return g
+
+
+def sample_u0_point(ptype: ParabolicType, rng: random.Random):
+    """Random nilradical point with all base minors nonzero, within 200 draws."""
+    base = compute_base(ptype)
+    for _ in range(200):
+        point = sample_point(ptype, rng)
+        if vanishing_minor(ptype, base, point) is None:
+            return point
+    raise RuntimeError(f"could not sample a U0 point of type {ptype} in 200 tries")

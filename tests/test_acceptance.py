@@ -20,16 +20,16 @@ from nilinv.cli import main
 from nilinv.exactpoly import Polynomial
 from nilinv.invgen import (
     build_generators,
+    expand,
     invariant_values,
-    l_poly,
-    minor_poly,
+    minor_form,
+    pair_form,
     restrict,
     y_coordinates,
 )
 from nilinv.orbitlab import (
     orbit_experiment,
     reduce_to_canonical,
-    sample_u0_point,
     verify_unique_intersection,
 )
 from nilinv.rootcomb import (
@@ -42,6 +42,7 @@ from nilinv.rootcomb import (
     phi_set,
     s_gamma,
 )
+from oracles import as_monomial, sample_u0_point
 
 PAPER_TYPES = [(2, 1, 3, 2), (2, 2, 2, 1, 1), (2, 2, 1, 1), (2, 4, 2)]
 
@@ -127,30 +128,30 @@ def test_criterion_03_generator_fidelity():
     m2 = V(1, 3) * V(2, 4) - V(1, 4) * V(2, 3)
     n2 = V(5, 7) * V(6, 8) - V(5, 8) * V(6, 7)
     printed = {
-        "M1": (minor_poly(pt, base, Root(2, 3)), V(2, 3)),
-        "M2": (minor_poly(pt, base, Root(1, 4)), m2),
-        "N1": (minor_poly(pt, base, Root(6, 7)), V(6, 7)),
-        "N2": (minor_poly(pt, base, Root(5, 8)), n2),
+        "M1": (expand(pt, minor_form(pt, base, Root(2, 3))), V(2, 3)),
+        "M2": (expand(pt, minor_form(pt, base, Root(1, 4))), m2),
+        "N1": (expand(pt, minor_form(pt, base, Root(6, 7))), V(6, 7)),
+        "N2": (expand(pt, minor_form(pt, base, Root(5, 8))), n2),
         "L11": (
-            l_poly(pt, base, pair[(Root(2, 3), Root(6, 7))]),
+            expand(pt, pair_form(pt, base, pair[(Root(2, 3), Root(6, 7))])),
             V(2, 3) * V(3, 7) + V(2, 4) * V(4, 7) + V(2, 5) * V(5, 7) + V(2, 6) * V(6, 7),
         ),
         # labels follow the pair convention; the printed displays for the two
         # mixed products are interchanged relative to it
         "L12": (
-            l_poly(pt, base, pair[(Root(2, 3), Root(5, 8))]),
+            expand(pt, pair_form(pt, base, pair[(Root(2, 3), Root(5, 8))])),
             V(2, 3) * (V(3, 7) * V(6, 8) - V(3, 8) * V(6, 7))
             + V(2, 4) * (V(4, 7) * V(6, 8) - V(4, 8) * V(6, 7))
             + V(2, 5) * n2,
         ),
         "L21": (
-            l_poly(pt, base, pair[(Root(1, 4), Root(6, 7))]),
+            expand(pt, pair_form(pt, base, pair[(Root(1, 4), Root(6, 7))])),
             m2 * V(4, 7)
             + (V(1, 3) * V(2, 5) - V(1, 5) * V(2, 3)) * V(5, 7)
             + (V(1, 3) * V(2, 6) - V(1, 6) * V(2, 3)) * V(6, 7),
         ),
         "L22": (
-            l_poly(pt, base, pair[(Root(1, 4), Root(5, 8))]),
+            expand(pt, pair_form(pt, base, pair[(Root(1, 4), Root(5, 8))])),
             m2 * (V(4, 7) * V(6, 8) - V(4, 8) * V(6, 7))
             + (V(1, 3) * V(2, 5) - V(1, 5) * V(2, 3)) * n2,
         ),
@@ -185,7 +186,7 @@ def test_criterion_05_independence():
     ok = True
     for sizes, want in expected.items():
         pt = ParabolicType(sizes)
-        core = build_generators(pt).core_polys()
+        core = build_generators(pt).core_forms()
         ok = ok and len(core) == want
         for seed in (101, 202, 303):
             details = independence_details(pt, core, seed=seed)
@@ -203,13 +204,13 @@ def test_criterion_06_restriction_structure():
         pairs = admissible_pairs(pt, base)
         phi = phi_set(pairs)
         for xi in base.roots:
-            image = restrict(pt, base, phi, minor_poly(pt, base, xi))
-            coef, mono = image.as_monomial()
+            image = restrict(pt, base, phi, expand(pt, minor_form(pt, base, xi)))
+            coef, mono = as_monomial(image)
             ok = ok and abs(coef) == 1 and all(e == 1 for _, e in mono)
             ok = ok and {Root(*v) for v, _ in mono} == {xi} | set(s_gamma(base, xi))
         for q in pairs:
-            image = restrict(pt, base, phi, l_poly(pt, base, q))
-            coef, mono = image.as_monomial()
+            image = restrict(pt, base, phi, expand(pt, pair_form(pt, base, q)))
+            coef, mono = as_monomial(image)
             want = {q.phi, q.xi} | set(s_gamma(base, q.xi)) | set(s_gamma(base, q.xi_prime))
             ok = ok and abs(coef) == 1 and all(e == 1 for _, e in mono)
             ok = ok and {Root(*v) for v, _ in mono} == want

@@ -1,9 +1,12 @@
 """Tests for the verification engines."""
 
 import functools
+import inspect
 import json
 import pathlib
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,14 +22,14 @@ from nilinv.checker import (
     independence_details,
     invariance_table,
     is_n_invariant,
-    jacobian_at,
     jacobian_rank_at,
     one_param_transform,
     verify_type,
     weight_corank,
 )
-from nilinv.invgen import build_generators, formal_matrix, l_poly, minor_poly
-from nilinv.orbitlab import sample_point
+from nilinv import invgen
+from nilinv.invgen import build_generators, expand, formal_matrix, jacobian_row, minor_form, minors_at
+from nilinv.orbitlab import DEFAULT_SEED, sample_point
 from nilinv.rootcomb import (
     ParabolicType,
     Root,
@@ -36,6 +39,7 @@ from nilinv.rootcomb import (
     nilradical_roots,
     phi_set,
 )
+from oracles import gradient
 
 P242 = ParabolicType((2, 4, 2))
 PAPER_TYPES = [(2, 1, 3, 2), (2, 2, 2, 1, 1), (2, 2, 1, 1), (2, 4, 2)]
@@ -78,7 +82,7 @@ def test_transform_examples():
     assert one_param_transform(P242, 5, Polynomial.constant(1)) == Polynomial.constant(1)
     base = compute_base(P242)
     for xi in base.roots:
-        m = minor_poly(P242, base, xi)
+        m = expand(P242, minor_form(P242, base, xi))
         for k in range(1, 8):
             assert one_param_transform(P242, k, m) == m
     with pytest.raises(ValueError):
@@ -140,11 +144,11 @@ def test_minor_shift_identities():
     for q in admissible_pairs(P242, base):
         (a, b), (a2, b2) = q.xi, q.xi_prime
         for k in range(b, a2):
-            raised = minor_poly(P242, base, Root(a, k + 1))
-            plain = minor_poly(P242, base, Root(a, k))
+            raised = expand(P242, minor_form(P242, base, Root(a, k + 1)))
+            plain = expand(P242, minor_form(P242, base, Root(a, k)))
             assert one_param_transform(P242, k, raised) == raised + t * plain
-            upper = minor_poly(P242, base, Root(k, b2))
-            lower = minor_poly(P242, base, Root(k + 1, b2))
+            upper = expand(P242, minor_form(P242, base, Root(k, b2)))
+            lower = expand(P242, minor_form(P242, base, Root(k + 1, b2)))
             assert one_param_transform(P242, k, upper) == upper - t * lower
 
 
@@ -160,12 +164,12 @@ def test_generators_invariant_and_x24_not():
 
 def test_independence_ranks():
     gens = build_generators(P242)
-    assert independence_details(P242, gens.core_polys()).rank == 8
-    nine = gens.core_polys() + [p for _, p in gens.extras]
-    assert independence_details(P242, nine).rank == 8  # D is algebraically dependent
+    assert independence_details(P242, gens.core_forms()).rank == 8
+    nine = [form for _, form in gens.forms]
+    assert len(nine) == 9 and independence_details(P242, nine).rank == 8  # D is algebraically dependent
     pt = ParabolicType((1, 1))
-    assert independence_details(pt, [V(1, 2)]).rank == 1
-    details = independence_details(P242, gens.core_polys(), seed=5)
+    assert independence_details(pt, [minor_form(pt, compute_base(pt), Root(1, 2))]).rank == 1
+    details = independence_details(P242, gens.core_forms(), seed=5)
     assert details.independent and details.expected == 8
 
 
@@ -174,21 +178,71 @@ def _jacobian_via_derivatives(ptype, polys, assignment):
     return [[p.derivative(tuple(v)).evaluate(assignment) for v in sorted(nilradical_roots(ptype))] for p in polys]
 
 
-def test_jacobian_from_gradients_matches_derivatives():
-    checked = 0
-    for n in range(1, 7):
+def _cofactor_jacobian(ptype, forms, point, row=jacobian_row):
+    column = {v: k for k, v in enumerate(sorted(nilradical_roots(ptype)))}
+    minor = minors_at(point.get)
+    return [row(form, minor, column) for form in forms]
+
+
+def _jacobian_cases():
+    # every composition with n <= 7, D included, at two seeded points
+    for n in range(1, 8):
         for sizes in compositions(n):
             pt = ParabolicType(sizes)
             gens = build_generators(pt)
-            polys = gens.core_polys() + [p for _, p in gens.extras]
             for seed in (13, 14):
-                values = sample_point(pt, random.Random(seed)).values(nilradical_roots(pt))
-                got, want = jacobian_at(pt, polys, values), _jacobian_via_derivatives(pt, polys, values)
-                assert got == want, (sizes, seed)
-                assert all(isinstance(x, Fraction) for row in got for x in row)
-                assert jacobian_rank_at(pt, polys, values) == rank(want), (sizes, seed)
-                checked += 1
-    assert checked == 2 * 63
+                yield pt, gens, sample_point(pt, random.Random(seed))
+
+
+def _gradient_rows(pt, gens, point):
+    # the reference: the gradient of each expanded generator, one column per nilradical position
+    values = {tuple(r): point.get(*r) for r in nilradical_roots(pt)}
+    return [[gradient(p, values).get(v, Fraction(0)) for v in sorted(nilradical_roots(pt))] for _, p in gens.named()]
+
+
+def test_jacobian_from_gradients_matches_derivatives():
+    checked = 0
+    for pt, gens, point in _jacobian_cases():
+        want = _gradient_rows(pt, gens, point)
+        values = {tuple(r): point.get(*r) for r in nilradical_roots(pt)}
+        assert _jacobian_via_derivatives(pt, [p for _, p in gens.named()], values) == want, pt
+        forms = [form for _, form in gens.forms]
+        got = _cofactor_jacobian(pt, forms, point)
+        assert got == want, pt
+        assert all(isinstance(x, Fraction) for row in got for x in row)
+        assert jacobian_rank_at(pt, forms, point) == rank(want), pt
+        checked += 1
+    assert checked == 2 * 127
+
+
+def test_cofactor_jacobian_rejects_mutants():
+    # a cofactor without its sign (-1)^(a+b), and pair forms without their last splitting
+    source, signs = re.subn(r"-cofactor if \(a \+ b\) % 2 else cofactor", "cofactor", inspect.getsource(jacobian_row))
+    assert signs == 1
+    namespace = dict(vars(invgen))
+    exec(source, namespace)
+    unsigned = namespace["jacobian_row"]
+    caught = {"sign": 0, "splitting": 0}
+    for pt, gens, point in _jacobian_cases():
+        want = _gradient_rows(pt, gens, point)
+        forms = [form for _, form in gens.forms]
+        caught["sign"] += _cofactor_jacobian(pt, forms, point, unsigned) != want
+        short = [form[:-1] if name.startswith("L") else form for name, form in gens.forms]
+        caught["splitting"] += _cofactor_jacobian(pt, short, point) != want
+    assert caught["sign"] > 0 and caught["splitting"] > 0, caught
+
+
+def test_independence_expands_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("independence expanded a polynomial")
+
+    for name in ("det_minor", "minor_poly", "expand"):
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "nilinv"]:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, refuse)
+    pt = ParabolicType((1, 8, 7, 8))
+    details = independence_details(pt, build_generators(pt).core_forms(), seed=DEFAULT_SEED)
+    assert details.rank == details.expected == 44
 
 
 def test_weight_coranks():
@@ -235,7 +289,8 @@ def test_verify_single_block():
 
 
 def test_case242_named_generators_match_displays():
-    gens = case242_generators()
+    gens = {name: expand(P242, form) for name, form in case242_generators().items()}
+    assert list(gens) == ["M1", "M2", "N1", "N2", "L11", "L12", "L21", "L22", "D"]
     assert gens["M1"] == V(2, 3)
     assert gens["M2"] == V(1, 3) * V(2, 4) - V(1, 4) * V(2, 3)
     assert gens["N1"] == V(6, 7)

@@ -12,17 +12,17 @@ from nilinv.exactpoly import MatrixPoint, Polynomial
 from nilinv.invgen import (
     InvariantValues,
     build_generators,
+    expand,
     formal_matrix,
     invariant_values,
-    l_poly,
-    minor_poly,
-    power_minor,
+    minor_form,
+    pair_form,
     restrict,
     vanishing_minor,
     y_coordinates,
 )
 from nilinv.cli import main
-from nilinv.orbitlab import DEFAULT_SEED, SAMPLE_RANGE, sample_u0_point, verify_unique_intersection
+from nilinv.orbitlab import DEFAULT_SEED, SAMPLE_RANGE, verify_unique_intersection
 from nilinv.rootcomb import (
     AdmissiblePair,
     ParabolicType,
@@ -35,6 +35,7 @@ from nilinv.rootcomb import (
     phi_set,
     s_gamma,
 )
+from oracles import as_monomial, power_minor, sample_u0_point
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -55,12 +56,12 @@ def test_formal_matrix_support():
 
 def test_minor_examples():
     base = compute_base(P242)
-    assert minor_poly(P242, base, Root(2, 3)) == V(2, 3)
-    assert minor_poly(P242, base, Root(1, 4)) == V(1, 3) * V(2, 4) - V(1, 4) * V(2, 3)
-    assert minor_poly(P242, base, Root(5, 8)) == V(5, 7) * V(6, 8) - V(5, 8) * V(6, 7)
-    assert minor_poly(P242, base, Root(2, 6)) == V(2, 6)
+    assert expand(P242, minor_form(P242, base, Root(2, 3))) == V(2, 3)
+    assert expand(P242, minor_form(P242, base, Root(1, 4))) == V(1, 3) * V(2, 4) - V(1, 4) * V(2, 3)
+    assert expand(P242, minor_form(P242, base, Root(5, 8))) == V(5, 7) * V(6, 8) - V(5, 8) * V(6, 7)
+    assert expand(P242, minor_form(P242, base, Root(2, 6))) == V(2, 6)
     with pytest.raises(ValueError):
-        minor_poly(P242, base, Root(3, 5))
+        expand(P242, minor_form(P242, base, Root(3, 5)))
 
 
 def _pair(ptype, xi, xi_prime):
@@ -72,11 +73,11 @@ def _pair(ptype, xi, xi_prime):
 
 def test_l_poly_printed_forms():
     base = compute_base(P242)
-    l11 = l_poly(P242, base, _pair(P242, Root(2, 3), Root(6, 7)))
+    l11 = expand(P242, pair_form(P242, base, _pair(P242, Root(2, 3), Root(6, 7))))
     assert l11 == V(2, 3) * V(3, 7) + V(2, 4) * V(4, 7) + V(2, 5) * V(5, 7) + V(2, 6) * V(6, 7)
 
     # pair (alpha_2, beta_1): the 2x2-minor-times-entry expansion
-    l21 = l_poly(P242, base, _pair(P242, Root(1, 4), Root(6, 7)))
+    l21 = expand(P242, pair_form(P242, base, _pair(P242, Root(1, 4), Root(6, 7))))
     m2 = V(1, 3) * V(2, 4) - V(1, 4) * V(2, 3)
     assert l21 == (
         m2 * V(4, 7)
@@ -85,7 +86,7 @@ def test_l_poly_printed_forms():
     )
 
     # pair (alpha_1, beta_2): entry-times-2x2-minor expansion
-    l12 = l_poly(P242, base, _pair(P242, Root(2, 3), Root(5, 8)))
+    l12 = expand(P242, pair_form(P242, base, _pair(P242, Root(2, 3), Root(5, 8))))
     n2 = V(5, 7) * V(6, 8) - V(5, 8) * V(6, 7)
     assert l12 == (
         V(2, 3) * (V(3, 7) * V(6, 8) - V(3, 8) * V(6, 7))
@@ -93,7 +94,7 @@ def test_l_poly_printed_forms():
         + V(2, 5) * n2
     )
 
-    l22 = l_poly(P242, base, _pair(P242, Root(1, 4), Root(5, 8)))
+    l22 = expand(P242, pair_form(P242, base, _pair(P242, Root(1, 4), Root(5, 8))))
     assert l22 == (
         m2 * (V(4, 7) * V(6, 8) - V(4, 8) * V(6, 7))
         + (V(1, 3) * V(2, 5) - V(1, 5) * V(2, 3)) * n2
@@ -105,7 +106,7 @@ def test_l_poly_rejects_non_admissible():
     base = compute_base(pt)
     fake = AdmissiblePair(Root(1, 2), Root(2, 3), Root(2, 2), Root(2, 3), Root(1, 2))
     with pytest.raises(ValueError):
-        l_poly(pt, base, fake)
+        expand(pt, pair_form(pt, base, fake))
 
 
 def test_power_minor():
@@ -116,6 +117,9 @@ def test_power_minor():
     assert power_minor(P242, 1, (2,), (3,)) == V(2, 3)
     with pytest.raises(ValueError):
         power_minor(P242, 0, (1,), (3,))
+    # the form of D is the 28 Cauchy-Binet products det_{12,K}(X) * det_{K,78}(X)
+    d_form = dict(build_generators(P242).forms)["D"]
+    assert len(d_form) == 28 and expand(P242, d_form) == d and str(expand(P242, d_form)) == str(d)
 
 
 def test_restrict_kills_off_slice_variables():
@@ -133,8 +137,8 @@ def test_restrict_minor_images_are_signed_monomials():
         pairs = admissible_pairs(pt, base)
         phi = phi_set(pairs)
         for xi in base.roots:
-            image = restrict(pt, base, phi, minor_poly(pt, base, xi))
-            coef, mono = image.as_monomial()
+            image = restrict(pt, base, phi, expand(pt, minor_form(pt, base, xi)))
+            coef, mono = as_monomial(image)
             assert abs(coef) == 1
             assert all(e == 1 for _, e in mono)
             assert {Root(*v) for v, _ in mono} == {xi} | set(s_gamma(base, xi))
@@ -147,8 +151,8 @@ def test_restrict_pair_images_are_signed_monomials():
         pairs = admissible_pairs(pt, base)
         phi = phi_set(pairs)
         for q in pairs:
-            image = restrict(pt, base, phi, l_poly(pt, base, q))
-            coef, mono = image.as_monomial()
+            image = restrict(pt, base, phi, expand(pt, pair_form(pt, base, q)))
+            coef, mono = as_monomial(image)
             assert abs(coef) == 1
             assert all(e == 1 for _, e in mono)
             want = {q.phi, q.xi} | set(s_gamma(base, q.xi)) | set(s_gamma(base, q.xi_prime))
@@ -159,7 +163,7 @@ def test_restrict_l22_golden():
     base = compute_base(P242)
     pairs = admissible_pairs(P242, base)
     q22 = _pair(P242, Root(1, 4), Root(5, 8))
-    image = restrict(P242, base, phi_set(pairs), l_poly(P242, base, q22))
+    image = restrict(P242, base, phi_set(pairs), expand(P242, pair_form(P242, base, q22)))
     assert image == V(1, 4) * V(2, 3) * V(4, 8) * V(6, 7)
 
 
@@ -169,18 +173,22 @@ def test_restricted_monomials_pairwise_distinct():
         gens = build_generators(pt)
         phi = phi_set(gens.pairs)
         monos = []
-        for p in gens.core_polys():
-            _, mono = restrict(pt, gens.base, phi, p).as_monomial()
+        for _, p in gens.named()[: len(gens.core_forms())]:
+            _, mono = as_monomial(restrict(pt, gens.base, phi, p))
             monos.append(mono)
         assert len(set(monos)) == len(monos)
 
 
 def test_build_generators_counts_and_extras():
     gens = build_generators(P242)
-    assert len(gens.base_minors) == 4 and len(gens.pair_polys) == 4
-    assert [name for name, _ in gens.extras] == ["D"]
+    assert [name for name, _ in gens.forms] == [
+        *("M[2,3]", "M[1,4]", "M[6,7]", "M[5,8]"),
+        *("L[1,4;5,8]", "L[1,4;6,7]", "L[2,3;5,8]", "L[2,3;6,7]"),
+        "D",
+    ]
+    assert len(gens.core_forms()) == 8 and [name for name, _ in gens.named()] == [name for name, _ in gens.forms]
     gens2 = build_generators(ParabolicType((2, 2)))
-    assert gens2.extras == ()
+    assert [name for name, _ in gens2.forms] == ["M[2,3]", "M[1,4]"] and len(gens2.core_forms()) == 2
     doc = gens.to_json_dict()
     assert doc["type"] == [2, 4, 2] and len(doc["generators"]) == 9
     assert "M_{(2,3)}" in gens.to_latex()
@@ -239,11 +247,13 @@ def test_numeric_generators_match_expanded_polynomials():
             for lo, hi in (SAMPLE_RANGE, (-1, 1)):
                 draws = {tuple(r): rng.randint(lo, hi) for r in sorted(nilradical_roots(ptype))}
                 point = MatrixPoint.from_dict(ptype.n, draws)
-                values = point.values(nilradical_roots(ptype))
+                values = {tuple(r): point.get(*r) for r in nilradical_roots(ptype)}
                 got = invariant_values(gens, point)
-                assert got.m_values == {xi: p.evaluate(values) for xi, p in gens.base_minors}, sizes
-                assert got.l_values == {q.phi: p.evaluate(values) for q, p in gens.pair_polys}, sizes
-                first_zero = next((xi for xi, p in gens.base_minors if p.evaluate(values) == 0), None)
+                polys = [p for _, p in gens.named()]
+                base_minors = list(zip(gens.base.by_column(), polys))
+                assert got.m_values == {xi: p.evaluate(values) for xi, p in base_minors}, sizes
+                assert got.l_values == {q.phi: p.evaluate(values) for q, p in zip(gens.pairs, polys[len(gens.base) :])}, sizes
+                first_zero = next((xi for xi, p in base_minors if p.evaluate(values) == 0), None)
                 assert vanishing_minor(ptype, gens.base, point) == first_zero, sizes
                 verdicts.add(first_zero is None)
     assert verdicts == {True, False}
@@ -277,8 +287,9 @@ def test_pair_polynomial_on_the_slice_is_the_splitting_c_equals_b():
             gens = build_generators(ptype)
             phi = phi_set(gens.pairs)
             for q in gens.pairs:
-                split = minor_poly(ptype, gens.base, q.xi) * minor_poly(ptype, gens.base, q.phi)
-                got = restrict(ptype, gens.base, phi, l_poly(ptype, gens.base, q))
+                m_xi, m_phi = (expand(ptype, minor_form(ptype, gens.base, gamma)) for gamma in (q.xi, q.phi))
+                split = m_xi * m_phi
+                got = restrict(ptype, gens.base, phi, expand(ptype, pair_form(ptype, gens.base, q)))
                 assert got == restrict(ptype, gens.base, phi, split), (sizes, q)
                 checked += 1
     assert checked == 74
@@ -303,9 +314,9 @@ def test_numeric_generators_reject_points_off_the_nilradical():
 def _restricted_steps(ptype, base, pairs):
     # the symbolic solve order: each generator restricted to the slice, read as one signed monomial
     phi = phi_set(pairs)
-    steps = [(xi, minor_poly(ptype, base, xi)) for xi in sorted(base.roots, key=lambda r: len(s_gamma(base, r)))]
-    steps += [(q.phi, l_poly(ptype, base, q)) for q in pairs]
-    return [(target, *restrict(ptype, base, phi, p).as_monomial()) for target, p in steps]
+    steps = [(xi, expand(ptype, minor_form(ptype, base, xi))) for xi in sorted(base.roots, key=lambda r: len(s_gamma(base, r)))]
+    steps += [(q.phi, expand(ptype, pair_form(ptype, base, q))) for q in pairs]
+    return [(target, *as_monomial(restrict(ptype, base, phi, p))) for target, p in steps]
 
 
 def _y_coordinates_by_restriction(ptype, steps, vals):
@@ -351,7 +362,7 @@ def _refuse(name):
 
 
 def test_reduce_path_expands_nothing(monkeypatch, tmp_path, capsys):
-    for name in ("det_minor", "minor_poly", "l_poly", "restrict"):
+    for name in ("det_minor", "minor_poly", "expand", "restrict"):
         for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "nilinv"]:
             if name in vars(module):
                 monkeypatch.setattr(module, name, _refuse(name))

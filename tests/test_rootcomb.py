@@ -14,14 +14,13 @@ from nilinv.rootcomb import (
     compute_base,
     diagram_dict,
     dims,
-    higher,
     nilradical_roots,
     phi_set,
     psi_set,
-    reductive_roots,
     render_diagram,
     s_gamma,
 )
+from oracles import higher, reductive_roots
 
 PAPER_BASES = {
     (2, 1, 3, 2): {(2, 3), (3, 4), (1, 5), (6, 7), (5, 8)},
