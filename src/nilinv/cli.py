@@ -12,9 +12,9 @@ Subcommands expose the whole toolkit with text, JSON, and LaTeX output:
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
 Each command bounds the size n of --type (n + --offset for diagram; the last
-field of its COMMANDS row), invariants and verify the order of the largest
-corner minor they expand, and orbit-dim --trials and its rank work; a larger
-value is a usage error, raised before any work is done.
+field of its COMMANDS row), invariants the order of the largest corner minor
+it prints, and orbit-dim --trials and its rank work; a larger value is a
+usage error, raised before any work is done.
 JSON outputs are deterministic for fixed seeds.  The NILINV_OUTDIR
 environment variable supplies a base directory for relative --out paths.
 """
@@ -162,7 +162,7 @@ COMMANDS = {
     ], None, 200),
     "base": ("base roots, pairs, marked sets, dimensions", _base, [TYPE, _format("text", "json")], None, 200),
     "invariants": ("print the generator polynomials", _invariants, [TYPE, _format("text", "json", "latex")], 8, 24),
-    "verify": ("invariance/independence/corank report", _verify, [TYPE, SEED, _format("json", "text")], 7, 24),
+    "verify": ("invariance/independence/corank report", _verify, [TYPE, SEED, _format("json", "text")], None, 24),
     "orbit-dim": ("sampled maximal orbit dimension", _orbit_dim, [
         TYPE, ("--trials", {"type": int, "default": 20}), SEED,
     ], None, 24),

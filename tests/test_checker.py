@@ -21,14 +21,18 @@ from nilinv.checker import (
     derivation,
     independence_details,
     invariance_table,
+    invariance_tables,
     is_n_invariant,
+    is_zero_minor,
     jacobian_rank_at,
+    minor_derivative,
     one_param_transform,
+    proves_invariance,
     verify_type,
     weight_corank,
 )
-from nilinv import invgen
-from nilinv.invgen import build_generators, expand, formal_matrix, jacobian_row, minor_form, minors_at
+from nilinv import exactpoly, invgen
+from nilinv.invgen import build_generators, expand, formal_matrix, jacobian_row, minor_form, minor_poly, minors_at
 from nilinv.orbitlab import DEFAULT_SEED, sample_point
 from nilinv.rootcomb import (
     ParabolicType,
@@ -160,6 +164,104 @@ def test_generators_invariant_and_x24_not():
     table = invariance_table(P242, V(2, 4))
     assert table[2] is False  # k = 3 produces a t-term
     assert len(table) == 7
+
+
+def _random_minors():
+    # every composition with n <= 6 and every k, with seeded random rows and columns of order 1..4
+    rng = random.Random(DEFAULT_SEED)
+    for n in range(2, 7):
+        for sizes in compositions(n):
+            pt = ParabolicType(sizes)
+            for k in range(1, n):
+                for _ in range(6):
+                    order = rng.randint(1, min(4, n))
+                    rows, cols = (tuple(sorted(rng.sample(range(1, n + 1), order))) for _ in "RC")
+                    yield pt, k, (rows, cols)
+
+
+def test_minor_derivative_matches_derive():
+    checked = 0
+    for pt, k, (rows, cols) in _random_minors():
+        rule = sum((sign * minor_poly(pt, *m) for sign, m in minor_derivative(k, (rows, cols))), Polynomial.zero())
+        assert rule == minor_poly(pt, rows, cols).derive(derivation(pt, k)[1]), (pt, k, rows, cols)
+        checked += 1
+    assert checked == 6 * sum(n - 1 for n in range(2, 7) for _ in compositions(n))
+
+
+def test_zero_minor_test_matches_expansion():
+    seen = set()
+    for pt, _, minor in _random_minors():
+        assert is_zero_minor(pt, minor) == minor_poly(pt, *minor).is_zero, (pt, minor)
+        seen.add(is_zero_minor(pt, minor))
+    assert seen == {True, False}
+
+
+def _proof_table(pt, form):
+    return [proves_invariance(pt, form, k) for k in range(1, pt.n)]
+
+
+def test_proof_matches_symbolic_invariance_and_rejects_mutant():
+    # every form of every composition with 2 <= n <= 8, D included; each pair form again with the factors of
+    # every other product swapped (a product commutes), and without its last splitting
+    types = mutants = 0
+    for n in range(2, 9):
+        for sizes in compositions(n):
+            pt = ParabolicType(sizes)
+            gens = build_generators(pt)
+            for name, form in gens.forms:
+                assert _proof_table(pt, form) == invariance_table(pt, expand(pt, form)), (sizes, name)
+            for name, form in gens.forms[len(gens.base) : len(gens.base) + len(gens.pairs)]:
+                assert all(_proof_table(pt, tuple(p[::-1] if i % 2 else p for i, p in enumerate(form)))), (sizes, name)
+                assert not all(_proof_table(pt, form[:-1])), (sizes, name)
+                assert not is_n_invariant(pt, expand(pt, form[:-1])), (sizes, name)
+                mutants += 1
+            types += 1
+    assert types == 254 and mutants == 264
+
+
+def test_every_form_proved_up_to_n10():
+    # the symbolic fallback never runs on the generators of a type with n <= 10
+    types = 0
+    for n in range(2, 11):
+        for sizes in compositions(n):
+            pt = ParabolicType(sizes)
+            assert all(all(_proof_table(pt, form)) for _, form in build_generators(pt).forms), sizes
+            types += 1
+    assert types == 1022
+
+
+def test_verify_expands_nothing(monkeypatch):
+    # (6,6,6) against the symbolic invariance tables of the expanded generators
+    pt = ParabolicType((6, 6, 6))
+    want = verify_type(pt).to_json_dict()
+    want["invariance"] = {name: invariance_table(pt, p) for name, p in sorted(build_generators(pt).named())}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify expanded a polynomial")
+
+    for module, name in ((invgen, "minor_poly"), (exactpoly, "det_minor"), (invgen, "det_minor")):
+        monkeypatch.setattr(module, name, refuse)
+    assert verify_type(pt).to_json_dict() == want
+    # (1,8,7,8) has corner minors of order 15; every form is proved invariant under all 23 subgroups
+    doc = verify_type(ParabolicType((1, 8, 7, 8))).to_json_dict()
+    assert len(doc["invariance"]) == 44 and all(table == [True] * 23 for table in doc["invariance"].values())
+    assert doc["independence"] == {
+        "rank": 44, "expected": 44, "seed": DEFAULT_SEED, "attempts": 1, "independent": True, "note": None,
+    }
+    assert doc["corank"] == {"alpha": 15, "s_phi": 21, "consistent": False}
+    assert doc["flags"] == {"invariance": True, "independence": True, "corank_bookkeeping": False}
+
+
+def test_unproved_form_falls_back_to_symbolic(monkeypatch):
+    pt = ParabolicType((2, 2, 1, 1))
+    x24 = ((((2,), (4,)),),)  # the entry x_(2,4), moved by g_3(t)
+    assert not proves_invariance(pt, x24, 3)
+    named = list(build_generators(pt).forms) + [("x24", x24)]
+    monkeypatch.setattr("nilinv.checker.proves_invariance", lambda ptype, form, k: False)
+    # with no proof every table is the symbolic one
+    tables = invariance_tables(pt, named)
+    assert tables == {name: invariance_table(pt, expand(pt, form)) for name, form in named}
+    assert tables["x24"][2] is False and all(all(tables[name]) for name, _ in named[:-1])
 
 
 def test_independence_ranks():

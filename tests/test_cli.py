@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilinv import checker, exactpoly, invgen
 from nilinv.cli import COMMANDS, MAX_ORBIT_WORK, MAX_TRIALS, main
 from nilinv.invgen import build_generators
 from nilinv.rootcomb import ParabolicType
@@ -229,8 +230,9 @@ def test_size_limits(capsys, tmp_path):
     assert captured.err == "error: type size 4 plus --offset 197 is above the limit 200 of diagram\n"
 
 
-# the corner-minor limits (README, "Input limits"): the cost of invariants and verify follows the largest minor
-MINOR_LIMITS = {"invariants": 8, "verify": 7}
+# the corner-minor limit (README, "Input limits"): invariants prints every term of the largest minor;
+# verify proves invariance on index sets and has none (see test_verify_beyond_the_symbolic_orders)
+MINOR_LIMITS = {"invariants": 8}
 
 
 def test_minor_order_limits(capsys, monkeypatch):
@@ -249,9 +251,34 @@ def test_minor_order_limits(capsys, monkeypatch):
         monkeypatch.setitem(COMMANDS, name, (help_text, lambda args: ("ran\n", 0), options, max_minor, max_n))
         assert main([name, "--type", f"{limit},{limit}"]) == 0
         assert capsys.readouterr().out == "ran\n"
-    # the orders behind the golden files and the README examples sit at or below both limits
+    # the orders behind the golden files and the README examples sit at or below the limit
     for sizes in [(2, 4, 2), (4, 3, 3), (2, 2, 1, 1), (2, 2, 2, 1, 1), (2, 1, 3, 2), (6, 6, 6), (7, 7, 7)]:
         assert build_generators(ParabolicType(sizes)).largest_minor_order() <= min(MINOR_LIMITS.values()), sizes
+
+
+def test_verify_beyond_the_symbolic_orders(capsys, monkeypatch):
+    # corner minors of order 8, 8 and 15: invariance is proved on index sets, nothing is expanded
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was expanded")
+
+    for module, name in ((exactpoly, "det_minor"), (invgen, "det_minor"), (invgen, "minor_poly")):
+        monkeypatch.setattr(module, name, refuse)
+    pinned = {
+        "8,8": (0, "type (8,8) passed=True corank_bookkeeping=True independence=True invariance=True\n"),
+        "8,8,8": (0, "type (8,8,8) passed=True corank_bookkeeping=True independence=True invariance=True\n"),
+        "1,8,7,8": (1, "type (1,8,7,8) passed=False corank_bookkeeping=False independence=True invariance=True\n"),
+    }
+    for sizes, (code, line) in pinned.items():
+        assert run(capsys, "verify", "--type", sizes, "--format", "text") == (code, line), sizes
+    # the size limit stays: (9,9,9) has n = 27
+    assert main(["verify", "--type", "9,9,9"]) == 2
+    assert capsys.readouterr().err == "error: type size 27 is above the limit 24 of verify\n"
+    # an unproved generator falls back to the symbolic check, which refuses minors above order 7 before expanding
+    monkeypatch.setattr(checker, "proves_invariance", lambda ptype, form, k: False)
+    assert main(["verify", "--type", "8,8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: corner minor order 8 of unproved generator M[1,16] is above the limit 7 of the symbolic check\n"
 
 
 def test_trials_limit(capsys):
