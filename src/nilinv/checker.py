@@ -32,9 +32,8 @@ SYMBOLIC_MINOR_LIMIT = 7  # the largest minor of an unproved form, expanded for 
 def _derivations(ptype: ParabolicType) -> tuple[frozenset[Root], list[dict[Root, Polynomial]]]:
     # one type at a time, and invariance_tables frees its type's derivations when its
     # checks are done: a cache of every type raised the peak memory of a ladder of types
-    positions = nilradical_roots(ptype)
-    order, x = sorted(positions), formal_matrix(ptype)
-    return positions, [{r: -d for r, d in zip(order, bracket(order, k, k + 1, x)) if d != 0} for k in range(1, ptype.n)]
+    positions, x = nilradical_roots(ptype), formal_matrix(ptype)
+    return positions, [{Root(*r): -d for r, d in bracket(k, k + 1, x).items() if d != 0} for k in range(1, ptype.n)]
 
 
 def derivation(ptype: ParabolicType, k: int) -> tuple[frozenset[Root], dict[Root, Polynomial]]:

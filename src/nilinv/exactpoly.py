@@ -2,14 +2,15 @@
 
 Everything is computed over arbitrary-precision rationals
 (fractions.Fraction); no floating point appears anywhere.  ``rank`` and
-``det`` take rows of ints and Fractions alike and eliminate over the
-integers.  ``MatrixPoint`` is the one exact-matrix type.  Its entries are
-rationals for nilradical points and unitriangular group elements (its
-subclass ``orbitlab.GroupElement``), and polynomials for the formal matrix
-of variables; the matrix product works over both rings.  Polynomial
-variables are matrix positions (i, j) plus named parameters given as
-strings, with the one-parameter deformation variable ``t`` reserved for
-the group-action checks.
+``det`` take rows of ints and Fractions alike, scale each row to integers
+and eliminate over the integers; a caller that builds integer rows itself
+hands them to the same elimination.  ``MatrixPoint`` is the one
+exact-matrix type.  Its entries are rationals for nilradical points and
+unitriangular group elements (its subclass ``orbitlab.GroupElement``), and
+polynomials for the formal matrix of variables; the matrix product works
+over both rings.  Polynomial variables are matrix positions (i, j) plus
+named parameters given as strings, with the one-parameter deformation
+variable ``t`` reserved for the group-action checks.
 
 Canonical term order for printing: graded lexicographic with position
 variables ordered by (i, j) and string parameters (t in particular) last.
@@ -289,17 +290,8 @@ def _expand_minor(m: MatrixPoint, rs: tuple, cs: tuple, memo: dict) -> Polynomia
     return minor
 
 
-def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, Fraction]:
-    """Fraction-free (Bareiss) elimination: the rank, and the determinant (0 unless square and regular).
-
-    Each row is scaled to integers straight from its entries' ``numerator``
-    and ``denominator`` (an ``int`` has both); no entry becomes a Fraction.
-    A step updates only the rows with a nonzero pivot-column entry.  Bareiss
-    would scale each other row by P[r+1]/P[r] at step r, with pivots P and
-    P[0] = 1.  These factors telescope, so a row last updated before step s
-    is lifted by the exact x * P[r] // P[s] when next touched.  Rows, pivots
-    and the determinant are the Bareiss values.
-    """
+def _integer_rows(matrix: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """Rows scaled to integers by their entries' numerator and denominator (an int has both), and the product of the scales."""
     nc = len(matrix[0]) if matrix else 0
     rows = []
     scale = 1
@@ -309,7 +301,19 @@ def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, Fraction]:
         mult = lcm(*(x.denominator for x in row))
         scale *= mult
         rows.append([x.numerator * (mult // x.denominator) for x in row])
-    nr = len(rows)
+    return rows, scale
+
+
+def _eliminate(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of integer rows, in place: the rank, and the determinant (0 unless square and regular).
+
+    A step updates only the rows with a nonzero pivot-column entry.  Bareiss
+    would scale each other row by P[r+1]/P[r] at step r, with pivots P and
+    P[0] = 1.  These factors telescope, so a row last updated before step s
+    is lifted by the exact x * P[r] // P[s] when next touched.  Rows, pivots
+    and the determinant are the Bareiss values.
+    """
+    nr, nc = len(rows), len(rows[0]) if rows else 0
     last = [1] * nr  # P[s] for the step s before which each row was last updated
     prev = 1
     r = 0
@@ -338,20 +342,21 @@ def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, Fraction]:
                 last[p] = pivot
         prev = pivot
         r += 1
-    # the last Bareiss pivot is the determinant of the scaled, row-swapped matrix
-    return r, Fraction(sign * prev, scale) if r == nr == nc else Fraction(0)
+    # the last Bareiss pivot is the determinant of the row-swapped matrix
+    return r, sign * prev if r == nr == nc else 0
 
 
 def rank(matrix: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank over the rationals via fraction-free (Bareiss) elimination; ragged rows raise ValueError."""
-    return _eliminate(matrix)[0]
+    return _eliminate(_integer_rows(matrix)[0])[0]
 
 
 def det(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     """Exact determinant of a square rational matrix, by the elimination of ``rank``."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError(f"determinant of a non-square matrix with {len(matrix)} rows")
-    return _eliminate(matrix)[1]
+    rows, scale = _integer_rows(matrix)
+    return Fraction(_eliminate(rows)[1], scale)
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Exact orbit geometry for the unitriangular conjugation action.
 
-Adjoint action of unitriangular matrices on nilradical points, orbit
-dimension as the exact rank of the bracket map, randomized search for the
-maximal orbit dimension, and the block-by-block elimination that conjugates
-any point with nonvanishing base minors onto the linear slice spanned by
-the base and marked positions.
+Adjoint action of unitriangular matrices on nilradical points, the sparse
+bracket [E_ij, x] and orbit dimension as the exact rank of its integer rows,
+randomized search for the maximal orbit dimension, and the block-by-block
+elimination that conjugates any point with nonvanishing base minors onto
+the linear slice spanned by the base and marked positions.
 """
 
 from __future__ import annotations
@@ -12,9 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import lcm
 
 from .errors import OutsideU0Error, ReductionError
-from .exactpoly import MatrixPoint, rank
+from .exactpoly import MatrixPoint, _eliminate
 from .invgen import GeneratorSet, build_generators, check_covered, check_support, invariant_values
 from .invgen import vanishing_minor, y_coordinates
 from .rootcomb import (
@@ -69,29 +72,40 @@ def adjoint(ptype: ParabolicType, g: GroupElement, x: MatrixPoint) -> MatrixPoin
     return out
 
 
-def bracket(positions: list[tuple], i: int, j: int, x: MatrixPoint) -> list:
-    """The entries of [E_ij, x] = E_ij x - x E_ij at the given positions, in their order.
+def bracket(i: int, j: int, x: MatrixPoint) -> dict[tuple, object]:
+    """The entries of [E_ij, x] = E_ij x - x E_ij that can be nonzero, for i < j and x strictly upper triangular.
 
-    The (p,q) entry is d_{p,i} x_(j,q) - d_{q,j} x_(p,i).  Works over either
-    ring of ``MatrixPoint``: rationals at a point, polynomials on the formal
-    matrix X.  An entry that neither term reaches is the integer 0.
+    Column j of x E_ij is column i of x, and row i of E_ij x is row j of x:
+    the bracket is -x_(p,i) at (p,j) for p < i, x_(j,q) at (i,q) for q > j,
+    and 0 elsewhere, in that (sorted) order.  Works over either ring of
+    ``MatrixPoint``: rationals or integers at a point, polynomials on X.
     """
-    out = []
-    for p, q in positions:
-        left = x.get(j, q) if p == i else 0
-        out.append(left - x.get(p, i) if q == j else left)
+    out = {(p, j): -x.get(p, i) for p in range(1, i)}
+    out.update(((i, q), x.get(j, q)) for q in range(j + 1, x.n + 1))
     return out
 
 
-def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
-    """Exact rank of a -> [a, x] from strictly upper matrices into the nilradical.
+@lru_cache(maxsize=64)
+def _columns(ptype: ParabolicType) -> dict[Root, int]:
+    return {r: k for k, r in enumerate(sorted(nilradical_roots(ptype)))}
 
-    A point of the wrong size or with entries off the nilradical raises ValueError.
+
+def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
+    """Exact rank of a -> [a, x] from strictly upper matrices into the nilradical; ValueError off the nilradical.
+
+    The bracket is linear in x, so x is scaled to integers by the lcm of its denominators, and
+    the integer rows, placed by a per-type column index, go straight to Bareiss elimination.
     """
     check_support(ptype, x)
-    positions = sorted(nilradical_roots(ptype))
-    n = ptype.n
-    return rank([bracket(positions, i, j, x) for i in range(1, n) for j in range(i + 1, n + 1)])
+    column, n, scale = _columns(ptype), ptype.n, lcm(*(v.denominator for row in x.rows for v in row))
+    x = MatrixPoint(n, [[v.numerator * (scale // v.denominator) for v in row] for row in x.rows])
+    rows = []
+    for i, j in combinations(range(1, n + 1), 2):
+        rows.append(row := [0] * len(column))
+        for pos, v in bracket(i, j, x).items():
+            if v:
+                row[column[pos]] = v
+    return _eliminate(rows)[0]
 
 
 def sample_point(ptype: ParabolicType, rng: random.Random) -> MatrixPoint:

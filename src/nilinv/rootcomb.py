@@ -18,7 +18,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from typing import Iterable, Iterator, NamedTuple
 
@@ -155,6 +155,7 @@ class Base:
         return len(self.roots)
 
 
+@lru_cache(maxsize=64)
 def nilradical_roots(ptype: ParabolicType) -> frozenset[Root]:
     """All positions (i, j) whose row and column lie in different blocks."""
     out = []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilinv import exactpoly
+from nilinv import exactpoly, orbitlab
 from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, _var_key, det_minor, rank
 from nilinv.invgen import formal_matrix
 from nilinv.orbitlab import DEFAULT_SEED, bracket, orbit_dim, sample_point
@@ -332,7 +332,8 @@ def _bracket_cases():
             pt = ParabolicType(sizes)
             x = sample_point(pt, random.Random(DEFAULT_SEED))
             positions = sorted(nilradical_roots(pt))
-            m = [bracket(positions, i, j, x) for i in range(1, n) for j in range(i + 1, n + 1)]
+            entries = [bracket(i, j, x) for i, j in itertools.combinations(range(1, n + 1), 2)]
+            m = [[int(e.get(r, 0)) for r in positions] for e in entries]
             assert rank(m) == orbit_dim(pt, x)
             cases.append((sizes, m))
             cases += [((sizes, k), [row[:k] for row in m[:k]]) for k in range(1, min(len(m), len(positions)) + 1)]
@@ -343,7 +344,7 @@ def test_eliminate_matches_textbook_bareiss_on_bracket_matrices():
     cases = _bracket_cases()
     assert len(cases) > 1000
     for label, m in cases:
-        assert _eliminate(m) == bareiss(m), label
+        assert _eliminate([row[:] for row in m]) == bareiss(m), label
 
 
 def test_eliminate_without_the_lift_is_caught_on_bracket_matrices():
@@ -353,7 +354,7 @@ def test_eliminate_without_the_lift_is_caught_on_bracket_matrices():
     namespace = dict(vars(exactpoly))
     exec(source, namespace)
     mutant = namespace["_eliminate"]
-    assert any(mutant(m) != bareiss(m) for _, m in _bracket_cases())
+    assert any(mutant([row[:] for row in m]) != bareiss(m) for _, m in _bracket_cases())
 
 
 def _rank_row_reduce(matrix):
@@ -389,6 +390,59 @@ def test_rank_matches_row_reduction_and_transpose(matrix):
     assert rank(matrix) == want
     transpose = [list(col) for col in zip(*matrix)]
     assert rank(transpose) == want
+
+
+def _commutator_rank(pt, x):
+    # the naive path: [E_ij, x] from two MatrixPoint products, ranked by Fraction row reduction
+    positions = sorted(nilradical_roots(pt))
+    matrix = []
+    for i, j in itertools.combinations(range(1, pt.n + 1), 2):
+        e = MatrixPoint.zeros(pt.n)
+        e.rows[i - 1][j - 1] = Fraction(1)
+        left, right = e * x, x * e
+        matrix.append([left.get(*r) - right.get(*r) for r in positions])
+    return _rank_row_reduce(matrix)
+
+
+@functools.cache
+def _cross_check_cases():
+    """(type, point, naive rank) on every composition with n <= 7 at three points.
+
+    The points are a DEFAULT_SEED integer point, a point with denominators 2 to 4
+    and the zero point.  The fractional point is x_(p,q) = a_p / b_q with a_p in
+    -9..9 and b_q in 2..4: a rank-one matrix on the nilradical, so its orbit is
+    not generic and its rank hangs on the exact values.
+    """
+    cases = []
+    for n in range(1, 8):
+        for sizes in compositions(n):
+            pt, rng = ParabolicType(sizes), random.Random(DEFAULT_SEED)
+            a, b = [rng.randint(-9, 9) for _ in range(n)], [rng.randint(2, 4) for _ in range(n)]
+            fractional = MatrixPoint.from_dict(n, {r: Fraction(a[r.i - 1], b[r.j - 1]) for r in nilradical_roots(pt)})
+            for x in (sample_point(pt, random.Random(DEFAULT_SEED)), fractional, MatrixPoint.zeros(n)):
+                cases.append((pt, x, _commutator_rank(pt, x)))
+    return cases
+
+
+def test_orbit_dim_matches_naive_commutator_rank():
+    # orbit_dim scales x to integers and places sparse bracket rows; the naive path does neither
+    cases = _cross_check_cases()
+    assert len(cases) == 3 * 127
+    for pt, x, want in cases:
+        assert orbit_dim(pt, x) == want, (pt.block_sizes, x.to_json_dict())
+
+
+def test_orbit_dim_without_the_lcm_scaling_is_caught():
+    # the mutant keeps only the numerators: a different point unless every denominator is 1
+    source, subs = re.subn(r"v\.numerator \* \(scale // v\.denominator\)", "v.numerator", inspect.getsource(orbit_dim))
+    assert subs == 1
+    namespace = dict(vars(orbitlab))
+    exec(source, namespace)
+    mutant = namespace["orbit_dim"]
+    integral = lambda x: all(v.denominator == 1 for row in x.rows for v in row)
+    assert any(mutant(pt, x) != want for pt, x, want in _cross_check_cases() if not integral(x))
+    # at an integer point the mutant is orbit_dim
+    assert all(mutant(pt, x) == want for pt, x, want in _cross_check_cases() if integral(x))
 
 
 def test_matrix_point_roundtrip():

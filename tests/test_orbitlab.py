@@ -108,7 +108,12 @@ def _assert_bracket_is_commutator(pt, x):
             e = MatrixPoint.zeros(pt.n)
             e.rows[i - 1][j - 1] = Fraction(1)
             left, right = e * x, x * e
-            assert bracket(positions, i, j, x) == [left.get(*r) - right.get(*r) for r in positions]
+            entries = bracket(i, j, x)
+            # every nilradical entry that the sparse formula does not reach is 0
+            assert [entries.get(r, 0) for r in positions] == [left.get(*r) - right.get(*r) for r in positions]
+            # and every entry it does reach is the commutator's, in sorted order
+            assert list(entries) == sorted(entries)
+            assert all(v == left.get(*pos) - right.get(*pos) for pos, v in entries.items())
 
 
 def test_bracket_matches_matrix_products():
