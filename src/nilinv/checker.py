@@ -15,36 +15,24 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 from typing import Iterable, Sequence
 
 from .exactpoly import MatrixPoint, Polynomial, T, rank
 from .invgen import CASE_242, Form, Minor, build_generators, expand, formal_matrix, jacobian_row, minor_order, minors_at
 from .orbitlab import DEFAULT_SEED, bracket, sample_point
-from .rootcomb import AdmissiblePair, ParabolicType, Root, nilradical_roots, phi_set
+from .rootcomb import AdmissiblePair, ParabolicType, Root, nilradical_columns, nilradical_roots, phi_set
 
 INDEPENDENCE_RETRIES = 5
 SYMBOLIC_MINOR_LIMIT = 7  # the largest minor of an unproved form, expanded for the symbolic check: 7! terms
 
 
-@lru_cache(maxsize=1)
-def _derivations(ptype: ParabolicType) -> tuple[frozenset[Root], list[dict[Root, Polynomial]]]:
-    # one type at a time, and invariance_tables frees its type's derivations when its
-    # checks are done: a cache of every type raised the peak memory of a ladder of types
-    positions, x = nilradical_roots(ptype), formal_matrix(ptype)
-    return positions, [{Root(*r): -d for r, d in bracket(k, k + 1, x).items() if d != 0} for k in range(1, ptype.n)]
-
-
 def derivation(ptype: ParabolicType, k: int) -> tuple[frozenset[Root], dict[Root, Polynomial]]:
-    """The nilradical positions and D_k on them: x_v -> delta_k(x_v), for each x_v it does not kill.
-
-    Built once per (type, k) while the calls stay on one type; callers share the result and only read it.
-    """
+    """The nilradical positions and D_k on them: x_v -> delta_k(x_v), for each x_v it does not kill."""
     if not 1 <= k < ptype.n:
         raise ValueError(f"k must satisfy 1 <= k < {ptype.n}, got {k}")
-    positions, deltas = _derivations(ptype)
-    return positions, deltas[k - 1]
+    delta = {Root(*r): -d for r, d in bracket(k, k + 1, formal_matrix(ptype)).items() if d != 0}
+    return nilradical_roots(ptype), delta
 
 
 def one_param_transform(ptype: ParabolicType, k: int, f: Polynomial) -> Polynomial:
@@ -131,14 +119,12 @@ def invariance_tables(ptype: ParabolicType, named: Sequence[tuple[str, Form]]) -
             msg = f"corner minor order {order} of unproved generator {name} is above the limit {SYMBOLIC_MINOR_LIMIT}"
             raise ValueError(msg + " of the symbolic check")
     tables.update((name, invariance_table(ptype, expand(ptype, form))) for name, form in unproved)
-    _derivations.cache_clear()
     return tables
 
 
 def jacobian_rank_at(ptype: ParabolicType, forms: Sequence[Form], point: MatrixPoint) -> int:
     """The rank of the Jacobian at a point: one cofactor row per form, one column per nilradical position."""
-    column = {v: k for k, v in enumerate(sorted(nilradical_roots(ptype)))}
-    minor = minors_at(point.get)
+    minor, column = minors_at(point.get), nilradical_columns(ptype)
     return rank([jacobian_row(form, minor, column) for form in forms])
 
 
@@ -192,7 +178,6 @@ class VerificationReport:
     independence: IndependenceResult
     corank_alpha: int
     corank_s_phi: int
-    trdeg_field_n: int  # |S| + |Q|
 
     @property
     def flags(self) -> dict[str, bool]:
@@ -218,7 +203,7 @@ class VerificationReport:
                 "consistent": self.corank_alpha == self.corank_s_phi,
             },
             "trdeg": {
-                "field_n": self.trdeg_field_n,
+                "field_n": self.independence.expected,  # |S| + |Q|
                 "field_b_claimed": self.corank_alpha,
                 "field_b_lattice": self.corank_s_phi,
             },
@@ -245,7 +230,6 @@ def verify_type(ptype: ParabolicType, seed: int = DEFAULT_SEED) -> VerificationR
         independence=independence,
         corank_alpha=weight_corank(pairs, ptype.n),
         corank_s_phi=corank_of_roots(s_phi, ptype.n),
-        trdeg_field_n=len(gens.base) + len(pairs),
     )
 
 

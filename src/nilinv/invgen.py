@@ -283,7 +283,7 @@ def y_coordinates(
     that target set to 1.
     """
     check_covered(ptype)
-    for xi in base.roots:
+    for xi in base.by_column():  # the order of vanishing_minor
         if xi not in inv_values.m_values:
             raise ValueError(f"missing minor value for base root {xi}")
         if inv_values.m_values[xi] == 0:

@@ -1,10 +1,10 @@
 """Exact orbit geometry for the unitriangular conjugation action.
 
-Adjoint action of unitriangular matrices on nilradical points, the sparse
-bracket [E_ij, x] and orbit dimension as the exact rank of its integer rows,
-randomized search for the maximal orbit dimension, and the block-by-block
-elimination that conjugates any point with nonvanishing base minors onto
-the linear slice spanned by the base and marked positions.
+Unitriangular group elements, the sparse bracket [E_ij, x] and orbit
+dimension as the exact rank of its integer rows, randomized search for the
+maximal orbit dimension, and the block-by-block elimination that conjugates
+any point with nonvanishing base minors onto the linear slice spanned by the
+base and marked positions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -27,6 +26,7 @@ from .rootcomb import (
     compute_base,
     dims,
     is_covered,
+    nilradical_columns,
     nilradical_roots,
     phi_set,
 )
@@ -48,28 +48,11 @@ class GroupElement(MatrixPoint):
                 if i > j and v != 0:
                     raise ValueError("entries below the diagonal must be 0")
 
-    def inverse(self) -> "GroupElement":
-        # back substitution for g h = 1, rows bottom up: h_ij = -sum_{i<k<=j} g_ik h_kj
-        n, g = self.n, self.rows
-        h = MatrixPoint.identity(n).rows
-        for i in range(n - 2, -1, -1):
-            for j in range(i + 1, n):
-                h[i][j] = -sum((g[i][k] * h[k][j] for k in range(i + 1, j + 1) if g[i][k]), Fraction(0))
-        return GroupElement(n, h)
-
     def to_json_dict(self) -> dict:
         # the unit diagonal is implied: list only the strictly upper entries
         doc = super().to_json_dict()
         doc["entries"] = [e for e in doc["entries"] if e[0] < e[1]]
         return doc
-
-
-def adjoint(ptype: ParabolicType, g: GroupElement, x: MatrixPoint) -> MatrixPoint:
-    """Conjugation g x g^{-1}; the result stays supported on the nilradical."""
-    check_support(ptype, x)
-    out = g * x * g.inverse()
-    assert out.support() <= nilradical_roots(ptype), "conjugation left the nilradical"
-    return out
 
 
 def bracket(i: int, j: int, x: MatrixPoint) -> dict[tuple, object]:
@@ -85,11 +68,6 @@ def bracket(i: int, j: int, x: MatrixPoint) -> dict[tuple, object]:
     return out
 
 
-@lru_cache(maxsize=64)
-def _columns(ptype: ParabolicType) -> dict[Root, int]:
-    return {r: k for k, r in enumerate(sorted(nilradical_roots(ptype)))}
-
-
 def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
     """Exact rank of a -> [a, x] from strictly upper matrices into the nilradical; ValueError off the nilradical.
 
@@ -97,7 +75,7 @@ def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
     the integer rows, placed by a per-type column index, go straight to Bareiss elimination.
     """
     check_support(ptype, x)
-    column, n, scale = _columns(ptype), ptype.n, lcm(*(v.denominator for row in x.rows for v in row))
+    column, n, scale = nilradical_columns(ptype), ptype.n, lcm(*(v.denominator for row in x.rows for v in row))
     x = MatrixPoint(n, [[v.numerator * (scale // v.denominator) for v in row] for row in x.rows])
     rows = []
     for i, j in combinations(range(1, n + 1), 2):
@@ -110,9 +88,7 @@ def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
 
 def sample_point(ptype: ParabolicType, rng: random.Random) -> MatrixPoint:
     """Random integer point of the nilradical, entries drawn from SAMPLE_RANGE in a fixed order."""
-    return MatrixPoint.from_dict(
-        ptype.n, {tuple(r): rng.randint(*SAMPLE_RANGE) for r in sorted(nilradical_roots(ptype))}
-    )
+    return MatrixPoint.from_dict(ptype.n, {tuple(r): rng.randint(*SAMPLE_RANGE) for r in nilradical_columns(ptype)})
 
 
 def max_orbit_dim(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -> int:

@@ -166,6 +166,12 @@ def nilradical_roots(ptype: ParabolicType) -> frozenset[Root]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=64)
+def nilradical_columns(ptype: ParabolicType) -> dict[Root, int]:
+    """Each nilradical position and its column, 0..dim m - 1, in sorted order: the layout of a row over the nilradical."""
+    return {r: k for k, r in enumerate(sorted(nilradical_roots(ptype)))}
+
+
 def compute_base(ptype: ParabolicType) -> Base:
     """Greedy staircase construction of the base.
 
@@ -247,10 +253,7 @@ class Dims:
 
 
 def dims(ptype: ParabolicType) -> Dims:
-    sizes = ptype.block_sizes
-    dim_m = sum(
-        sizes[a] * sizes[b] for a in range(len(sizes)) for b in range(a + 1, len(sizes))
-    )
+    dim_m = len(nilradical_roots(ptype))
     base = compute_base(ptype)
     pairs = admissible_pairs(ptype, base)
     phi = phi_set(pairs)

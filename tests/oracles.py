@@ -8,9 +8,9 @@ from math import lcm
 from operator import mul
 
 from nilinv.exactpoly import MatrixPoint, det_minor
-from nilinv.invgen import formal_matrix, vanishing_minor
+from nilinv.invgen import check_support, formal_matrix, vanishing_minor
 from nilinv.orbitlab import GroupElement, sample_point
-from nilinv.rootcomb import ParabolicType, Root, compute_base
+from nilinv.rootcomb import ParabolicType, Root, compute_base, nilradical_roots
 
 
 def bareiss(matrix):
@@ -131,6 +131,25 @@ def elementary(n, u, v, s):
     rows = MatrixPoint.identity(n).rows
     rows[u - 1][v - 1] = Fraction(s)
     return GroupElement(n, rows)
+
+
+def inverse(g):
+    """The inverse of a unitriangular g, by back substitution for g h = 1, rows bottom up."""
+    # h_ij = -sum_{i<k<=j} g_ik h_kj
+    n, rows = g.n, g.rows
+    h = MatrixPoint.identity(n).rows
+    for i in range(n - 2, -1, -1):
+        for j in range(i + 1, n):
+            h[i][j] = -sum((rows[i][k] * h[k][j] for k in range(i + 1, j + 1) if rows[i][k]), Fraction(0))
+    return GroupElement(n, h)
+
+
+def adjoint(ptype, g, x):
+    """Conjugation g x g^{-1}; the result stays supported on the nilradical."""
+    check_support(ptype, x)
+    out = g * x * inverse(g)
+    assert out.support() <= nilradical_roots(ptype), "conjugation left the nilradical"
+    return out
 
 
 def random_unitriangular(n, rng: random.Random):

@@ -9,10 +9,9 @@ import pytest
 
 from nilinv.errors import OutsideU0Error, UnsupportedTypeError
 from nilinv.exactpoly import MatrixPoint
-from nilinv.invgen import build_generators, formal_matrix, invariant_values
+from nilinv.invgen import build_generators, formal_matrix, invariant_values, y_coordinates
 from nilinv.orbitlab import (
     GroupElement,
-    adjoint,
     bracket,
     max_orbit_dim,
     orbit_dim,
@@ -23,6 +22,7 @@ from nilinv.orbitlab import (
 )
 from nilinv.rootcomb import (
     ParabolicType,
+    Root,
     admissible_pairs,
     compositions,
     compute_base,
@@ -30,7 +30,7 @@ from nilinv.rootcomb import (
     nilradical_roots,
     phi_set,
 )
-from oracles import elementary, random_unitriangular, sample_u0_point
+from oracles import adjoint, elementary, inverse, random_unitriangular, sample_u0_point
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -49,7 +49,7 @@ def test_group_inverse():
     for n in range(1, 9):
         for _ in range(10):
             g = random_unitriangular(n, rng)
-            h = g.inverse()
+            h = inverse(g)
             assert isinstance(h, GroupElement) and all(isinstance(v, Fraction) for row in h.rows for v in row)
             assert (g * h).rows == GroupElement.identity(n).rows
             assert (h * g).rows == GroupElement.identity(n).rows
@@ -225,6 +225,20 @@ def test_reduce_errors():
     assert str(unsupported.value) == "type (2,1,3,2) not supported: need non-increasing sizes or at most 3 blocks"
     with pytest.raises(ValueError):
         reduce_to_canonical(P242, MatrixPoint.from_dict(8, {(3, 5): 1}))
+
+
+def test_reduce_and_y_coordinates_name_the_same_vanishing_minor():
+    # x13 = x23 = 0 makes both M(2,3) and M(1,4) vanish; both checks walk the base in column order
+    x = MatrixPoint.from_dict(8, {tuple(r): 1 + k for k, r in enumerate(sorted(nilradical_roots(P242)))})
+    x.rows[0][2] = x.rows[1][2] = Fraction(0)
+    gens = build_generators(P242)
+    values = invariant_values(gens, x)
+    assert values.m_values[Root(1, 4)] == values.m_values[Root(2, 3)] == 0
+    with pytest.raises(OutsideU0Error) as reduced:
+        reduce_to_canonical(P242, x)
+    with pytest.raises(OutsideU0Error) as solved:
+        y_coordinates(P242, gens.base, gens.pairs, values)
+    assert tuple(reduced.value.xi) == tuple(solved.value.xi) == (2, 3)
 
 
 def test_reduce_fixes_slice_points():

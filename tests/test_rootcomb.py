@@ -14,6 +14,7 @@ from nilinv.rootcomb import (
     compute_base,
     diagram_dict,
     dims,
+    nilradical_columns,
     nilradical_roots,
     phi_set,
     psi_set,
@@ -151,6 +152,18 @@ def test_s_gamma_examples():
     assert as_pairs(s_gamma(base, Root(1, 4))) == {(2, 3)}
     assert s_gamma(base, Root(2, 6)) == []
     assert as_pairs(s_gamma(base, Root(4, 8))) == {(6, 7)}
+
+
+def test_nilradical_columns_match_the_block_formula():
+    for n in range(1, 11):
+        for sizes in compositions(n):
+            pt = ParabolicType(sizes)
+            columns = nilradical_columns(pt)
+            assert list(columns) == sorted(nilradical_roots(pt))
+            assert list(columns.values()) == list(range(len(columns)))
+            # dim m = sum over block pairs a < b of n_a n_b, the count dims made before it read the roots
+            block_formula = sum(sizes[a] * sizes[b] for a in range(len(sizes)) for b in range(a + 1, len(sizes)))
+            assert dims(pt).dim_m == block_formula == len(nilradical_roots(pt)), sizes
 
 
 def test_dims_examples():
