@@ -124,7 +124,7 @@ def invariance_tables(ptype: ParabolicType, named: Sequence[tuple[str, Form]]) -
 
 def jacobian_rank_at(ptype: ParabolicType, forms: Sequence[Form], point: MatrixPoint) -> int:
     """The rank of the Jacobian at a point: one cofactor row per form, one column per nilradical position."""
-    minor, column = minors_at(point.get), nilradical_columns(ptype)
+    minor, column = minors_at(point), nilradical_columns(ptype)
     return rank([jacobian_row(form, minor, column) for form in forms])
 
 

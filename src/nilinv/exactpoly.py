@@ -4,13 +4,15 @@ Everything is computed over arbitrary-precision rationals
 (fractions.Fraction); no floating point appears anywhere.  ``rank`` and
 ``det`` take rows of ints and Fractions alike, scale each row to integers
 and eliminate over the integers; a caller that builds integer rows itself
-hands them to the same elimination.  ``MatrixPoint`` is the one
-exact-matrix type.  Its entries are rationals for nilradical points and
-unitriangular group elements (its subclass ``orbitlab.GroupElement``), and
-polynomials for the formal matrix of variables; the matrix product works
-over both rings.  Polynomial variables are matrix positions (i, j) plus
-named parameters given as strings, with the one-parameter deformation
-variable ``t`` reserved for the group-action checks.
+hands them to the same elimination, after ``scale_to_integers`` has
+scaled its whole point once by the lcm of the denominators.
+``MatrixPoint`` is the one exact-matrix type.  Its entries are rationals
+for nilradical points and unitriangular group elements (its subclass
+``orbitlab.GroupElement``), and polynomials for the formal matrix of
+variables; the matrix product works over both rings.  Polynomial
+variables are matrix positions (i, j) plus named parameters given as
+strings, with the one-parameter deformation variable ``t`` reserved for
+the group-action checks.
 
 Canonical term order for printing: graded lexicographic with position
 variables ordered by (i, j) and string parameters (t in particular) last.
@@ -162,6 +164,9 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def variables(self) -> set:
         return {v for mono in self.terms for v, _ in mono}
@@ -359,6 +364,12 @@ def det(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     return Fraction(_eliminate(rows)[1], scale)
 
 
+def scale_to_integers(point: "MatrixPoint") -> tuple[list[list[int]], int]:
+    """The entries of a rational point times the lcm L of their denominators, all ints, and L."""
+    scale = lcm(*(v.denominator for row in point.rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in point.rows], scale
+
+
 @dataclass
 class MatrixPoint:
     """An n x n exact matrix: rationals for points and group elements, polynomials for X."""
@@ -399,18 +410,12 @@ class MatrixPoint:
         return self.rows[i - 1][j - 1]
 
     def support(self) -> set[tuple]:
-        return {
-            (i + 1, j + 1)
-            for i in range(self.n)
-            for j in range(self.n)
-            if self.rows[i][j] != 0
-        }
+        return {(i, j) for i, row in enumerate(self.rows, 1) for j, v in enumerate(row, 1) if v}
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [[i, j, str(self.get(i, j))] for (i, j) in sorted(self.support())],
-        }
+        # row-major order is the sorted order of the positions
+        entries = [[i, j, str(v)] for i, row in enumerate(self.rows, 1) for j, v in enumerate(row, 1) if v]
+        return {"n": self.n, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, doc: Mapping, size: int | None = None) -> "MatrixPoint":

@@ -10,11 +10,12 @@ Cauchy-Binet, the 28 products det_{12,K}(X) det_{K,78}(X) over the
 2-subsets K.  Three readers consume a form.  ``expand`` multiplies out
 expanded minors of X, only where a generator is printed or an identity is
 checked symbolically (``GeneratorSet`` expands on first read).
-``form_value`` at a point reads each minor from ``minors_at``, the
-determinant of a submatrix computed once per point; ``invariant_values``,
-the U0 test ``vanishing_minor`` and the slice solve ``y_coordinates`` share
-that memo.  ``jacobian_row`` differentiates a form at a point by
-cofactors, read from the same memo.  The module also gives the restriction
+``form_value`` at a point reads each minor from ``minors_at``, which
+scales the point to integers once, by the lcm L of its denominators, and
+computes each minor once: the determinant of its integer submatrix over
+L**k.  ``invariant_values`` and the U0 test ``vanishing_minor`` read that
+memo, and ``jacobian_row`` differentiates a form at a point by cofactors
+read from it.  The module also gives the restriction
 map to the linear slice spanned by the base and marked positions, and the
 inverse problem: the unique slice point with prescribed generator values.
 """
@@ -30,7 +31,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from .errors import OutsideU0Error, UnsupportedTypeError
-from .exactpoly import MatrixPoint, Polynomial, det, det_minor
+from .exactpoly import MatrixPoint, Polynomial, _eliminate, det, det_minor, scale_to_integers
 from .rootcomb import (
     AdmissiblePair,
     Base,
@@ -124,21 +125,27 @@ def check_covered(ptype: ParabolicType) -> None:
 
 
 def check_support(ptype: ParabolicType, point: MatrixPoint) -> None:
-    """Reject a point of the wrong size or with entries outside the nilradical."""
+    """Reject a point of the wrong size or with entries outside the nilradical; only the positions outside are read."""
     if point.n != ptype.n:
         raise ValueError(f"point size {point.n} != type size {ptype.n}")
-    extra = point.support() - nilradical_roots(ptype)
-    if extra:
-        raise ValueError(f"point has entries outside the nilradical: {sorted(extra)}")
+    for a in range(1, ptype.s + 1):
+        end = ptype.block_end(a)  # a row of block a is outside the nilradical up to column end
+        if any(any(row[:end]) for row in point.rows[ptype.block_start(a) - 1 : end]):
+            raise ValueError(f"point has entries outside the nilradical: {sorted(point.support() - nilradical_roots(ptype))}")
 
 
-def minors_at(entry: Callable[[int, int], Fraction]) -> Callable[[Minor], Fraction]:
-    """The minors of the matrix with the given entries, each the determinant of its submatrix, computed once."""
+def minors_at(point: MatrixPoint) -> Callable[[Minor], Fraction]:
+    """The minors of a rational point, each computed once.
+
+    The point is scaled to integers once, by the lcm L of its denominators; a minor
+    of order k is then the determinant of the integer submatrix divided by L**k.
+    """
+    entries, scale = scale_to_integers(point)
 
     @lru_cache(maxsize=None)
     def minor(m: Minor) -> Fraction:
         rows, cols = m
-        return det([[entry(i, j) for j in cols] for i in rows])
+        return Fraction(_eliminate([[entries[i - 1][j - 1] for j in cols] for i in rows])[1], scale ** len(rows))
 
     return minor
 
@@ -170,7 +177,7 @@ def vanishing_minor(ptype: ParabolicType, base: Base, point: MatrixPoint) -> Roo
     A point off the nilradical raises ValueError.
     """
     check_support(ptype, point)
-    minor = minors_at(point.get)
+    minor = minors_at(point)
     return next((xi for xi in base.by_column() if minor(minor_indices(base, xi)) == 0), None)
 
 
@@ -257,7 +264,7 @@ class InvariantValues:
 def invariant_values(gens: GeneratorSet, point: MatrixPoint) -> InvariantValues:
     """The base minors and pair polynomials at a point, without expanding them."""
     check_support(gens.ptype, point)
-    minor = minors_at(point.get)
+    minor = minors_at(point)
     values = [form_value(form, minor) for form in gens.core_forms()]
     m_values = dict(zip(gens.base.by_column(), values))
     l_values = dict(zip((q.phi for q in gens.pairs), values[len(m_values) :]))
@@ -299,6 +306,6 @@ def y_coordinates(
     coords: dict[Root, Fraction] = {}
     for target, value, factors in steps:
         coords[target] = Fraction(1)
-        minor = minors_at(lambda i, j: coords.get((i, j), 0))
-        coords[target] = value / prod(minor(minor_indices(base, gamma)) for gamma in factors)
+        minors = [minor_indices(base, gamma) for gamma in factors]
+        coords[target] = value / prod(det([[coords.get((i, j), 0) for j in cols] for i in rows]) for rows, cols in minors)
     return MatrixPoint.from_dict(ptype.n, coords)

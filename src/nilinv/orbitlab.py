@@ -4,7 +4,7 @@ Unitriangular group elements, the sparse bracket [E_ij, x] and orbit
 dimension as the exact rank of its integer rows, randomized search for the
 maximal orbit dimension, and the block-by-block elimination that conjugates
 any point with nonvanishing base minors onto the linear slice spanned by the
-base and marked positions.
+base and marked positions, on integer rows with one denominator per row.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
 
 from .errors import OutsideU0Error, ReductionError
-from .exactpoly import MatrixPoint, _eliminate
+from .exactpoly import MatrixPoint, _eliminate, scale_to_integers
 from .invgen import GeneratorSet, build_generators, check_covered, check_support, invariant_values
 from .invgen import vanishing_minor, y_coordinates
 from .rootcomb import (
@@ -40,13 +40,11 @@ class GroupElement(MatrixPoint):
     """An upper unitriangular matrix with exact rational entries."""
 
     def __post_init__(self):
-        for i in range(self.n):
-            for j in range(self.n):
-                v = self.rows[i][j]
-                if i == j and v != 1:
-                    raise ValueError("diagonal entries must be 1")
-                if i > j and v != 0:
-                    raise ValueError("entries below the diagonal must be 0")
+        for i, row in enumerate(self.rows):
+            if any(row[:i]):
+                raise ValueError("entries below the diagonal must be 0")
+            if row[i] != 1:
+                raise ValueError("diagonal entries must be 1")
 
     def to_json_dict(self) -> dict:
         # the unit diagonal is implied: list only the strictly upper entries
@@ -71,12 +69,12 @@ def bracket(i: int, j: int, x: MatrixPoint) -> dict[tuple, object]:
 def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
     """Exact rank of a -> [a, x] from strictly upper matrices into the nilradical; ValueError off the nilradical.
 
-    The bracket is linear in x, so x is scaled to integers by the lcm of its denominators, and
-    the integer rows, placed by a per-type column index, go straight to Bareiss elimination.
+    The bracket is linear in x, so x is scaled once to integers by the lcm of its denominators,
+    and the integer rows, placed by a per-type column index, go straight to Bareiss elimination.
     """
     check_support(ptype, x)
-    column, n, scale = nilradical_columns(ptype), ptype.n, lcm(*(v.denominator for row in x.rows for v in row))
-    x = MatrixPoint(n, [[v.numerator * (scale // v.denominator) for v in row] for row in x.rows])
+    column, n = nilradical_columns(ptype), ptype.n
+    x = MatrixPoint(n, scale_to_integers(x)[0])
     rows = []
     for i, j in combinations(range(1, n + 1), 2):
         rows.append(row := [0] * len(column))
@@ -134,6 +132,10 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
     column by column, right to left, using the base root of each column as
     anchor.  Supported for non-increasing block sizes and for any sizes
     with at most three blocks.
+
+    It runs on integers: row r of the point is A[r] / D[r] and of g G[r] / E[r],
+    one positive denominator per row, and a row a step touches is divided by
+    the gcd of its entries and denominator; Fractions are built at the end.
     """
     check_covered(ptype)
     n, s = ptype.n, ptype.s
@@ -145,24 +147,36 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
     if xi is not None:
         raise OutsideU0Error(xi)
 
-    a = [row[:] for row in point.rows]
-    g = MatrixPoint.identity(n).rows
+    A, scale = scale_to_integers(point)
+    D = [scale] * n
+    G, E = [[int(i == j) for j in range(n)] for i in range(n)], [1] * n
     threeblock = s == 3 and not ptype.is_nonincreasing
 
-    def conj(u: int, v: int, scale: Fraction) -> None:
-        # A <- (1 + s E_{uv}) A (1 - s E_{uv}); G <- (1 + s E_{uv}) G; 1-based u < v
-        # only nonzero operands are multiplied: adding zero would leave a Fraction as it is
-        au, av = a[u - 1], a[v - 1]
-        for c, x in enumerate(av):
-            if x:
-                au[c] += scale * x
-        for row in a:
-            if x := row[u - 1]:
-                row[v - 1] -= scale * x
-        gu = g[u - 1]
-        for c, x in enumerate(g[v - 1]):
-            if x:
-                gu[c] += scale * x
+    def cut(rows: list[list[int]], dens: list[int], r: int) -> None:
+        if (h := gcd(dens[r], *rows[r])) > 1:
+            rows[r] = [x // h for x in rows[r]]
+            dens[r] //= h
+
+    def conj(u: int, v: int, num: int, den: int) -> None:
+        # A <- (1 + s E_{uv}) A (1 - s E_{uv}); G <- (1 + s E_{uv}) G; s = num/den, 1-based u < v
+        h = gcd(num, den) if den > 0 else -gcd(num, den)
+        u, v, num, den = u - 1, v - 1, num // h, den // h  # s in lowest terms, den > 0
+        for rows, dens in ((A, D), (G, E)):
+            # row u += s row v: over the denominator D[u] den D[v] / h, row u gains the factor p and row v the factor q
+            p, q = den * dens[v], num * dens[u]
+            h = gcd(p, q)
+            p, q = p // h, q // h
+            rows[u] = [p * x + q * y for x, y in zip(rows[u], rows[v])]
+            dens[u] *= p
+            cut(rows, dens, u)
+        # column v -= s column u; of a strictly upper A only the rows r < u hold an entry in column u
+        for r in range(u):
+            if x := A[r][u]:
+                if den != 1:
+                    A[r] = [y * den for y in A[r]]
+                    D[r] *= den
+                A[r][v] -= num * x
+                cut(A, D, r)
 
     # windows from the trailing pair of blocks to the whole matrix
     for bi in range(s - 1, 0, -1):
@@ -172,39 +186,38 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
         pivots = sorted((r for r in base.roots if r.i in lead_rows), key=lambda r: r.j)
         full_row_clear = nblocks == 2 or (threeblock and bi == 1)
         for (pa, pb) in pivots:
-            if a[pa - 1][pb - 1] == 0:
+            if not A[pa - 1][pb - 1]:
                 raise ReductionError(f"pivot at {(pa, pb)} vanished during elimination")
             for p in range(wstart, pa):
-                if a[p - 1][pb - 1] != 0:
-                    conj(p, pa, -a[p - 1][pb - 1] / a[pa - 1][pb - 1])
+                if A[p - 1][pb - 1]:  # s = -a[p][pb] / a[pa][pb]
+                    conj(p, pa, -A[p - 1][pb - 1] * D[pa - 1], D[p - 1] * A[pa - 1][pb - 1])
             if full_row_clear:
                 cols = [c for c in range(pb + 1, n + 1) if ptype.block_of(c) > bi]
             else:
                 cols = [c for c in ptype.block_range(ptype.block_of(pb)) if c > pb]
             for c in cols:
-                if a[pa - 1][c - 1] != 0:
-                    conj(pb, c, a[pa - 1][c - 1] / a[pa - 1][pb - 1])
+                if A[pa - 1][c - 1]:
+                    conj(pb, c, A[pa - 1][c - 1], A[pa - 1][pb - 1])
         if nblocks >= 3:
             res_start = ptype.block_start(bi + 2)
             for c in range(n, res_start - 1, -1):
-                junk = [
-                    p
-                    for p in sorted(lead_rows)
-                    if a[p - 1][c - 1] != 0 and Root(p, c) not in slice_positions
-                ]
+                junk = [p for p in sorted(lead_rows) if A[p - 1][c - 1] and Root(p, c) not in slice_positions]
                 if not junk:
                     continue
                 anchor = base.root_in_column.get(c)
                 if anchor is None or anchor.i in lead_rows:
                     raise ReductionError(f"no usable anchor for residual column {c}")
-                if a[anchor.i - 1][c - 1] == 0:
+                if not A[anchor.i - 1][c - 1]:
                     raise ReductionError(f"anchor at {tuple(anchor)} vanished")
-                for p in junk:
-                    conj(p, anchor.i, -a[p - 1][c - 1] / a[anchor.i - 1][c - 1])
+                for p in junk:  # s = -a[p][c] / a[anchor][c]
+                    conj(p, anchor.i, -A[p - 1][c - 1] * D[anchor.i - 1], D[p - 1] * A[anchor.i - 1][c - 1])
 
     for r in nilradical_roots(ptype):
-        if a[r.i - 1][r.j - 1] != 0 and r not in slice_positions:
+        if A[r.i - 1][r.j - 1] and r not in slice_positions:
             raise ReductionError(f"entry at {tuple(r)} survived the elimination")
+    zero = Fraction(0)
+    a = [[Fraction(x, d) if x else zero for x in row] for row, d in zip(A, D)]
+    g = [[Fraction(x, d) if x else zero for x in row] for row, d in zip(G, E)]
     return GroupElement(n, g), MatrixPoint(n, a)
 
 

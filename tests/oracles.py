@@ -7,10 +7,11 @@ from itertools import accumulate
 from math import lcm
 from operator import mul
 
+from nilinv.errors import OutsideU0Error, ReductionError
 from nilinv.exactpoly import MatrixPoint, det_minor
-from nilinv.invgen import check_support, formal_matrix, vanishing_minor
+from nilinv.invgen import check_covered, check_support, formal_matrix, vanishing_minor
 from nilinv.orbitlab import GroupElement, sample_point
-from nilinv.rootcomb import ParabolicType, Root, compute_base, nilradical_roots
+from nilinv.rootcomb import ParabolicType, Root, admissible_pairs, compute_base, nilradical_roots, phi_set
 
 
 def bareiss(matrix):
@@ -173,3 +174,90 @@ def sample_u0_point(ptype: ParabolicType, rng: random.Random):
         if vanishing_minor(ptype, base, point) is None:
             return point
     raise RuntimeError(f"could not sample a U0 point of type {ptype} in 200 tries")
+
+
+def reduce_over_fractions(ptype, point):
+    """The reduction of ``orbitlab.reduce_to_canonical`` on ``Fraction`` rows: the oracle of its integer rows.
+
+    Conjugates a point with nonvanishing base minors onto the slice.
+
+    Works block by block, trailing blocks first.  For each base root in the
+    leading block: clear its column upward with row operations anchored at
+    the pivot row, then clear its row rightward with column operations
+    anchored at the pivot column (whose side effects land exactly on marked
+    positions).  Residual entries in the leading-block rows are then swept
+    column by column, right to left, using the base root of each column as
+    anchor.  Supported for non-increasing block sizes and for any sizes
+    with at most three blocks.
+    """
+    check_covered(ptype)
+    n, s = ptype.n, ptype.s
+    base = compute_base(ptype)
+    pairs = admissible_pairs(ptype, base)
+    slice_positions = {Root(*r) for r in base.roots} | set(phi_set(pairs))
+
+    xi = vanishing_minor(ptype, base, point)
+    if xi is not None:
+        raise OutsideU0Error(xi)
+
+    a = [row[:] for row in point.rows]
+    g = MatrixPoint.identity(n).rows
+    threeblock = s == 3 and not ptype.is_nonincreasing
+
+    def conj(u: int, v: int, scale: Fraction) -> None:
+        # A <- (1 + s E_{uv}) A (1 - s E_{uv}); G <- (1 + s E_{uv}) G; 1-based u < v
+        # only nonzero operands are multiplied: adding zero would leave a Fraction as it is
+        au, av = a[u - 1], a[v - 1]
+        for c, x in enumerate(av):
+            if x:
+                au[c] += scale * x
+        for row in a:
+            if x := row[u - 1]:
+                row[v - 1] -= scale * x
+        gu = g[u - 1]
+        for c, x in enumerate(g[v - 1]):
+            if x:
+                gu[c] += scale * x
+
+    # windows from the trailing pair of blocks to the whole matrix
+    for bi in range(s - 1, 0, -1):
+        nblocks = s - bi + 1
+        lead_rows = set(ptype.block_range(bi))
+        wstart = ptype.block_start(bi)
+        pivots = sorted((r for r in base.roots if r.i in lead_rows), key=lambda r: r.j)
+        full_row_clear = nblocks == 2 or (threeblock and bi == 1)
+        for (pa, pb) in pivots:
+            if a[pa - 1][pb - 1] == 0:
+                raise ReductionError(f"pivot at {(pa, pb)} vanished during elimination")
+            for p in range(wstart, pa):
+                if a[p - 1][pb - 1] != 0:
+                    conj(p, pa, -a[p - 1][pb - 1] / a[pa - 1][pb - 1])
+            if full_row_clear:
+                cols = [c for c in range(pb + 1, n + 1) if ptype.block_of(c) > bi]
+            else:
+                cols = [c for c in ptype.block_range(ptype.block_of(pb)) if c > pb]
+            for c in cols:
+                if a[pa - 1][c - 1] != 0:
+                    conj(pb, c, a[pa - 1][c - 1] / a[pa - 1][pb - 1])
+        if nblocks >= 3:
+            res_start = ptype.block_start(bi + 2)
+            for c in range(n, res_start - 1, -1):
+                junk = [
+                    p
+                    for p in sorted(lead_rows)
+                    if a[p - 1][c - 1] != 0 and Root(p, c) not in slice_positions
+                ]
+                if not junk:
+                    continue
+                anchor = base.root_in_column.get(c)
+                if anchor is None or anchor.i in lead_rows:
+                    raise ReductionError(f"no usable anchor for residual column {c}")
+                if a[anchor.i - 1][c - 1] == 0:
+                    raise ReductionError(f"anchor at {tuple(anchor)} vanished")
+                for p in junk:
+                    conj(p, anchor.i, -a[p - 1][c - 1] / a[anchor.i - 1][c - 1])
+
+    for r in nilradical_roots(ptype):
+        if a[r.i - 1][r.j - 1] != 0 and r not in slice_positions:
+            raise ReductionError(f"entry at {tuple(r)} survived the elimination")
+    return GroupElement(n, g), MatrixPoint(n, a)

@@ -278,7 +278,7 @@ def _jacobian_via_derivatives(ptype, polys, assignment):
 
 def _cofactor_jacobian(ptype, forms, point, row=jacobian_row):
     column = {v: k for k, v in enumerate(sorted(nilradical_roots(ptype)))}
-    minor = minors_at(point.get)
+    minor = minors_at(point)
     return [row(form, minor, column) for form in forms]
 
 

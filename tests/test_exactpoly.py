@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilinv import exactpoly, orbitlab
-from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, _var_key, det_minor, rank
+from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, _var_key, det_minor, rank, scale_to_integers
 from nilinv.invgen import formal_matrix
 from nilinv.orbitlab import DEFAULT_SEED, bracket, orbit_dim, sample_point
 from nilinv.rootcomb import ParabolicType, compositions, nilradical_roots
@@ -434,10 +434,14 @@ def test_orbit_dim_matches_naive_commutator_rank():
 
 def test_orbit_dim_without_the_lcm_scaling_is_caught():
     # the mutant keeps only the numerators: a different point unless every denominator is 1
-    source, subs = re.subn(r"v\.numerator \* \(scale // v\.denominator\)", "v.numerator", inspect.getsource(orbit_dim))
+    pattern = r"v\.numerator \* \(scale // v\.denominator\)"
+    source, subs = re.subn(pattern, "v.numerator", inspect.getsource(scale_to_integers))
     assert subs == 1
-    namespace = dict(vars(orbitlab))
-    exec(source, namespace)
+    helpers = dict(vars(exactpoly))
+    exec(source, helpers)
+    # orbit_dim scales through the shared helper: rebuild it over the mutant
+    namespace = dict(vars(orbitlab), scale_to_integers=helpers["scale_to_integers"])
+    exec(inspect.getsource(orbit_dim), namespace)
     mutant = namespace["orbit_dim"]
     integral = lambda x: all(v.denominator == 1 for row in x.rows for v in row)
     assert any(mutant(pt, x) != want for pt, x, want in _cross_check_cases() if not integral(x))

@@ -1,28 +1,35 @@
 """Tests for generator construction, restriction, and slice coordinates."""
 
+import functools
+import inspect
+import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
+from nilinv import invgen
 from nilinv.errors import OutsideU0Error, UnsupportedTypeError
-from nilinv.exactpoly import MatrixPoint, Polynomial
+from nilinv.exactpoly import MatrixPoint, Polynomial, det
 from nilinv.invgen import (
     InvariantValues,
     build_generators,
+    check_support,
     expand,
     formal_matrix,
     invariant_values,
     minor_form,
+    minors_at,
     pair_form,
     restrict,
     vanishing_minor,
     y_coordinates,
 )
 from nilinv.cli import main
-from nilinv.orbitlab import DEFAULT_SEED, SAMPLE_RANGE, verify_unique_intersection
+from nilinv.orbitlab import DEFAULT_SEED, SAMPLE_RANGE, reduce_to_canonical, verify_unique_intersection
 from nilinv.rootcomb import (
     AdmissiblePair,
     ParabolicType,
@@ -46,6 +53,7 @@ def V(i, j):
 
 def test_formal_matrix_support():
     m = formal_matrix(P242)
+    assert m.support() == nilradical_roots(P242)  # a zero polynomial tests false
     assert m.get(2, 3) == V(2, 3)
     assert m.get(3, 2).is_zero
     assert m.get(3, 5).is_zero  # same block
@@ -309,6 +317,70 @@ def test_numeric_generators_reject_points_off_the_nilradical():
             invariant_values(gens, bad)
         with pytest.raises(ValueError):
             vanishing_minor(pt, gens.base, bad)
+    # check_support reads only the positions off the nilradical: each one is read, and named
+    for n in range(1, 7):
+        for sizes in compositions(n):
+            ptype = ParabolicType(sizes)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    point = MatrixPoint.from_dict(n, {(i, j): Fraction(-1, 3)})
+                    if (i, j) in nilradical_roots(ptype):
+                        check_support(ptype, point)
+                    else:
+                        with pytest.raises(ValueError, match=re.escape(f"nilradical: [({i}, {j})]")):
+                            check_support(ptype, point)
+
+
+MINOR_TYPES = [(2, 2), (2, 2, 1, 1), (3, 2, 1), (2, 4, 2), (2, 5, 3), (3, 3, 3)]
+
+
+def _mixed(point):
+    return len({v.denominator for row in point.rows for v in row}) > 1
+
+
+@functools.cache
+def _minor_cases():
+    """(point, minors): per type, the first two reduced U0 draws whose entries have different denominators.
+
+    The minors are those of every form and every cofactor of one, the empty minor included.
+    """
+    cases = []
+    for sizes in MINOR_TYPES:
+        ptype = ParabolicType(sizes)
+        minors = {m for _, form in build_generators(ptype).forms for product in form for m in product}
+        minors |= {(r[:a] + r[a + 1 :], c[:b] + c[b + 1 :]) for r, c in minors for a in range(len(r)) for b in range(len(c))}
+        rng = random.Random(DEFAULT_SEED)
+        reduced = (reduce_to_canonical(ptype, sample_u0_point(ptype, rng))[1] for _ in range(20))
+        cases += [(y, sorted(minors)) for y in itertools.islice(filter(_mixed, reduced), 2)]
+    return cases
+
+
+def _fraction_det(point, m):
+    rows, cols = m
+    return det([[point.get(i, j) for j in cols] for i in rows])
+
+
+def test_minors_from_one_integer_scaling_match_fraction_determinants():
+    checked = empty = 0
+    assert len(_minor_cases()) == 2 * len(MINOR_TYPES)
+    for y, minors in _minor_cases():
+        minor = minors_at(y)
+        for m in minors:
+            assert minor(m) == _fraction_det(y, m), m
+            checked += 1
+            empty += m == ((), ())
+        assert minor(((), ())) == 1
+    assert checked == 378 and empty == 12
+
+
+def test_minors_divided_by_one_power_too_few_are_caught():
+    # the mutant divides a minor of order k by L**(k-1) in place of L**k
+    source, subs = re.subn(r"scale \*\* len\(rows\)", "scale ** (len(rows) - 1)", inspect.getsource(minors_at))
+    assert subs == 1
+    namespace = dict(vars(invgen))
+    exec(source, namespace)
+    mutant = namespace["minors_at"]
+    assert any(mutant(y)(m) != _fraction_det(y, m) for y, minors in _minor_cases() for m in minors if m[0])
 
 
 def _restricted_steps(ptype, base, pairs):

@@ -1,15 +1,19 @@
 """Tests for the orbit geometry: adjoint action, dimensions, reduction."""
 
+import functools
+import inspect
 import json
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from nilinv.errors import OutsideU0Error, UnsupportedTypeError
+from nilinv import orbitlab
+from nilinv.errors import OutsideU0Error, ReductionError, UnsupportedTypeError
 from nilinv.exactpoly import MatrixPoint
-from nilinv.invgen import build_generators, formal_matrix, invariant_values, y_coordinates
+from nilinv.invgen import build_generators, formal_matrix, invariant_values, vanishing_minor, y_coordinates
 from nilinv.orbitlab import (
     GroupElement,
     bracket,
@@ -30,7 +34,7 @@ from nilinv.rootcomb import (
     nilradical_roots,
     phi_set,
 )
-from oracles import adjoint, elementary, inverse, random_unitriangular, sample_u0_point
+from oracles import adjoint, elementary, inverse, random_unitriangular, reduce_over_fractions, sample_u0_point
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -214,6 +218,78 @@ def test_reduce_matches_pinned_g_and_y():
             assert point.to_json_dict()["entries"] == rec["point"]
             g, y = reduce_to_canonical(pt, point)
             assert (g.to_json_dict()["entries"], y.to_json_dict()["entries"]) == (rec["g"], rec["y"]), key
+
+
+@functools.cache
+def _reduction_cases():
+    """(type, point) on every covered composition with 2 <= n <= 8, and on (4,4,4,4) and (2,5,3).
+
+    Per type: two U0 draws, two slice points conjugated by a seeded g, and a U0 point
+    with denominators 1 to 4, so that the rows start with different denominators.
+    """
+    types = [s for n in range(2, 9) for s in compositions(n) if is_covered(ParabolicType(s))]
+    cases = []
+    for sizes in types + [(4, 4, 4, 4), (2, 5, 3)]:
+        pt, rng = ParabolicType(sizes), random.Random(sum(sizes) * len(sizes))
+        base = compute_base(pt)
+        slice_pos = sorted(set(base.roots) | set(phi_set(admissible_pairs(pt, base))))
+        for _ in range(2):
+            cases.append((pt, sample_u0_point(pt, rng)))
+            y = MatrixPoint.from_dict(pt.n, {tuple(r): rng.choice((-1, 1)) * rng.randint(1, 9) for r in slice_pos})
+            cases.append((pt, adjoint(pt, random_unitriangular(pt.n, rng), y)))
+        draw = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        fractional = MatrixPoint.from_dict(pt.n, {tuple(r): draw() for r in sorted(nilradical_roots(pt))})
+        if vanishing_minor(pt, base, fractional) is None:
+            cases.append((pt, fractional))
+    return cases
+
+
+def test_integer_reduction_matches_the_fraction_oracle():
+    cases = _reduction_cases()
+    assert len({pt for pt, _ in cases}) == 119
+    assert sum(any(v.denominator > 1 for row in x.rows for v in row) for _, x in cases) > 100
+    for pt, x in cases:
+        g, y = reduce_to_canonical(pt, x)
+        want_g, want_y = reduce_over_fractions(pt, x)
+        assert (g, y) == (want_g, want_y), (pt.block_sizes, x.to_json_dict())
+        assert (g.to_json_dict(), y.to_json_dict()) == (want_g.to_json_dict(), want_y.to_json_dict())
+
+
+def test_reduction_errors_match_the_oracle():
+    off_u0 = MatrixPoint.from_dict(8, {tuple(r): 1 + k for k, r in enumerate(sorted(nilradical_roots(P242)))})
+    off_u0.rows[0][2] = off_u0.rows[1][2] = Fraction(0)
+    cases = [
+        (ParabolicType((2, 2)), MatrixPoint.from_dict(4, {(1, 4): 3})),  # OutsideU0Error at (2,3)
+        (P242, off_u0),  # OutsideU0Error at (2,3), with M(1,4) vanishing as well
+        (ParabolicType((2, 1, 3, 2)), MatrixPoint.zeros(8)),  # UnsupportedTypeError
+        (P242, MatrixPoint.from_dict(8, {(3, 5): 1})),  # an entry off the nilradical
+        (P242, MatrixPoint.zeros(7)),  # the wrong size
+    ]
+    for pt, x in cases:
+        outcomes = []
+        for reduce in (reduce_to_canonical, reduce_over_fractions):
+            with pytest.raises((OutsideU0Error, UnsupportedTypeError, ValueError)) as err:
+                reduce(pt, x)
+            outcomes.append((type(err.value), str(err.value), getattr(err.value, "xi", None)))
+        assert outcomes[0] == outcomes[1], outcomes
+
+
+def test_reduction_that_forgets_to_rescale_the_row_is_caught():
+    # the mutant's column operation scales D[r] and corrects the entry at v, but leaves the rest of row r as it was
+    pattern = r"A\[r\] = \[y \* den for y in A\[r\]\]"
+    source, subs = re.subn(pattern, "A[r][v] *= den", inspect.getsource(reduce_to_canonical))
+    assert subs == 1
+    namespace = dict(vars(orbitlab))
+    exec(source, namespace)
+    mutant = namespace["reduce_to_canonical"]
+
+    def caught(pt, x):
+        try:
+            return mutant(pt, x) != reduce_over_fractions(pt, x)
+        except ReductionError:
+            return True
+
+    assert any(caught(pt, x) for pt, x in _reduction_cases())
 
 
 def test_reduce_errors():
