@@ -32,6 +32,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 T = "t"  # the deformation parameter of one-parameter subgroup transforms
+ZERO = Fraction(0)  # the zero of every rational point built here: points compare equal zeros by identity
 
 Var = Union[tuple, str]
 Scalar = Union[int, Fraction]
@@ -379,7 +380,7 @@ class MatrixPoint:
 
     @classmethod
     def zeros(cls, n: int) -> "MatrixPoint":
-        return cls(n, [[Fraction(0)] * n for _ in range(n)])
+        return cls(n, [[ZERO] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, n: int) -> "MatrixPoint":

@@ -139,14 +139,17 @@ def minors_at(point: MatrixPoint) -> Callable[[Minor], Fraction]:
 
     The point is scaled to integers once, by the lcm L of its denominators; a minor
     of order k is then the determinant of the integer submatrix divided by L**k.
+    That scaling is kept as ``minor.scaled``, (entries, L), for a caller that reads
+    the integers too; it must not be changed.
     """
-    entries, scale = scale_to_integers(point)
+    entries, scale = scaled = scale_to_integers(point)
 
     @lru_cache(maxsize=None)
     def minor(m: Minor) -> Fraction:
         rows, cols = m
         return Fraction(_eliminate([[entries[i - 1][j - 1] for j in cols] for i in rows])[1], scale ** len(rows))
 
+    minor.scaled = scaled
     return minor
 
 
@@ -170,14 +173,15 @@ def jacobian_row(form: Form, minor: Callable[[Minor], Fraction], column: Mapping
     return row
 
 
-def vanishing_minor(ptype: ParabolicType, base: Base, point: MatrixPoint) -> Root | None:
+def vanishing_minor(ptype: ParabolicType, base: Base, point: MatrixPoint, minor: Callable | None = None) -> Root | None:
     """The first base root, in column order, whose minor vanishes at the point.
 
     None means every base minor is nonzero there: the point lies in U0.
-    A point off the nilradical raises ValueError.
+    A point off the nilradical raises ValueError.  ``minor`` is the point's
+    ``minors_at`` memo when the caller shares one.
     """
     check_support(ptype, point)
-    minor = minors_at(point)
+    minor = minor or minors_at(point)
     return next((xi for xi in base.by_column() if minor(minor_indices(base, xi)) == 0), None)
 
 
@@ -261,10 +265,10 @@ class InvariantValues:
     l_values: dict[Root, Fraction]  # keyed by the phi root of the pair
 
 
-def invariant_values(gens: GeneratorSet, point: MatrixPoint) -> InvariantValues:
-    """The base minors and pair polynomials at a point, without expanding them."""
+def invariant_values(gens: GeneratorSet, point: MatrixPoint, minor: Callable | None = None) -> InvariantValues:
+    """The base minors and pair polynomials at a point, without expanding them, read from ``minor`` when given."""
     check_support(gens.ptype, point)
-    minor = minors_at(point)
+    minor = minor or minors_at(point)
     values = [form_value(form, minor) for form in gens.core_forms()]
     m_values = dict(zip(gens.base.by_column(), values))
     l_values = dict(zip((q.phi for q in gens.pairs), values[len(m_values) :]))

@@ -1,10 +1,11 @@
 """Exact orbit geometry for the unitriangular conjugation action.
 
 Unitriangular group elements, the sparse bracket [E_ij, x] and orbit
-dimension as the exact rank of its integer rows, randomized search for the
-maximal orbit dimension, and the block-by-block elimination that conjugates
-any point with nonvanishing base minors onto the linear slice spanned by the
-base and marked positions, on integer rows with one denominator per row.
+dimension as the exact rank of its integer rows, laid out once per type
+from that bracket, randomized search for the maximal orbit dimension, and
+the block-by-block elimination that conjugates any point with nonvanishing
+base minors onto the linear slice spanned by the base and marked positions,
+on integer rows with one denominator per row.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Callable, Iterable, Iterator
 
 from .errors import OutsideU0Error, ReductionError
-from .exactpoly import MatrixPoint, _eliminate, scale_to_integers
-from .invgen import GeneratorSet, build_generators, check_covered, check_support, invariant_values
+from .exactpoly import ZERO, MatrixPoint, _eliminate, scale_to_integers
+from .invgen import GeneratorSet, build_generators, check_covered, check_support, invariant_values, minors_at
 from .invgen import vanishing_minor, y_coordinates
 from .rootcomb import (
     ParabolicType,
@@ -66,38 +68,64 @@ def bracket(i: int, j: int, x: MatrixPoint) -> dict[tuple, object]:
     return out
 
 
+def bracket_layout(ptype: ParabolicType) -> Iterator[list[tuple[int, int]]]:
+    """The entries of each bracket row that can be nonzero, read off ``bracket`` row by row.
+
+    At the point whose entry at nilradical column k is the label k + 1, row (i, j)
+    of ``bracket`` is +-(k + 1) at column t exactly where it is +-x_k at any point.
+    Each row, in the order of the pairs i < j, comes as those (t, +-(k + 1)) pairs;
+    a row with no entry, such as (1, n), adds nothing to the rank and is left out.
+    Rows are generated, so ranking one point keeps no layout beside its rows.
+    """
+    column, n = nilradical_columns(ptype), ptype.n
+    labels = MatrixPoint(n, [[0] * n for _ in range(n)])
+    for (i, j), k in column.items():
+        labels.rows[i - 1][j - 1] = k + 1
+    for i, j in combinations(range(1, n + 1), 2):
+        if row := [(column[pos], v) for pos, v in bracket(i, j, labels).items() if v]:
+            yield row
+
+
+def _rank_at(layout: Iterable[list[tuple[int, int]]], values: list[int]) -> int:
+    """Exact rank of the bracket matrix at the integer point with ``values`` in ``nilradical_columns`` order."""
+    signed = [0, *values, *(-v for v in reversed(values))]  # the label +-(k + 1) indexes +-values[k]
+    rows = []
+    for entries in layout:
+        rows.append(row := [0] * len(values))
+        for t, label in entries:
+            row[t] = signed[label]
+    return _eliminate(rows)[0]
+
+
 def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
     """Exact rank of a -> [a, x] from strictly upper matrices into the nilradical; ValueError off the nilradical.
 
-    The bracket is linear in x, so x is scaled once to integers by the lcm of its denominators,
-    and the integer rows, placed by a per-type column index, go straight to Bareiss elimination.
+    The bracket is linear in x, so x is scaled once to integers by the lcm of its denominators;
+    its values, in ``nilradical_columns`` order, fill the rows of ``bracket_layout``, which go
+    straight to Bareiss elimination.
     """
     check_support(ptype, x)
-    column, n = nilradical_columns(ptype), ptype.n
-    x = MatrixPoint(n, scale_to_integers(x)[0])
-    rows = []
-    for i, j in combinations(range(1, n + 1), 2):
-        rows.append(row := [0] * len(column))
-        for pos, v in bracket(i, j, x).items():
-            if v:
-                row[column[pos]] = v
-    return _eliminate(rows)[0]
+    entries = scale_to_integers(x)[0]
+    return _rank_at(bracket_layout(ptype), [entries[i - 1][j - 1] for i, j in nilradical_columns(ptype)])
+
+
+def _draw(ptype: ParabolicType, rng: random.Random) -> list[int]:
+    # the one sampler: one draw from SAMPLE_RANGE per nilradical position, in nilradical_columns order
+    return [rng.randint(*SAMPLE_RANGE) for _ in nilradical_columns(ptype)]
 
 
 def sample_point(ptype: ParabolicType, rng: random.Random) -> MatrixPoint:
     """Random integer point of the nilradical, entries drawn from SAMPLE_RANGE in a fixed order."""
-    return MatrixPoint.from_dict(ptype.n, {tuple(r): rng.randint(*SAMPLE_RANGE) for r in nilradical_columns(ptype)})
+    return MatrixPoint.from_dict(ptype.n, dict(zip(map(tuple, nilradical_columns(ptype)), _draw(ptype, rng))))
 
 
 def max_orbit_dim(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -> int:
-    """Maximum orbit dimension over seeded random integer points."""
+    """Maximum orbit dimension over seeded random integer points: the draws of ``sample_point``, ranked on one layout."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
-        best = max(best, orbit_dim(ptype, sample_point(ptype, rng)))
-    return best
+    layout = list(bracket_layout(ptype))
+    return max(_rank_at(layout, _draw(ptype, rng)) for _ in range(trials))
 
 
 def orbit_experiment(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -> dict:
@@ -121,7 +149,7 @@ def orbit_experiment(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED
     }
 
 
-def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[GroupElement, MatrixPoint]:
+def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint, minor: Callable | None = None) -> tuple[GroupElement, MatrixPoint]:
     """Conjugate a point with nonvanishing base minors onto the slice.
 
     Works block by block, trailing blocks first.  For each base root in the
@@ -136,6 +164,8 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
     It runs on integers: row r of the point is A[r] / D[r] and of g G[r] / E[r],
     one positive denominator per row, and a row a step touches is divided by
     the gcd of its entries and denominator; Fractions are built at the end.
+    ``minor`` is the point's ``minors_at`` memo when the caller shares one: the
+    U0 test reads it and the rows start from a copy of its integer scaling.
     """
     check_covered(ptype)
     n, s = ptype.n, ptype.s
@@ -143,12 +173,13 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
     pairs = admissible_pairs(ptype, base)
     slice_positions = {Root(*r) for r in base.roots} | set(phi_set(pairs))
 
-    xi = vanishing_minor(ptype, base, point)
+    minor = minor or minors_at(point)
+    xi = vanishing_minor(ptype, base, point, minor)
     if xi is not None:
         raise OutsideU0Error(xi)
 
-    A, scale = scale_to_integers(point)
-    D = [scale] * n
+    entries, scale = minor.scaled
+    A, D = [row[:] for row in entries], [scale] * n
     G, E = [[int(i == j) for j in range(n)] for i in range(n)], [1] * n
     threeblock = s == 3 and not ptype.is_nonincreasing
 
@@ -215,9 +246,8 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint) -> tuple[Group
     for r in nilradical_roots(ptype):
         if A[r.i - 1][r.j - 1] and r not in slice_positions:
             raise ReductionError(f"entry at {tuple(r)} survived the elimination")
-    zero = Fraction(0)
-    a = [[Fraction(x, d) if x else zero for x in row] for row, d in zip(A, D)]
-    g = [[Fraction(x, d) if x else zero for x in row] for row, d in zip(G, E)]
+    a = [[Fraction(x, d) if x else ZERO for x in row] for row, d in zip(A, D)]
+    g = [[Fraction(x, d) if x else ZERO for x in row] for row, d in zip(G, E)]
     return GroupElement(n, g), MatrixPoint(n, a)
 
 
@@ -230,12 +260,13 @@ def verify_unique_intersection(ptype: ParabolicType, point: MatrixPoint, gens: G
     """
     if gens is None:
         gens = build_generators(ptype)
-    g, y = reduce_to_canonical(ptype, point)
-    vals_in = invariant_values(gens, point)
+    minor = minors_at(point)  # one scaling and one minor memo for the reduction and the input's values
+    g, y = reduce_to_canonical(ptype, point, minor)
+    vals_in = invariant_values(gens, point, minor)
     vals_out = invariant_values(gens, y)
     preserved = vals_in == vals_out
     y_solved = y_coordinates(ptype, gens.base, gens.pairs, vals_in)
-    agrees = y_solved == y
+    agrees = y_solved == y  # both points hold the one shared ZERO, so only the nonzero entries go through Fraction.__eq__
     return {
         "type": list(ptype.block_sizes),
         "point": point.to_json_dict(),

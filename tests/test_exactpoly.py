@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nilinv import exactpoly, orbitlab
 from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, _var_key, det_minor, rank, scale_to_integers
 from nilinv.invgen import formal_matrix
-from nilinv.orbitlab import DEFAULT_SEED, bracket, orbit_dim, sample_point
+from nilinv.orbitlab import DEFAULT_SEED, bracket, max_orbit_dim, orbit_dim, sample_point
 from nilinv.rootcomb import ParabolicType, compositions, nilradical_roots
 from oracles import bareiss, degree, gradient
 
@@ -447,6 +447,30 @@ def test_orbit_dim_without_the_lcm_scaling_is_caught():
     assert any(mutant(pt, x) != want for pt, x, want in _cross_check_cases() if not integral(x))
     # at an integer point the mutant is orbit_dim
     assert all(mutant(pt, x) == want for pt, x, want in _cross_check_cases() if integral(x))
+
+
+def test_orbit_dim_on_a_layout_without_the_negative_entries_is_caught():
+    # the mutant layout keeps only the x_(j,q) entries at (i,q) and leaves out every -x_(p,i) at (p,j);
+    # a layout that drops only their minus sign gives the same rank on every case here, so
+    # test_bracket_layout_places_the_bracket_entries catches that one by its entries
+    source, subs = re.subn(r"\.items\(\) if v\]", ".items() if v > 0]", inspect.getsource(orbitlab.bracket_layout))
+    assert subs == 1
+    namespace = dict(vars(orbitlab))
+    exec(source, namespace)
+    exec(inspect.getsource(orbit_dim), namespace)
+    mutant = namespace["orbit_dim"]
+    assert any(mutant(pt, x) != want for pt, x, want in _cross_check_cases())
+
+
+def test_max_orbit_dim_is_the_best_naive_rank_over_the_sampled_points():
+    # max_orbit_dim draws its integers without a MatrixPoint; the naive path ranks the sample_point draws of one seed
+    for n in range(1, 7):
+        for sizes in compositions(n):
+            pt = ParabolicType(sizes)
+            for seed, trials in ((DEFAULT_SEED, 3), (n, 2)):
+                rng = random.Random(seed)
+                want = max(_commutator_rank(pt, sample_point(pt, rng)) for _ in range(trials))
+                assert max_orbit_dim(pt, trials, seed) == want, (sizes, seed)
 
 
 def test_matrix_point_roundtrip():

@@ -7,16 +7,18 @@ import pathlib
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from nilinv import orbitlab
 from nilinv.errors import OutsideU0Error, ReductionError, UnsupportedTypeError
-from nilinv.exactpoly import MatrixPoint
-from nilinv.invgen import build_generators, formal_matrix, invariant_values, vanishing_minor, y_coordinates
+from nilinv.exactpoly import ZERO, MatrixPoint
+from nilinv.invgen import build_generators, formal_matrix, invariant_values, minors_at, vanishing_minor, y_coordinates
 from nilinv.orbitlab import (
     GroupElement,
     bracket,
+    bracket_layout,
     max_orbit_dim,
     orbit_dim,
     orbit_experiment,
@@ -130,6 +132,41 @@ def test_bracket_matches_matrix_products():
     for sizes in [(3, 2, 2), (1, 1, 1, 1), (2, 2)]:
         pt = ParabolicType(sizes)
         _assert_bracket_is_commutator(pt, formal_matrix(pt))
+
+
+def _placed(entries, pt, x):
+    # the entries that one layout row places at the integer point x, by position; a zero value places nothing
+    positions = sorted(nilradical_roots(pt))
+    values = {k + 1: int(x.get(*r)) for k, r in enumerate(positions)}
+    value = lambda label: values[label] if label > 0 else -values[-label]
+    return {positions[t]: value(label) for t, label in entries if value(label)}
+
+
+def test_bracket_layout_places_the_bracket_entries():
+    rng = random.Random(11)
+    unsigned = re.subn(r"\(column\[pos\], v\)", "(column[pos], abs(v))", inspect.getsource(bracket_layout))
+    assert unsigned[1] == 1
+    namespace = dict(vars(orbitlab))
+    exec(unsigned[0], namespace)
+    caught = 0
+    for n in range(1, 9):
+        for sizes in compositions(n):
+            pt = ParabolicType(sizes)
+            layout, x = list(bracket_layout(pt)), sample_point(pt, rng)
+            rows = iter(layout)
+            for i, j in combinations(range(1, n + 1), 2):
+                nonzero = {pos: v for pos, v in bracket(i, j, x).items() if v}
+                if any(bracket(i, j, formal_matrix(pt)).values()):
+                    entries = next(rows)
+                    assert _placed(entries, pt, x) == nonzero, (sizes, i, j)
+                    assert len({t for t, _ in entries}) == len(entries)
+                else:  # a dropped row: no nilradical source, so its bracket is 0 at every point
+                    assert not nonzero
+            assert next(rows, None) is None
+            # a layout that drops the minus sign of the (p, j) entries places other entries
+            mutant = namespace["bracket_layout"](pt)
+            caught += any(_placed(m, pt, x) != _placed(e, pt, x) for m, e in zip(mutant, layout, strict=True))
+    assert caught > 200
 
 
 def test_orbit_dim_examples():
@@ -314,7 +351,29 @@ def test_reduce_and_y_coordinates_name_the_same_vanishing_minor():
         reduce_to_canonical(P242, x)
     with pytest.raises(OutsideU0Error) as solved:
         y_coordinates(P242, gens.base, gens.pairs, values)
-    assert tuple(reduced.value.xi) == tuple(solved.value.xi) == (2, 3)
+    with pytest.raises(OutsideU0Error) as crossed:  # its reduction reads the base minors from the shared memo
+        verify_unique_intersection(P242, x, gens)
+    assert tuple(reduced.value.xi) == tuple(solved.value.xi) == tuple(crossed.value.xi) == (2, 3)
+
+
+def test_reduction_shares_the_minor_memo_and_the_zero():
+    rng = random.Random(12)
+    for sizes in [(2, 2, 1, 1), (2, 4, 2), (3, 1, 3)]:
+        pt = ParabolicType(sizes)
+        gens = build_generators(pt)
+        u0 = sample_u0_point(pt, rng)  # a third of it is in U0 too, and its rows start over the denominator 3
+        x = MatrixPoint.from_dict(pt.n, {(i, j): u0.get(i, j) / 3 for i, j in u0.support()})
+        minor = minors_at(x)
+        assert minor.scaled[1] == 3
+        entries = [row[:] for row in minor.scaled[0]]
+        g, y = reduce_to_canonical(pt, x, minor)
+        assert (g, y) == reduce_to_canonical(pt, x)
+        assert minor.scaled[0] == entries  # the reduction worked on a copy
+        assert invariant_values(gens, x, minor) == invariant_values(gens, x)
+        assert minor.cache_info().hits > 0
+        # y and the slice solve's point share one zero object, so comparing them skips Fraction.__eq__ on zeros
+        zeros = [v for m in (y, g, MatrixPoint.zeros(pt.n)) for row in m.rows for v in row if not v]
+        assert all(v is ZERO for v in zeros)
 
 
 def test_reduce_fixes_slice_points():

@@ -27,6 +27,13 @@ def test_scan_orbit_dims_finds_no_mismatch():
     assert lines[-1] == "31 types, 0 mismatches"
 
 
+def test_scan_orbit_dims_records_match_the_golden_file(tmp_path):
+    # every record, max_rank included, pins the draw order of the sampler and the rank at each draw
+    result = _run_script("scan_orbit_dims.py", "--max-n", "7", "--trials", "5", "--outdir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "orbit_scan.json").read_bytes() == (ROOT / "tests" / "golden" / "orbit_scan_n7.json").read_bytes()
+
+
 def test_verify_paper_types_reports_equal_the_cli(tmp_path, capsys):
     result = _run_script("verify_paper_types.py", "--outdir", str(tmp_path))
     # the honest corank_bookkeeping failure on (2,2,2,1,1) makes the battery fail
