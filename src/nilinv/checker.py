@@ -1,12 +1,14 @@
 """Verification engines.
 
 Invariance under every one-parameter unitriangular subgroup, proved on the
-index sets of the generators' forms (an unproved form falls back to the
-symbolic t-substitution of its expansion), algebraic independence via the
-exact rank at random rational points of the Jacobian read by cofactors off
-the forms, weight-system coranks, and the full (2,4,2) case study (the
+index sets of the generators' forms with nothing expanded (a form the proof
+leaves open is refused), algebraic independence via the exact rank at
+random rational points of the Jacobian read by cofactors off the forms,
+weight-system coranks, and the full (2,4,2) case study (the
 quadratic identity among the pair polynomials, the extra invariant D, and
 the evaluation table on the parameter family Y_{a,b,c}).
+``one_param_transform`` is the symbolic t-substitution of an expanded
+polynomial, the reference the tests hold the proof against.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from itertools import count
 from typing import Iterable, Sequence
 
 from .exactpoly import MatrixPoint, Polynomial, T, rank
-from .invgen import CASE_242, Form, Minor, build_generators, expand, formal_matrix, jacobian_row, minor_order, minors_at
+from .invgen import CASE_242, Form, Minor, build_generators, expand, formal_matrix, jacobian_row, minors_at
 from .orbitlab import DEFAULT_SEED, bracket, sample_point
 from .rootcomb import AdmissiblePair, ParabolicType, Root, nilradical_columns, nilradical_roots, phi_set
 
 INDEPENDENCE_RETRIES = 5
-SYMBOLIC_MINOR_LIMIT = 7  # the largest minor of an unproved form, expanded for the symbolic check: 7! terms
 
 
 def derivation(ptype: ParabolicType, k: int) -> tuple[frozenset[Root], dict[Root, Polynomial]]:
@@ -55,16 +56,6 @@ def one_param_transform(ptype: ParabolicType, k: int, f: Polynomial) -> Polynomi
         if term.is_zero:
             return out
         out = out + term
-
-
-def is_n_invariant(ptype: ParabolicType, f: Polynomial) -> bool:
-    """Whether f is fixed by every one-parameter subgroup g_k(t), k = 1..n-1."""
-    return all(invariance_table(ptype, f))
-
-
-def invariance_table(ptype: ParabolicType, f: Polynomial) -> list[bool]:
-    """Per-k invariance results, indexed by k = 1..n-1."""
-    return [one_param_transform(ptype, k, f) == f for k in range(1, ptype.n)]
 
 
 def minor_derivative(k: int, minor: Minor) -> list[tuple[int, Minor]]:
@@ -108,18 +99,14 @@ def proves_invariance(ptype: ParabolicType, form: Form, k: int) -> bool:
 
 
 def invariance_tables(ptype: ParabolicType, named: Sequence[tuple[str, Form]]) -> dict[str, list[bool]]:
-    """Per-k invariance of each named form: proved on index sets, else ``invariance_table`` of its expansion.
+    """Per-k invariance of each named form, k = 1..n-1, proved by ``proves_invariance`` with nothing expanded.
 
-    An unproved form with a minor above ``SYMBOLIC_MINOR_LIMIT`` is refused before anything is expanded.
+    The proof is not complete, so a form it leaves open at some k is refused: ValueError names it and those k.
     """
-    tables = {name: [proves_invariance(ptype, form, k) for k in range(1, ptype.n)] for name, form in named}
-    unproved = [(name, form) for name, form in named if not all(tables[name])]
-    for name, form in unproved:
-        if (order := minor_order(form)) > SYMBOLIC_MINOR_LIMIT:
-            msg = f"corner minor order {order} of unproved generator {name} is above the limit {SYMBOLIC_MINOR_LIMIT}"
-            raise ValueError(msg + " of the symbolic check")
-    tables.update((name, invariance_table(ptype, expand(ptype, form))) for name, form in unproved)
-    return tables
+    for name, form in named:
+        if unproved := [k for k in range(1, ptype.n) if not proves_invariance(ptype, form, k)]:
+            raise ValueError(f"invariance of generator {name} is not proved on index sets at k = {', '.join(map(str, unproved))}")
+    return {name: [True] * (ptype.n - 1) for name, _ in named}
 
 
 def jacobian_rank_at(ptype: ParabolicType, forms: Sequence[Form], point: MatrixPoint) -> int:

@@ -9,10 +9,9 @@ scaled its whole point once by the lcm of the denominators.
 ``MatrixPoint`` is the one exact-matrix type.  Its entries are rationals
 for nilradical points and unitriangular group elements (its subclass
 ``orbitlab.GroupElement``), and polynomials for the formal matrix of
-variables; the matrix product works over both rings.  Polynomial
-variables are matrix positions (i, j) plus named parameters given as
-strings, with the one-parameter deformation variable ``t`` reserved for
-the group-action checks.
+variables.  Polynomial variables are matrix positions (i, j) plus named
+parameters given as strings, with the one-parameter deformation variable
+``t`` reserved for the group-action checks.
 
 Canonical term order for printing: graded lexicographic with position
 variables ordered by (i, j) and string parameters (t in particular) last.
@@ -381,22 +380,6 @@ class MatrixPoint:
     @classmethod
     def zeros(cls, n: int) -> "MatrixPoint":
         return cls(n, [[ZERO] * n for _ in range(n)])
-
-    @classmethod
-    def identity(cls, n: int) -> "MatrixPoint":
-        return cls(n, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def __mul__(self, other: "MatrixPoint") -> "MatrixPoint":
-        """Matrix product; a product of two elements of one subclass stays in it."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        # only nonzero factors are multiplied; an entry without any is the zero of the ring
-        entries = [x for m in (self, other) for row in m.rows for x in row]
-        ring = Polynomial if any(isinstance(x, Polynomial) for x in entries) else Fraction
-        cols = [{k: b for k, b in enumerate(col) if b != 0} for col in zip(*other.rows)]
-        rows = [[(k, a) for k, a in enumerate(row) if a != 0] for row in self.rows]
-        rows = [[sum((a * col[k] for k, a in row if k in col), ring()) for col in cols] for row in rows]
-        return (type(self) if type(other) is type(self) else MatrixPoint)(self.n, rows)
 
     @classmethod
     def from_dict(cls, n: int, entries: Mapping[tuple, Scalar]) -> "MatrixPoint":

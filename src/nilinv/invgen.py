@@ -108,11 +108,6 @@ def form_value(form: Form, minor: Callable[[Minor], Polynomial | Fraction]) -> P
     return sum(reduce(mul, map(minor, product)) for product in form)
 
 
-def minor_order(form: Form) -> int:
-    """The largest order of a minor in a form; expanding it costs about that order's factorial."""
-    return max((len(rows) for product in form for rows, _ in product), default=0)
-
-
 def expand(ptype: ParabolicType, form: Form) -> Polynomial:
     """A form expanded on the formal matrix X."""
     return form_value(form, lambda m: minor_poly(ptype, *m))
@@ -234,8 +229,8 @@ class GeneratorSet:
         return list(self._expanded)
 
     def largest_minor_order(self) -> int:
-        """The largest ``minor_order`` of the forms."""
-        return max((minor_order(form) for _, form in self.forms), default=0)
+        """The largest order of a minor in the forms; expanding it costs about that order's factorial."""
+        return max((len(rows) for _, form in self.forms for product in form for rows, _ in product), default=0)
 
     def to_json_dict(self) -> dict:
         return {

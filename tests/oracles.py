@@ -7,8 +7,9 @@ from itertools import accumulate
 from math import lcm
 from operator import mul
 
+from nilinv.checker import one_param_transform
 from nilinv.errors import OutsideU0Error, ReductionError
-from nilinv.exactpoly import MatrixPoint, det_minor
+from nilinv.exactpoly import MatrixPoint, Polynomial, det_minor
 from nilinv.invgen import check_covered, check_support, formal_matrix, vanishing_minor
 from nilinv.orbitlab import GroupElement, sample_point
 from nilinv.rootcomb import ParabolicType, Root, admissible_pairs, compute_base, nilradical_roots, phi_set
@@ -92,11 +93,45 @@ def as_monomial(p):
     return coef, mono
 
 
+def invariance_table(ptype, f):
+    """Per-k invariance of an expanded polynomial, k = 1..n-1, by the symbolic t-substitution of ``one_param_transform``.
+
+    The reference that ``checker.proves_invariance`` is compared against.
+    """
+    return [one_param_transform(ptype, k, f) == f for k in range(1, ptype.n)]
+
+
+def is_n_invariant(ptype, f):
+    """Whether f is fixed by every one-parameter subgroup g_k(t), k = 1..n-1."""
+    return all(invariance_table(ptype, f))
+
+
 def power_minor(ptype, k, rows, cols):
     """Minor of the k-th power of the formal matrix on the given rows and columns, expanded."""
     if k < 1:
         raise ValueError("power must be a positive integer")
-    return det_minor(reduce(MatrixPoint.__mul__, [formal_matrix(ptype)] * k), rows, cols)
+    return det_minor(reduce(matmul, [formal_matrix(ptype)] * k), rows, cols)
+
+
+# -- matrices -------------------------------------------------------------------
+
+
+def identity(n):
+    """The n x n identity, a unitriangular group element."""
+    return GroupElement(n, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def matmul(a, b):
+    """The product of two ``MatrixPoint``s over rationals or polynomials; a product of two ``GroupElement``s is one."""
+    if a.n != b.n:
+        raise ValueError("size mismatch")
+    # only nonzero factors are multiplied; an entry without any is the zero of the ring
+    entries = [x for m in (a, b) for row in m.rows for x in row]
+    ring = Polynomial if any(isinstance(x, Polynomial) for x in entries) else Fraction
+    cols = [{k: y for k, y in enumerate(col) if y != 0} for col in zip(*b.rows)]
+    rows = [[(k, x) for k, x in enumerate(row) if x != 0] for row in a.rows]
+    rows = [[sum((x * col[k] for k, x in row if k in col), ring()) for col in cols] for row in rows]
+    return (type(a) if type(b) is type(a) else MatrixPoint)(a.n, rows)
 
 
 # -- roots, group elements and points ------------------------------------------
@@ -129,7 +164,7 @@ def elementary(n, u, v, s):
     """1 + s E_{u,v} with 1 <= u < v <= n."""
     if not 1 <= u < v <= n:
         raise ValueError(f"need 1 <= u < v <= n, got u={u}, v={v}")
-    rows = MatrixPoint.identity(n).rows
+    rows = identity(n).rows
     rows[u - 1][v - 1] = Fraction(s)
     return GroupElement(n, rows)
 
@@ -138,7 +173,7 @@ def inverse(g):
     """The inverse of a unitriangular g, by back substitution for g h = 1, rows bottom up."""
     # h_ij = -sum_{i<k<=j} g_ik h_kj
     n, rows = g.n, g.rows
-    h = MatrixPoint.identity(n).rows
+    h = identity(n).rows
     for i in range(n - 2, -1, -1):
         for j in range(i + 1, n):
             h[i][j] = -sum((rows[i][k] * h[k][j] for k in range(i + 1, j + 1) if rows[i][k]), Fraction(0))
@@ -148,7 +183,7 @@ def inverse(g):
 def adjoint(ptype, g, x):
     """Conjugation g x g^{-1}; the result stays supported on the nilradical."""
     check_support(ptype, x)
-    out = g * x * inverse(g)
+    out = matmul(matmul(g, x), inverse(g))
     assert out.support() <= nilradical_roots(ptype), "conjugation left the nilradical"
     return out
 
@@ -158,11 +193,11 @@ def random_unitriangular(n, rng: random.Random):
 
     For n = 1 there is no elementary matrix: the identity, with nothing drawn.
     """
-    g = GroupElement.identity(n)
+    g = identity(n)
     for _ in range(12 if n > 1 else 0):
         u = rng.randint(1, n - 1)
         v = rng.randint(u + 1, n)
-        g = elementary(n, u, v, Fraction(rng.randint(-4, 4))) * g
+        g = matmul(elementary(n, u, v, Fraction(rng.randint(-4, 4))), g)
     return g
 
 
@@ -201,7 +236,7 @@ def reduce_over_fractions(ptype, point):
         raise OutsideU0Error(xi)
 
     a = [row[:] for row in point.rows]
-    g = MatrixPoint.identity(n).rows
+    g = identity(n).rows
     threeblock = s == 3 and not ptype.is_nonincreasing
 
     def conj(u: int, v: int, scale: Fraction) -> None:

@@ -13,7 +13,6 @@ from nilinv.checker import (
     case242_report,
     corank_of_roots,
     independence_details,
-    is_n_invariant,
     weight_corank,
 )
 from nilinv.cli import main
@@ -42,7 +41,7 @@ from nilinv.rootcomb import (
     phi_set,
     s_gamma,
 )
-from oracles import as_monomial, sample_u0_point
+from oracles import as_monomial, is_n_invariant, sample_u0_point
 
 PAPER_TYPES = [(2, 1, 3, 2), (2, 2, 2, 1, 1), (2, 2, 1, 1), (2, 4, 2)]
 

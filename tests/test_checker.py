@@ -13,16 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilinv.exactpoly import MatrixPoint, Polynomial, T, rank
+from nilinv.exactpoly import Polynomial, T, rank
 from nilinv.checker import (
     case242_generators,
     case242_report,
     corank_of_roots,
     derivation,
     independence_details,
-    invariance_table,
     invariance_tables,
-    is_n_invariant,
     is_zero_minor,
     jacobian_rank_at,
     minor_derivative,
@@ -43,7 +41,7 @@ from nilinv.rootcomb import (
     nilradical_roots,
     phi_set,
 )
-from oracles import gradient
+from oracles import gradient, identity, invariance_table, is_n_invariant, matmul
 
 P242 = ParabolicType((2, 4, 2))
 PAPER_TYPES = [(2, 1, 3, 2), (2, 2, 2, 1, 1), (2, 2, 1, 1), (2, 4, 2)]
@@ -58,11 +56,11 @@ def _matrix_product_images(ptype, k):
     # independent route: the entries of (1 - tE) X (1 + tE)
     n = ptype.n
     t = Polynomial.var(T)
-    left = MatrixPoint.identity(n)
+    left = identity(n)
     left.rows[k - 1][k] = -t
-    right = MatrixPoint.identity(n)
+    right = identity(n)
     right.rows[k - 1][k] = t
-    moved = left * formal_matrix(ptype) * right
+    moved = matmul(matmul(left, formal_matrix(ptype)), right)
     return {tuple(r): moved.get(*r) for r in nilradical_roots(ptype)}
 
 
@@ -216,7 +214,7 @@ def test_proof_matches_symbolic_invariance_and_rejects_mutant():
 
 
 def test_every_form_proved_up_to_n10():
-    # the symbolic fallback never runs on the generators of a type with n <= 10
+    # the index-set proof leaves no form of a type with n <= 10 open, so verify refuses none of them
     types = 0
     for n in range(2, 11):
         for sizes in compositions(n):
@@ -224,6 +222,21 @@ def test_every_form_proved_up_to_n10():
             assert all(all(_proof_table(pt, form)) for _, form in build_generators(pt).forms), sizes
             types += 1
     assert types == 1022
+
+
+def test_every_form_proved_on_a_sample_up_to_n24():
+    # verify admits n <= 24: a seeded sample of 300 compositions with 11 <= n <= 24, each n cut at a
+    # random subset of its n - 1 places between neighbouring indices
+    rng = random.Random(DEFAULT_SEED)
+    forms = 0
+    for _ in range(300):
+        n = rng.randint(11, 24)
+        cuts = [0, *sorted(rng.sample(range(1, n), rng.randint(0, n - 1))), n]
+        pt = ParabolicType(tuple(b - a for a, b in zip(cuts, cuts[1:])))
+        for _, form in build_generators(pt).forms:
+            assert all(_proof_table(pt, form)), pt
+            forms += 1
+    assert forms == 5545
 
 
 def test_verify_expands_nothing(monkeypatch):
@@ -248,16 +261,22 @@ def test_verify_expands_nothing(monkeypatch):
     assert doc["flags"] == {"invariance": True, "independence": True, "corank_bookkeeping": False}
 
 
-def test_unproved_form_falls_back_to_symbolic(monkeypatch):
+def test_unproved_form_is_refused(monkeypatch):
+    # a form the proof leaves open is refused with its name and open k, and nothing is expanded
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was expanded")
+
+    for module, name in ((invgen, "minor_poly"), (exactpoly, "det_minor"), (invgen, "det_minor")):
+        monkeypatch.setattr(module, name, refuse)
     pt = ParabolicType((2, 2, 1, 1))
-    x24 = ((((2,), (4,)),),)  # the entry x_(2,4), moved by g_3(t)
-    assert not proves_invariance(pt, x24, 3)
-    named = list(build_generators(pt).forms) + [("x24", x24)]
-    monkeypatch.setattr("nilinv.checker.proves_invariance", lambda ptype, form, k: False)
-    # with no proof every table is the symbolic one
-    tables = invariance_tables(pt, named)
-    assert tables == {name: invariance_table(pt, expand(pt, form)) for name, form in named}
-    assert tables["x24"][2] is False and all(all(tables[name]) for name, _ in named[:-1])
+    named = list(build_generators(pt).forms)
+    assert invariance_tables(pt, named) == {name: [True] * 5 for name, _ in named}
+    x24 = ((((2,), (4,)),),)  # the entry x_(2,4), moved by g_3(t) only
+    with pytest.raises(ValueError, match=r"^invariance of generator x24 is not proved on index sets at k = 3$"):
+        invariance_tables(pt, named + [("x24", x24)])
+    monkeypatch.setattr("nilinv.checker.proves_invariance", lambda ptype, form, k: k != 2)
+    with pytest.raises(ValueError, match=r"^invariance of generator M\[2,3\] is not proved on index sets at k = 2$"):
+        invariance_tables(pt, named)
 
 
 def test_independence_ranks():

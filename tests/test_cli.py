@@ -273,12 +273,15 @@ def test_verify_beyond_the_symbolic_orders(capsys, monkeypatch):
     # the size limit stays: (9,9,9) has n = 27
     assert main(["verify", "--type", "9,9,9"]) == 2
     assert capsys.readouterr().err == "error: type size 27 is above the limit 24 of verify\n"
-    # an unproved generator falls back to the symbolic check, which refuses minors above order 7 before expanding
+    # a generator the index-set proof leaves open is refused with one line, before anything is expanded;
+    # (2,2,1,1) has no minor above order 2, and it is refused all the same
     monkeypatch.setattr(checker, "proves_invariance", lambda ptype, form, k: False)
-    assert main(["verify", "--type", "8,8"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: corner minor order 8 of unproved generator M[1,16] is above the limit 7 of the symbolic check\n"
+    for sizes, name in (("8,8", "M[8,9]"), ("2,2,1,1", "M[2,3]")):
+        assert main(["verify", "--type", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        open_ks = ", ".join(map(str, range(1, sum(map(int, sizes.split(","))))))
+        assert captured.err == f"error: invariance of generator {name} is not proved on index sets at k = {open_ks}\n"
 
 
 def test_trials_limit(capsys):

