@@ -1,11 +1,10 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, matrices, rank.
 
 Everything is computed over arbitrary-precision rationals
-(fractions.Fraction); no floating point appears anywhere.  ``rank`` and
-``det`` take rows of ints and Fractions alike, scale each row to integers
-and eliminate over the integers; a caller that builds integer rows itself
-hands them to the same elimination, after ``scale_to_integers`` has
-scaled its whole point once by the lcm of the denominators.
+(fractions.Fraction); no floating point appears anywhere.  One scaler,
+``scale_to_integers``, multiplies rows of ints and Fractions by the lcm L
+of all their denominators; ``rank``, ``det``, ``invgen.minors_at`` and
+``orbitlab.orbit_dim`` eliminate the integer rows it returns.
 ``MatrixPoint`` is the one exact-matrix type.  Its entries are rationals
 for nilradical points and unitriangular group elements (its subclass
 ``orbitlab.GroupElement``), and polynomials for the formal matrix of
@@ -295,20 +294,6 @@ def _expand_minor(m: MatrixPoint, rs: tuple, cs: tuple, memo: dict) -> Polynomia
     return minor
 
 
-def _integer_rows(matrix: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
-    """Rows scaled to integers by their entries' numerator and denominator (an int has both), and the product of the scales."""
-    nc = len(matrix[0]) if matrix else 0
-    rows = []
-    scale = 1
-    for row in matrix:
-        if len(row) != nc:
-            raise ValueError(f"ragged rows: a row of length {len(row)} after one of length {nc}")
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        rows.append([x.numerator * (mult // x.denominator) for x in row])
-    return rows, scale
-
-
 def _eliminate(rows: list[list[int]]) -> tuple[int, int]:
     """Fraction-free (Bareiss) elimination of integer rows, in place: the rank, and the determinant (0 unless square and regular).
 
@@ -351,23 +336,25 @@ def _eliminate(rows: list[list[int]]) -> tuple[int, int]:
     return r, sign * prev if r == nr == nc else 0
 
 
+def scale_to_integers(matrix: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """Rows of ints and Fractions times the lcm L of all their denominators, as ints, and L."""
+    scale = lcm(*(v.denominator for row in matrix for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in matrix], scale
+
+
 def rank(matrix: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank over the rationals via fraction-free (Bareiss) elimination; ragged rows raise ValueError."""
-    return _eliminate(_integer_rows(matrix)[0])[0]
+    if len(widths := {len(row) for row in matrix}) > 1:
+        raise ValueError(f"ragged rows of lengths {sorted(widths)}")
+    return _eliminate(scale_to_integers(matrix)[0])[0]
 
 
 def det(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     """Exact determinant of a square rational matrix, by the elimination of ``rank``."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError(f"determinant of a non-square matrix with {len(matrix)} rows")
-    rows, scale = _integer_rows(matrix)
-    return Fraction(_eliminate(rows)[1], scale)
-
-
-def scale_to_integers(point: "MatrixPoint") -> tuple[list[list[int]], int]:
-    """The entries of a rational point times the lcm L of their denominators, all ints, and L."""
-    scale = lcm(*(v.denominator for row in point.rows for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in point.rows], scale
+    rows, scale = scale_to_integers(matrix)
+    return Fraction(_eliminate(rows)[1], scale ** len(rows))
 
 
 @dataclass

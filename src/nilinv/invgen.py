@@ -137,7 +137,7 @@ def minors_at(point: MatrixPoint) -> Callable[[Minor], Fraction]:
     That scaling is kept as ``minor.scaled``, (entries, L), for a caller that reads
     the integers too; it must not be changed.
     """
-    entries, scale = scaled = scale_to_integers(point)
+    entries, scale = scaled = scale_to_integers(point.rows)
 
     @lru_cache(maxsize=None)
     def minor(m: Minor) -> Fraction:

@@ -105,7 +105,7 @@ def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
     straight to Bareiss elimination.
     """
     check_support(ptype, x)
-    entries = scale_to_integers(x)[0]
+    entries = scale_to_integers(x.rows)[0]
     return _rank_at(bracket_layout(ptype), [entries[i - 1][j - 1] for i, j in nilradical_columns(ptype)])
 
 

@@ -1,12 +1,15 @@
 """Slow, textbook forms of fast paths in ``nilinv`` for tests to compare against, and helpers that only tests use."""
 
+import inspect
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import lcm
 from operator import mul
 
+from nilinv import exactpoly
 from nilinv.checker import one_param_transform
 from nilinv.errors import OutsideU0Error, ReductionError
 from nilinv.exactpoly import MatrixPoint, Polynomial, det_minor
@@ -51,6 +54,22 @@ def bareiss(matrix):
         if r == nr:
             break
     return r, Fraction(sign * prev, scale) if r == nr == nc else Fraction(0)
+
+
+def without_lcm_scaling(module, *names):
+    """The functions ``names`` of ``module`` rebuilt over a ``scale_to_integers`` that keeps only the numerators.
+
+    The mutant scales nothing: it returns other rows unless every denominator is 1.
+    """
+    pattern = r"v\.numerator \* \(scale // v\.denominator\)"
+    source, subs = re.subn(pattern, "v.numerator", inspect.getsource(exactpoly.scale_to_integers))
+    assert subs == 1
+    helpers = dict(vars(exactpoly))
+    exec(source, helpers)
+    namespace = dict(vars(module), scale_to_integers=helpers["scale_to_integers"])
+    for name in names:
+        exec(inspect.getsource(getattr(module, name)), namespace)
+    return [namespace[name] for name in names]
 
 
 # -- polynomials --------------------------------------------------------------

@@ -7,7 +7,6 @@ noted) and within its stated time budget.
 import json
 import random
 import time
-from fractions import Fraction
 
 from nilinv.checker import (
     case242_report,
@@ -20,11 +19,9 @@ from nilinv.exactpoly import Polynomial
 from nilinv.invgen import (
     build_generators,
     expand,
-    invariant_values,
     minor_form,
     pair_form,
     restrict,
-    y_coordinates,
 )
 from nilinv.orbitlab import (
     orbit_experiment,
@@ -37,7 +34,6 @@ from nilinv.rootcomb import (
     admissible_pairs,
     compositions,
     compute_base,
-    dims,
     phi_set,
     s_gamma,
 )

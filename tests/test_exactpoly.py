@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilinv import exactpoly, orbitlab
-from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, _var_key, det_minor, rank, scale_to_integers
+from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, _var_key, det, det_minor, rank
 from nilinv.invgen import formal_matrix
 from nilinv.orbitlab import DEFAULT_SEED, bracket, max_orbit_dim, orbit_dim, sample_point
 from nilinv.rootcomb import ParabolicType, compositions, nilradical_roots
-from oracles import bareiss, degree, gradient, identity, matmul
+from oracles import bareiss, degree, gradient, identity, matmul, without_lcm_scaling
 
 X13 = Polynomial.var((1, 3))
 X14 = Polynomial.var((1, 4))
@@ -316,6 +316,41 @@ def test_rank_with_fractions():
     assert rank(m2) == 1
 
 
+def test_det_scales_rows_of_different_denominators_by_one_lcm():
+    # L = 30 scales both rows; the determinant of the scaled rows is divided by L**2
+    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(7)]]
+    assert det(m) == Fraction(103, 30) == bareiss(m)[1]
+    assert det([]) == 1 == bareiss([])[1]
+
+
+@functools.cache
+def _scaling_cases():
+    """Square matrices of orders 1 to 4 with entries a/b, b in 1..4, each beside its integral twin with entries a.
+
+    About half of those of order above 1 end in their first row halved.
+    """
+    rng = random.Random(DEFAULT_SEED)
+    cases = []
+    for k in [1, 2, 3, 4] * 10:
+        pairs = [[(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)] for _ in range(k)]
+        if k > 1 and rng.random() < 0.5:  # the first row halved: a rank that hangs on the exact values
+            pairs[-1] = [(a, 2 * b) for a, b in pairs[0]]
+        cases.append([[Fraction(a, b) for a, b in row] for row in pairs])
+        cases.append([[Fraction(a) for a, _ in row] for row in pairs])
+    return cases
+
+
+def test_rank_and_det_without_the_lcm_scaling_are_caught():
+    mutant_rank, mutant_det = without_lcm_scaling(exactpoly, "rank", "det")
+    integral = lambda m: all(v.denominator == 1 for row in m for v in row)
+    fractional = [m for m in _scaling_cases() if not integral(m)]
+    assert any(mutant_rank(m) != bareiss(m)[0] for m in fractional)
+    assert any(mutant_det(m) != bareiss(m)[1] for m in fractional)
+    # on integer rows the mutants are rank and det
+    for m in filter(integral, _scaling_cases()):
+        assert (mutant_rank(m), mutant_det(m)) == (rank(m), det(m)) == bareiss(m)
+
+
 def test_rank_rejects_ragged_rows():
     # one row shorter than the first, and one longer: neither is cut to the first row's width
     for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
@@ -434,15 +469,7 @@ def test_orbit_dim_matches_naive_commutator_rank():
 
 def test_orbit_dim_without_the_lcm_scaling_is_caught():
     # the mutant keeps only the numerators: a different point unless every denominator is 1
-    pattern = r"v\.numerator \* \(scale // v\.denominator\)"
-    source, subs = re.subn(pattern, "v.numerator", inspect.getsource(scale_to_integers))
-    assert subs == 1
-    helpers = dict(vars(exactpoly))
-    exec(source, helpers)
-    # orbit_dim scales through the shared helper: rebuild it over the mutant
-    namespace = dict(vars(orbitlab), scale_to_integers=helpers["scale_to_integers"])
-    exec(inspect.getsource(orbit_dim), namespace)
-    mutant = namespace["orbit_dim"]
+    (mutant,) = without_lcm_scaling(orbitlab, "orbit_dim")
     integral = lambda x: all(v.denominator == 1 for row in x.rows for v in row)
     assert any(mutant(pt, x) != want for pt, x, want in _cross_check_cases() if not integral(x))
     # at an integer point the mutant is orbit_dim

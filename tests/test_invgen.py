@@ -29,7 +29,7 @@ from nilinv.invgen import (
     y_coordinates,
 )
 from nilinv.cli import main
-from nilinv.orbitlab import DEFAULT_SEED, SAMPLE_RANGE, reduce_to_canonical, verify_unique_intersection
+from nilinv.orbitlab import DEFAULT_SEED, SAMPLE_RANGE, reduce_to_canonical, sample_point, verify_unique_intersection
 from nilinv.rootcomb import (
     AdmissiblePair,
     ParabolicType,
@@ -42,7 +42,7 @@ from nilinv.rootcomb import (
     phi_set,
     s_gamma,
 )
-from oracles import as_monomial, matmul, power_minor, sample_u0_point
+from oracles import as_monomial, matmul, power_minor, sample_u0_point, without_lcm_scaling
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -381,6 +381,16 @@ def test_minors_divided_by_one_power_too_few_are_caught():
     exec(source, namespace)
     mutant = namespace["minors_at"]
     assert any(mutant(y)(m) != _fraction_det(y, m) for y, minors in _minor_cases() for m in minors if m[0])
+
+
+def test_minors_without_the_lcm_scaling_are_caught():
+    # the mutant keeps only the numerators: a different point unless every denominator is 1
+    (mutant,) = without_lcm_scaling(invgen, "minors_at")
+    assert any(mutant(y)(m) != _fraction_det(y, m) for y, minors in _minor_cases() for m in minors if m[0])
+    # at an integer point the mutant is minors_at
+    for (_, minors), sizes in zip(_minor_cases()[::2], MINOR_TYPES):
+        x = sample_point(ParabolicType(sizes), random.Random(DEFAULT_SEED))
+        assert all(mutant(x)(m) == minors_at(x)(m) == _fraction_det(x, m) for m in minors)
 
 
 def _restricted_steps(ptype, base, pairs):
