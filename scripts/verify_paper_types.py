@@ -37,14 +37,12 @@ def main() -> int:
         all_passed = all_passed and report.passed
 
     study = case242_report(args.seed)
-    (outdir / "case242.json").write_text(
-        json.dumps(study.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    (outdir / "case242.json").write_text(json.dumps(study, sort_keys=True, indent=2) + "\n")
     print(
-        f"(2,4,2) study: passed={study.passed} identity_sign={study.identity_sign}"
-        f" nine_generator_rank={study.nine_generator_rank}"
+        f"(2,4,2) study: passed={study['passed']} identity_sign={study['identity']['sign']}"
+        f" nine_generator_rank={study['nine_generator_rank']}"
     )
-    return 0 if all_passed and study.passed else 1
+    return 0 if all_passed and study["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Verification engines.
 
 Invariance under every one-parameter unitriangular subgroup, proved on the
-index sets of the generators' forms with nothing expanded (a form the proof
-leaves open is refused), algebraic independence via the exact rank at
-random rational points of the Jacobian read by cofactors off the forms,
-weight-system coranks, and the full (2,4,2) case study (the
-quadratic identity among the pair polynomials, the extra invariant D, and
-the evaluation table on the parameter family Y_{a,b,c}).
+index sets of the generators' forms with nothing expanded by
+``check_invariance``, which raises on a form the proof leaves open,
+algebraic independence via the exact rank at random rational points of the
+Jacobian read by cofactors off the forms, weight-system coranks, and the
+full (2,4,2) case study, returned as its JSON document (the quadratic
+identity among the pair polynomials, the extra invariant D, and the
+evaluation table on the parameter family Y_{a,b,c}).
 ``one_param_transform`` is the symbolic t-substitution of an expanded
 polynomial, the reference the tests hold the proof against.
 """
@@ -98,15 +99,14 @@ def proves_invariance(ptype: ParabolicType, form: Form, k: int) -> bool:
     return not any(total.values())
 
 
-def invariance_tables(ptype: ParabolicType, named: Sequence[tuple[str, Form]]) -> dict[str, list[bool]]:
-    """Per-k invariance of each named form, k = 1..n-1, proved by ``proves_invariance`` with nothing expanded.
+def check_invariance(ptype: ParabolicType, named: Sequence[tuple[str, Form]]) -> None:
+    """Prove each named form invariant under g_k(t), k = 1..n-1, by ``proves_invariance`` with nothing expanded.
 
     The proof is not complete, so a form it leaves open at some k is refused: ValueError names it and those k.
     """
     for name, form in named:
         if unproved := [k for k in range(1, ptype.n) if not proves_invariance(ptype, form, k)]:
             raise ValueError(f"invariance of generator {name} is not proved on index sets at k = {', '.join(map(str, unproved))}")
-    return {name: [True] * (ptype.n - 1) for name, _ in named}
 
 
 def jacobian_rank_at(ptype: ParabolicType, forms: Sequence[Form], point: MatrixPoint) -> int:
@@ -157,11 +157,11 @@ def weight_corank(pairs: Iterable[AdmissiblePair], n: int) -> int:
 
 @dataclass
 class VerificationReport:
-    """All checks for one type: invariance, independence, corank bookkeeping."""
+    """All checks for one type: invariance (proved by ``check_invariance`` or refused), independence, corank bookkeeping."""
 
     ptype: ParabolicType
     seed: int
-    invariance: dict[str, list[bool]]  # generator name -> per-k results
+    generators: list[str]  # names in ``gens.forms`` order, each proved invariant at every k
     independence: IndependenceResult
     corank_alpha: int
     corank_s_phi: int
@@ -169,7 +169,7 @@ class VerificationReport:
     @property
     def flags(self) -> dict[str, bool]:
         return {
-            "invariance": all(all(v) for v in self.invariance.values()),
+            "invariance": True,
             "independence": self.independence.independent,
             "corank_bookkeeping": self.corank_alpha == self.corank_s_phi,
         }
@@ -182,7 +182,7 @@ class VerificationReport:
         return {
             "type": list(self.ptype.block_sizes),
             "seed": self.seed,
-            "invariance": {name: results for name, results in sorted(self.invariance.items())},
+            "invariance": {name: [True] * (self.ptype.n - 1) for name in sorted(self.generators)},
             "independence": self.independence.to_dict(),
             "corank": {
                 "alpha": self.corank_alpha,
@@ -202,7 +202,7 @@ class VerificationReport:
 def verify_type(ptype: ParabolicType, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Run the full battery of checks for one type."""
     gens = build_generators(ptype)
-    invariance = invariance_tables(ptype, gens.forms)
+    check_invariance(ptype, gens.forms)
     core = gens.core_forms()
     if core:
         independence = independence_details(ptype, core, seed)
@@ -213,7 +213,7 @@ def verify_type(ptype: ParabolicType, seed: int = DEFAULT_SEED) -> VerificationR
     return VerificationReport(
         ptype=ptype,
         seed=seed,
-        invariance=invariance,
+        generators=[name for name, _ in gens.forms],
         independence=independence,
         corank_alpha=weight_corank(pairs, ptype.n),
         corank_s_phi=corank_of_roots(s_phi, ptype.n),
@@ -274,53 +274,18 @@ def case242_generators() -> dict[str, Form]:
     return {short: forms[name] for short, name in CASE242_NAMES.items()}
 
 
-@dataclass
-class Case242Report:
-    """Results of the (2,4,2) study: identity, invariance of D, Y-table, rank."""
-
-    seed: int
-    identity_holds: bool
-    identity_sign: int | None  # L12*L21 - L11*L22 == sign * M1*N1*D
-    d_invariant: bool
-    table: list[dict]  # per generator: name, computed, expected, sign
-    table_ok: bool
-    l11_sign_exact: bool
-    d_sign_exact: bool
-    nine_generator_rank: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.identity_holds
-            and self.d_invariant
-            and self.table_ok
-            and self.l11_sign_exact
-            and self.d_sign_exact
-            and self.nine_generator_rank == 8
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": [2, 4, 2],
-            "seed": self.seed,
-            "identity": {"holds": self.identity_holds, "sign": self.identity_sign},
-            "d_invariant": self.d_invariant,
-            "y_table": self.table,
-            "table_ok": self.table_ok,
-            "l11_sign_exact": self.l11_sign_exact,
-            "d_sign_exact": self.d_sign_exact,
-            "nine_generator_rank": self.nine_generator_rank,
-            "passed": self.passed,
-        }
-
-
 def _sign(computed: Polynomial, want: Polynomial) -> int | None:
     """1 or -1 when computed equals want up to that sign, else None."""
     return 1 if computed == want else -1 if computed == -want else None
 
 
-def case242_report(seed: int = DEFAULT_SEED) -> Case242Report:
+def case242_report(seed: int = DEFAULT_SEED) -> dict:
+    """The study's JSON document: the identity L12*L21 - L11*L22 == sign * M1*N1*D, the Y-table and the rank.
+
+    D is proved invariant first, so a D the proof leaves open is refused before anything is expanded.
+    """
     forms = case242_generators()
+    check_invariance(CASE_242, [("D", forms["D"])])
     gens = {name: expand(CASE_242, form) for name, form in forms.items()}
     identity_sign = _sign(gens["L12"] * gens["L21"] - gens["L11"] * gens["L22"], gens["M1"] * gens["N1"] * gens["D"])
     y_map = y_family_map()
@@ -329,14 +294,17 @@ def case242_report(seed: int = DEFAULT_SEED) -> Case242Report:
         computed = gens[name].substitute(y_map)
         table.append({"name": name, "computed": str(computed), "expected": str(want), "sign": _sign(computed, want)})
     signs = {row["name"]: row["sign"] for row in table}
-    return Case242Report(
-        seed=seed,
-        identity_holds=identity_sign is not None,
-        identity_sign=identity_sign,
-        d_invariant=all(invariance_tables(CASE_242, [("D", forms["D"])])["D"]),
-        table=table,
-        table_ok=None not in signs.values(),
-        l11_sign_exact=signs["L11"] == 1,
-        d_sign_exact=signs["D"] == 1,
-        nine_generator_rank=independence_details(CASE_242, list(forms.values()), seed).rank,
-    )
+    doc = {
+        "type": [2, 4, 2],
+        "seed": seed,
+        "identity": {"holds": identity_sign is not None, "sign": identity_sign},
+        "d_invariant": True,
+        "y_table": table,
+        "table_ok": None not in signs.values(),
+        "l11_sign_exact": signs["L11"] == 1,
+        "d_sign_exact": signs["D"] == 1,
+        "nine_generator_rank": independence_details(CASE_242, list(forms.values()), seed).rank,
+    }
+    verdicts = (doc["identity"]["holds"], doc["table_ok"], doc["l11_sign_exact"], doc["d_sign_exact"])
+    doc["passed"] = all(verdicts) and doc["nine_generator_rank"] == 8
+    return doc

@@ -8,9 +8,9 @@ class NilinvError(Exception):
 class OutsideU0Error(NilinvError):
     """A point has a vanishing base minor, so it lies outside the open set U0."""
 
-    def __init__(self, xi, message=None):
+    def __init__(self, xi):
         self.xi = xi
-        super().__init__(message or f"point outside U0: base minor at {tuple(xi)} vanishes")
+        super().__init__(f"point outside U0: base minor at {tuple(xi)} vanishes")
 
 
 class UnsupportedTypeError(NilinvError):

@@ -148,9 +148,6 @@ class Base:
     def root_in_column(self) -> dict[int, Root]:
         return {r.j: r for r in self.roots}
 
-    def __iter__(self):
-        return iter(self.roots)
-
     def __len__(self):
         return len(self.roots)
 

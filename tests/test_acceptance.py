@@ -260,20 +260,20 @@ def test_criterion_08_reduction_cross_check():
 def test_criterion_09_case_242_study():
     start = time.time()
     rep = case242_report(seed=271828)
-    by_name = {row["name"]: row for row in rep.table}
+    by_name = {row["name"]: row for row in rep["y_table"]}
     ok = (
-        rep.identity_holds
-        and rep.identity_sign in (1, -1)
-        and rep.table_ok
+        rep["identity"]["holds"]
+        and rep["identity"]["sign"] in (1, -1)
+        and rep["table_ok"]
         and by_name["L11"]["sign"] == 1
         and by_name["D"]["sign"] == 1
-        and rep.nine_generator_rank == 8
+        and rep["nine_generator_rank"] == 8
     )
     elapsed = time.time() - start
     report(
         "criterion 9: (2,4,2) identity, evaluation table, 9-generator rank",
         ok and elapsed < 30.0,
-        f"identity sign {rep.identity_sign}, {elapsed:.2f}s",
+        f"identity sign {rep['identity']['sign']}, {elapsed:.2f}s",
     )
 
 

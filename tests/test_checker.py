@@ -17,10 +17,10 @@ from nilinv.exactpoly import Polynomial, T, rank
 from nilinv.checker import (
     case242_generators,
     case242_report,
+    check_invariance,
     corank_of_roots,
     derivation,
     independence_details,
-    invariance_tables,
     is_zero_minor,
     jacobian_rank_at,
     minor_derivative,
@@ -270,13 +270,13 @@ def test_unproved_form_is_refused(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     pt = ParabolicType((2, 2, 1, 1))
     named = list(build_generators(pt).forms)
-    assert invariance_tables(pt, named) == {name: [True] * 5 for name, _ in named}
+    assert check_invariance(pt, named) is None
     x24 = ((((2,), (4,)),),)  # the entry x_(2,4), moved by g_3(t) only
     with pytest.raises(ValueError, match=r"^invariance of generator x24 is not proved on index sets at k = 3$"):
-        invariance_tables(pt, named + [("x24", x24)])
+        check_invariance(pt, named + [("x24", x24)])
     monkeypatch.setattr("nilinv.checker.proves_invariance", lambda ptype, form, k: k != 2)
     with pytest.raises(ValueError, match=r"^invariance of generator M\[2,3\] is not proved on index sets at k = 2$"):
-        invariance_tables(pt, named)
+        check_invariance(pt, named)
 
 
 def test_independence_ranks():
@@ -417,13 +417,13 @@ def test_case242_named_generators_match_displays():
 
 def test_case242_report():
     rep = case242_report(seed=7)
-    assert rep.identity_holds and rep.identity_sign == 1
-    assert rep.d_invariant
-    assert rep.table_ok
-    assert rep.l11_sign_exact and rep.d_sign_exact
-    assert rep.nine_generator_rank == 8
-    assert rep.passed
-    by_name = {row["name"]: row for row in rep.table}
+    assert rep["identity"]["holds"] and rep["identity"]["sign"] == 1
+    assert rep["d_invariant"]
+    assert rep["table_ok"]
+    assert rep["l11_sign_exact"] and rep["d_sign_exact"]
+    assert rep["nine_generator_rank"] == 8
+    assert rep["passed"]
+    by_name = {row["name"]: row for row in rep["y_table"]}
     assert by_name["M1"]["computed"] == "0"
     assert by_name["L11"]["computed"] == "a2*c21"
     assert by_name["D"]["sign"] == 1
@@ -431,5 +431,5 @@ def test_case242_report():
 
 def test_case242_against_golden():
     golden = json.loads((pathlib.Path(__file__).parent / "golden" / "case242.json").read_text())
-    doc = case242_report().to_json_dict()
+    doc = case242_report()
     assert doc == golden

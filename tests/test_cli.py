@@ -182,6 +182,42 @@ def test_case242(capsys):
     validate(doc, "case242.schema.json")
 
 
+def test_case242_fails_on_a_rank_short_of_eight(capsys, monkeypatch):
+    monkeypatch.setattr(
+        checker, "independence_details",
+        lambda ptype, forms, seed: checker.IndependenceResult(rank=7, expected=len(forms), seed=seed, attempts=5),
+    )
+    code, out = run(capsys, "case242")
+    doc = json.loads(out)
+    assert code == 1 and doc["nine_generator_rank"] == 7 and doc["passed"] is False
+    assert doc["identity"] == {"holds": True, "sign": 1} and doc["table_ok"] and doc["l11_sign_exact"] and doc["d_sign_exact"]
+    validate(doc, "case242.schema.json")
+
+
+def test_case242_fails_on_a_table_entry_off_by_its_sign(capsys, monkeypatch):
+    expected = checker._expected_y_table
+    monkeypatch.setattr(checker, "_expected_y_table", lambda: {**expected(), "L11": -expected()["L11"]})
+    code, out = run(capsys, "case242")
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] is False
+    assert doc["l11_sign_exact"] is False and doc["table_ok"] is True and doc["d_sign_exact"] is True
+    assert {row["name"]: row["sign"] for row in doc["y_table"]}["L11"] == -1
+    validate(doc, "case242.schema.json")
+
+
+def test_case242_refuses_an_open_d_before_expanding(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was expanded")
+
+    for module, name in ((invgen, "minor_poly"), (exactpoly, "det_minor"), (invgen, "det_minor")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(checker, "proves_invariance", lambda ptype, form, k: False)
+    assert main(["case242"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invariance of generator D is not proved on index sets at k = 1, 2, 3, 4, 5, 6, 7\n"
+
+
 def test_usage_errors(capsys):
     assert main(["nosuch"]) == 2
     capsys.readouterr()
