@@ -54,7 +54,7 @@ def one_param_transform(ptype: ParabolicType, k: int, f: Polynomial) -> Polynomi
     for m in count(1):
         # t^m/m! D_k^m f from the previous term, as D_k t = 0
         term = term.derive(delta) * (Polynomial.var(T) * Fraction(1, m))
-        if term.is_zero:
+        if not term:
             return out
         out = out + term
 

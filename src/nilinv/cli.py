@@ -127,7 +127,11 @@ def _orbit_dim(args) -> tuple[str, int]:
 
 def _reduce(args) -> tuple[str, int]:
     with open(args.point, "r", encoding="utf-8") as fh:
-        point = MatrixPoint.from_json_dict(json.load(fh), args.type.n)
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # json.load recurses once per level of nesting
+            raise ValueError(f"point file {args.point} is nested too deeply") from None
+    point = MatrixPoint.from_json_dict(doc, args.type.n)
     try:
         record = verify_unique_intersection(args.type, point)
     except OutsideU0Error as exc:

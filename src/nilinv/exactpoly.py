@@ -160,10 +160,6 @@ class Polynomial:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -287,7 +283,7 @@ def _expand_minor(m: MatrixPoint, rs: tuple, cs: tuple, memo: dict) -> Polynomia
     acc: dict = {}
     for k, c in enumerate(cs):
         entry = m.get(rs[0], c)
-        if not entry.is_zero:
+        if entry:
             sub = _expand_minor(m, rs[1:], cs[:k] + cs[k + 1 :], memo)
             _collect(((entry if k % 2 == 0 else -entry) * sub).terms.items(), acc)
     memo[rs, cs] = minor = Polynomial._wrap(acc)

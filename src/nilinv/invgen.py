@@ -13,11 +13,12 @@ checked symbolically (``GeneratorSet`` expands on first read).
 ``form_value`` at a point reads each minor from ``minors_at``, which
 scales the point to integers once, by the lcm L of its denominators, and
 computes each minor once: the determinant of its integer submatrix over
-L**k.  ``invariant_values`` and the U0 test ``vanishing_minor`` read that
-memo, and ``jacobian_row`` differentiates a form at a point by cofactors
-read from it.  The module also gives the restriction
-map to the linear slice spanned by the base and marked positions, and the
-inverse problem: the unique slice point with prescribed generator values.
+L**k.  ``invariant_values`` (a list in ``core_forms`` order) and the U0
+test ``vanishing_minor`` read that memo, and ``jacobian_row`` differentiates
+a form at a point by cofactors read from it.  The module also gives the
+restriction map to the linear slice spanned by the base and marked
+positions, and the inverse problem ``y_coordinates(gens, values)``: the
+unique slice point whose generators take those values.
 """
 
 from __future__ import annotations
@@ -252,31 +253,15 @@ def build_generators(ptype: ParabolicType) -> GeneratorSet:
     return GeneratorSet(ptype, base, admissible_pairs(ptype, base))
 
 
-@dataclass(frozen=True)
-class InvariantValues:
-    """Exact values of the generators at one point."""
-
-    m_values: dict[Root, Fraction]  # keyed by base root
-    l_values: dict[Root, Fraction]  # keyed by the phi root of the pair
-
-
-def invariant_values(gens: GeneratorSet, point: MatrixPoint, minor: Callable | None = None) -> InvariantValues:
-    """The base minors and pair polynomials at a point, without expanding them, read from ``minor`` when given."""
+def invariant_values(gens: GeneratorSet, point: MatrixPoint, minor: Callable | None = None) -> list[Fraction]:
+    """The base minors and pair polynomials at a point, in ``core_forms`` order, read from ``minor`` when given."""
     check_support(gens.ptype, point)
     minor = minor or minors_at(point)
-    values = [form_value(form, minor) for form in gens.core_forms()]
-    m_values = dict(zip(gens.base.by_column(), values))
-    l_values = dict(zip((q.phi for q in gens.pairs), values[len(m_values) :]))
-    return InvariantValues(m_values, l_values)
+    return [form_value(form, minor) for form in gens.core_forms()]
 
 
-def y_coordinates(
-    ptype: ParabolicType,
-    base: Base,
-    pairs: tuple[AdmissiblePair, ...],
-    inv_values: InvariantValues,
-) -> MatrixPoint:
-    """The unique slice point whose generators take the prescribed values.
+def y_coordinates(gens: GeneratorSet, values: list[Fraction]) -> MatrixPoint:
+    """The unique slice point whose generators take the prescribed values, given in ``core_forms`` order.
 
     On the slice each generator is a signed monomial, linear in its own
     target coordinate and otherwise in coordinates solved before it: the
@@ -288,20 +273,19 @@ def y_coordinates(
     divided by the generator evaluated at the slice point built so far with
     that target set to 1.
     """
+    ptype, base, pairs = gens.ptype, gens.base, gens.pairs
     check_covered(ptype)
-    for xi in base.by_column():  # the order of vanishing_minor
-        if xi not in inv_values.m_values:
-            raise ValueError(f"missing minor value for base root {xi}")
-        if inv_values.m_values[xi] == 0:
+    if len(values) != len(base) + len(pairs):
+        raise ValueError(f"expected {len(base) + len(pairs)} generator values, got {len(values)}")
+    m_values = dict(zip(base.by_column(), values))
+    for xi, value in m_values.items():  # the order of vanishing_minor
+        if value == 0:
             raise OutsideU0Error(xi)
-    for q in pairs:
-        if q.phi not in inv_values.l_values:
-            raise ValueError(f"missing pair value for {q.xi}, {q.xi_prime}")
 
     # (target, value, the minors whose product is the generator on the slice)
     inner_first = sorted(base.roots, key=lambda r: len(s_gamma(base, r)))
-    steps = [(xi, inv_values.m_values[xi], (xi,)) for xi in inner_first]
-    steps += [(q.phi, inv_values.l_values[q.phi], (q.xi, q.phi)) for q in pairs]
+    steps = [(xi, m_values[xi], (xi,)) for xi in inner_first]
+    steps += [(q.phi, value, (q.xi, q.phi)) for q, value in zip(pairs, values[len(base) :])]
     coords: dict[Root, Fraction] = {}
     for target, value, factors in steps:
         coords[target] = Fraction(1)

@@ -24,8 +24,6 @@ from .invgen import vanishing_minor, y_coordinates
 from .rootcomb import (
     ParabolicType,
     Root,
-    admissible_pairs,
-    compute_base,
     dims,
     is_covered,
     nilradical_columns,
@@ -149,8 +147,8 @@ def orbit_experiment(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED
     }
 
 
-def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint, minor: Callable | None = None) -> tuple[GroupElement, MatrixPoint]:
-    """Conjugate a point with nonvanishing base minors onto the slice.
+def reduce_to_canonical(gens: GeneratorSet, point: MatrixPoint, minor: Callable | None = None) -> tuple[GroupElement, MatrixPoint]:
+    """Conjugate a point with nonvanishing base minors onto the slice of the type of ``gens``.
 
     Works block by block, trailing blocks first.  For each base root in the
     leading block: clear its column upward with row operations anchored at
@@ -167,11 +165,10 @@ def reduce_to_canonical(ptype: ParabolicType, point: MatrixPoint, minor: Callabl
     ``minor`` is the point's ``minors_at`` memo when the caller shares one: the
     U0 test reads it and the rows start from a copy of its integer scaling.
     """
+    ptype, base = gens.ptype, gens.base
     check_covered(ptype)
     n, s = ptype.n, ptype.s
-    base = compute_base(ptype)
-    pairs = admissible_pairs(ptype, base)
-    slice_positions = {Root(*r) for r in base.roots} | set(phi_set(pairs))
+    slice_positions = set(base.roots) | phi_set(gens.pairs)
 
     minor = minor or minors_at(point)
     xi = vanishing_minor(ptype, base, point, minor)
@@ -261,11 +258,11 @@ def verify_unique_intersection(ptype: ParabolicType, point: MatrixPoint, gens: G
     if gens is None:
         gens = build_generators(ptype)
     minor = minors_at(point)  # one scaling and one minor memo for the reduction and the input's values
-    g, y = reduce_to_canonical(ptype, point, minor)
+    g, y = reduce_to_canonical(gens, point, minor)
     vals_in = invariant_values(gens, point, minor)
     vals_out = invariant_values(gens, y)
     preserved = vals_in == vals_out
-    y_solved = y_coordinates(ptype, gens.base, gens.pairs, vals_in)
+    y_solved = y_coordinates(gens, vals_in)
     agrees = y_solved == y  # both points hold the one shared ZERO, so only the nonzero entries go through Fraction.__eq__
     return {
         "type": list(ptype.block_sizes),

@@ -247,7 +247,7 @@ def test_criterion_08_reduction_cross_check():
         for _ in range(50):
             point = sample_u0_point(pt, rng)
             rec = verify_unique_intersection(pt, point, gens)
-            _, y = reduce_to_canonical(pt, point)
+            _, y = reduce_to_canonical(gens, point)
             ok = ok and rec["pass"] and y.support() <= slice_pos
     elapsed = time.time() - start
     report(

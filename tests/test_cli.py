@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -17,7 +20,8 @@ from nilinv.cli import COMMANDS, MAX_ORBIT_WORK, MAX_TRIALS, main
 from nilinv.invgen import build_generators
 from nilinv.rootcomb import ParabolicType
 
-SCHEMAS = pathlib.Path(__file__).parent.parent / "src" / "nilinv" / "schemas"
+SRC = pathlib.Path(__file__).parent.parent / "src"
+SCHEMAS = SRC / "nilinv" / "schemas"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -172,6 +176,18 @@ def test_reduce_rejects_bad_point_files(tmp_path, capsys, doc):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_reduce_rejects_a_deeply_nested_point_file(tmp_path):
+    # json.load raises RecursionError here; the command must exit 2 with one line, not a traceback
+    path = tmp_path / "point.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "nilinv", "reduce", "--type", "2,4,2", "--point", str(path)]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: point file {path} is nested too deeply\n"
 
 
 def test_case242(capsys):

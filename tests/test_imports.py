@@ -1,5 +1,6 @@
 """Each module of the package imports alone, in a fresh interpreter, and loads only what it uses."""
 
+import ast
 import json
 import os
 import pathlib
@@ -37,3 +38,23 @@ def test_python_m_nilinv_help():
     result = _python("-m", "nilinv", "--help")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage:")
+
+
+def _unread_imports(path):
+    """The names a module binds by import but never reads, with the line of each import."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({(alias.asname or alias.name.split(".")[0]): node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({(alias.asname or alias.name): node.lineno for alias in node.names if alias.name != "*"})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [p for folder in ("src/nilinv", "tests", "scripts") for p in sorted((ROOT / folder).glob("*.py"))]
+    assert len(paths) > 20
+    unread = {str(p.relative_to(ROOT)): names for p in paths if (names := _unread_imports(p))}
+    assert unread == {}

@@ -4,6 +4,7 @@ import functools
 import inspect
 import itertools
 import json
+import pathlib
 import random
 import re
 import sys
@@ -15,7 +16,6 @@ from nilinv import invgen
 from nilinv.errors import OutsideU0Error, UnsupportedTypeError
 from nilinv.exactpoly import MatrixPoint, Polynomial, det
 from nilinv.invgen import (
-    InvariantValues,
     build_generators,
     check_support,
     expand,
@@ -55,11 +55,11 @@ def test_formal_matrix_support():
     m = formal_matrix(P242)
     assert m.support() == nilradical_roots(P242)  # a zero polynomial tests false
     assert m.get(2, 3) == V(2, 3)
-    assert m.get(3, 2).is_zero
-    assert m.get(3, 5).is_zero  # same block
+    assert not m.get(3, 2)
+    assert not m.get(3, 5)  # same block
     m2 = formal_matrix(ParabolicType((1, 1)))
     assert m2.get(1, 2) == V(1, 2)
-    assert all(formal_matrix(ParabolicType((4,))).get(i, j).is_zero for i in range(1, 5) for j in range(1, 5))
+    assert all(not formal_matrix(ParabolicType((4,))).get(i, j) for i in range(1, 5) for j in range(1, 5))
 
 
 def test_minor_examples():
@@ -133,7 +133,7 @@ def test_power_minor():
 def test_restrict_kills_off_slice_variables():
     base = compute_base(P242)
     phi = phi_set(admissible_pairs(P242))
-    assert restrict(P242, base, phi, V(2, 6)).is_zero
+    assert not restrict(P242, base, phi, V(2, 6))
     assert restrict(P242, base, phi, V(2, 3)) == V(2, 3)
     assert restrict(P242, base, phi, V(3, 7)) == V(3, 7)
 
@@ -204,26 +204,30 @@ def test_build_generators_counts_and_extras():
 
 def test_y_coordinates_2_2():
     pt = ParabolicType((2, 2))
-    base = compute_base(pt)
-    pairs = admissible_pairs(pt, base)
     u, v = Fraction(4), Fraction(6)
-    y = y_coordinates(pt, base, pairs, InvariantValues({Root(2, 3): u, Root(1, 4): v}, {}))
+    y = y_coordinates(build_generators(pt), [u, v])  # M(2,3), then M(1,4): the base in column order
     assert y.get(2, 3) == u
     assert y.get(1, 4) == -v / u
     assert y.support() == {(2, 3), (1, 4)}
 
 
 def test_y_coordinates_errors():
-    pt = ParabolicType((2, 2))
-    base = compute_base(pt)
-    pairs = admissible_pairs(pt, base)
+    gens = build_generators(ParabolicType((2, 2)))
     with pytest.raises(OutsideU0Error):
-        y_coordinates(pt, base, pairs, InvariantValues({Root(2, 3): Fraction(0), Root(1, 4): Fraction(1)}, {}))
+        y_coordinates(gens, [Fraction(0), Fraction(1)])
     bad = ParabolicType((2, 1, 3, 2))
     with pytest.raises(UnsupportedTypeError) as err:
-        y_coordinates(bad, compute_base(bad), admissible_pairs(bad), InvariantValues({}, {}))
+        y_coordinates(build_generators(bad), [])
     assert str(err.value) == "type (2,1,3,2) not supported: need non-increasing sizes or at most 3 blocks"
 
+
+def test_y_coordinates_takes_one_value_per_base_minor_and_pair():
+    gens = build_generators(P242)  # 4 base minors and 4 pair polynomials
+    values = [Fraction(k) for k in range(2, 10)]
+    assert len(y_coordinates(gens, values).support()) == 8
+    for wrong in (values[:-1], values + [Fraction(1)]):
+        with pytest.raises(ValueError, match=re.escape(f"expected 8 generator values, got {len(wrong)}")):
+            y_coordinates(gens, wrong)
 
 def test_y_coordinates_inverts_invariants_on_slice():
     # build a slice point, read its invariants, solve back: must return the same point
@@ -239,7 +243,7 @@ def test_y_coordinates_inverts_invariants_on_slice():
         value += 1
     point = MatrixPoint.from_dict(pt.n, entries)
     vals = invariant_values(gens, point)
-    solved = y_coordinates(pt, gens.base, gens.pairs, vals)
+    solved = y_coordinates(gens, vals)
     assert solved == point
 
 
@@ -259,8 +263,8 @@ def test_numeric_generators_match_expanded_polynomials():
                 got = invariant_values(gens, point)
                 polys = [p for _, p in gens.named()]
                 base_minors = list(zip(gens.base.by_column(), polys))
-                assert got.m_values == {xi: p.evaluate(values) for xi, p in base_minors}, sizes
-                assert got.l_values == {q.phi: p.evaluate(values) for q, p in zip(gens.pairs, polys[len(gens.base) :])}, sizes
+                assert got[: len(gens.base)] == [p.evaluate(values) for _, p in base_minors], sizes
+                assert got[len(gens.base) :] == [p.evaluate(values) for _, p in zip(gens.pairs, polys[len(gens.base) :])], sizes
                 first_zero = next((xi for xi, p in base_minors if p.evaluate(values) == 0), None)
                 assert vanishing_minor(ptype, gens.base, point) == first_zero, sizes
                 verdicts.add(first_zero is None)
@@ -350,7 +354,7 @@ def _minor_cases():
         minors = {m for _, form in build_generators(ptype).forms for product in form for m in product}
         minors |= {(r[:a] + r[a + 1 :], c[:b] + c[b + 1 :]) for r, c in minors for a in range(len(r)) for b in range(len(c))}
         rng = random.Random(DEFAULT_SEED)
-        reduced = (reduce_to_canonical(ptype, sample_u0_point(ptype, rng))[1] for _ in range(20))
+        reduced = (reduce_to_canonical(build_generators(ptype), sample_u0_point(ptype, rng))[1] for _ in range(20))
         cases += [(y, sorted(minors)) for y in itertools.islice(filter(_mixed, reduced), 2)]
     return cases
 
@@ -410,8 +414,7 @@ def _y_coordinates_by_restriction(ptype, steps, vals):
                 assert e == 1
             else:
                 denom *= coords[Root(*v)] ** e
-        value = vals.m_values[target] if target in vals.m_values else vals.l_values[target]
-        coords[target] = value / denom
+        coords[target] = vals[target] / denom
     return MatrixPoint.from_dict(ptype.n, coords)
 
 
@@ -431,8 +434,9 @@ def test_numeric_slice_solve_matches_symbolic_solve():
             zero_marks += sum(entries[q.phi] == 0 for q in gens.pairs)
             for point in (sample_u0_point(ptype, rng), MatrixPoint.from_dict(ptype.n, entries)):
                 vals = invariant_values(gens, point)
-                want = _y_coordinates_by_restriction(ptype, steps, vals)
-                assert y_coordinates(ptype, gens.base, gens.pairs, vals) == want, sizes
+                targets = [*gens.base.by_column(), *(q.phi for q in gens.pairs)]
+                want = _y_coordinates_by_restriction(ptype, steps, dict(zip(targets, vals)))
+                assert y_coordinates(gens, vals) == want, sizes
     assert zero_marks > 0
 
 
@@ -457,3 +461,20 @@ def test_reduce_path_expands_nothing(monkeypatch, tmp_path, capsys):
         path.write_text(json.dumps(point.to_json_dict()))
         assert main(["reduce", "--type", ",".join(map(str, sizes)), "--point", str(path)]) == 0, sizes
         assert json.loads(capsys.readouterr().out)["pass"], sizes
+
+
+def test_reduce_path_builds_no_per_type_data(monkeypatch):
+    # verify_unique_intersection reads the base and the pairs from gens; it rebuilds neither per point
+    golden = pathlib.Path(__file__).parent / "golden"
+    gens = build_generators(P242)
+    point = MatrixPoint.from_json_dict(json.loads((golden / "point_242_u0.json").read_text()), P242.n)
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("the reduction rebuilt the base or the pairs")
+
+    for name in ("compute_base", "admissible_pairs"):
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "nilinv"]:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, rebuild)
+    record = verify_unique_intersection(P242, point, gens)
+    assert json.dumps(record, sort_keys=True, indent=2) + "\n" == (golden / "reduce_242.json").read_text()

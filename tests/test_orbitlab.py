@@ -212,7 +212,7 @@ def test_reduce_2_2_closed_form():
     pt = ParabolicType((2, 2))
     a13, a14, a23, a24 = Fraction(5), Fraction(7), Fraction(3), Fraction(2)
     A = MatrixPoint.from_dict(4, {(1, 3): a13, (1, 4): a14, (2, 3): a23, (2, 4): a24})
-    g, y = reduce_to_canonical(pt, A)
+    g, y = reduce_to_canonical(build_generators(pt), A)
     assert y.get(2, 3) == a23
     assert y.get(1, 4) == -(a13 * a24 - a14 * a23) / a23
     assert y.support() <= {(2, 3), (1, 4)}
@@ -228,7 +228,7 @@ def test_reduce_lands_on_slice_and_is_conjugation():
         rng = random.Random(sum(sizes))
         for _ in range(5):
             A = sample_u0_point(pt, rng)
-            g, y = reduce_to_canonical(pt, A)
+            g, y = reduce_to_canonical(build_generators(pt), A)
             assert y.support() <= slice_pos
             assert adjoint(pt, g, A) == y
 
@@ -256,7 +256,7 @@ def test_reduce_matches_pinned_g_and_y():
         pt = ParabolicType.from_string(key)
         for point, rec in zip(_pinned_points(pt), records, strict=True):
             assert point.to_json_dict()["entries"] == rec["point"]
-            g, y = reduce_to_canonical(pt, point)
+            g, y = reduce_to_canonical(build_generators(pt), point)
             assert (g.to_json_dict()["entries"], y.to_json_dict()["entries"]) == (rec["g"], rec["y"]), key
 
 
@@ -289,7 +289,7 @@ def test_integer_reduction_matches_the_fraction_oracle():
     assert len({pt for pt, _ in cases}) == 119
     assert sum(any(v.denominator > 1 for row in x.rows for v in row) for _, x in cases) > 100
     for pt, x in cases:
-        g, y = reduce_to_canonical(pt, x)
+        g, y = reduce_to_canonical(build_generators(pt), x)
         want_g, want_y = reduce_over_fractions(pt, x)
         assert (g, y) == (want_g, want_y), (pt.block_sizes, x.to_json_dict())
         assert (g.to_json_dict(), y.to_json_dict()) == (want_g.to_json_dict(), want_y.to_json_dict())
@@ -307,9 +307,9 @@ def test_reduction_errors_match_the_oracle():
     ]
     for pt, x in cases:
         outcomes = []
-        for reduce in (reduce_to_canonical, reduce_over_fractions):
+        for reduce, arg in ((reduce_to_canonical, build_generators(pt)), (reduce_over_fractions, pt)):
             with pytest.raises((OutsideU0Error, UnsupportedTypeError, ValueError)) as err:
-                reduce(pt, x)
+                reduce(arg, x)
             outcomes.append((type(err.value), str(err.value), getattr(err.value, "xi", None)))
         assert outcomes[0] == outcomes[1], outcomes
 
@@ -325,7 +325,7 @@ def test_reduction_that_forgets_to_rescale_the_row_is_caught():
 
     def caught(pt, x):
         try:
-            return mutant(pt, x) != reduce_over_fractions(pt, x)
+            return mutant(build_generators(pt), x) != reduce_over_fractions(pt, x)
         except ReductionError:
             return True
 
@@ -334,13 +334,13 @@ def test_reduction_that_forgets_to_rescale_the_row_is_caught():
 
 def test_reduce_errors():
     with pytest.raises(OutsideU0Error) as err:
-        reduce_to_canonical(ParabolicType((2, 2)), MatrixPoint.from_dict(4, {(1, 4): 3}))
+        reduce_to_canonical(build_generators(ParabolicType((2, 2))), MatrixPoint.from_dict(4, {(1, 4): 3}))
     assert tuple(err.value.xi) == (2, 3)
     with pytest.raises(UnsupportedTypeError) as unsupported:
-        reduce_to_canonical(ParabolicType((2, 1, 3, 2)), MatrixPoint.zeros(8))
+        reduce_to_canonical(build_generators(ParabolicType((2, 1, 3, 2))), MatrixPoint.zeros(8))
     assert str(unsupported.value) == "type (2,1,3,2) not supported: need non-increasing sizes or at most 3 blocks"
     with pytest.raises(ValueError):
-        reduce_to_canonical(P242, MatrixPoint.from_dict(8, {(3, 5): 1}))
+        reduce_to_canonical(build_generators(P242), MatrixPoint.from_dict(8, {(3, 5): 1}))
 
 
 def test_reduce_and_y_coordinates_name_the_same_vanishing_minor():
@@ -349,11 +349,12 @@ def test_reduce_and_y_coordinates_name_the_same_vanishing_minor():
     x.rows[0][2] = x.rows[1][2] = Fraction(0)
     gens = build_generators(P242)
     values = invariant_values(gens, x)
-    assert values.m_values[Root(1, 4)] == values.m_values[Root(2, 3)] == 0
+    m_values = dict(zip(gens.base.by_column(), values))
+    assert m_values[Root(1, 4)] == m_values[Root(2, 3)] == 0
     with pytest.raises(OutsideU0Error) as reduced:
-        reduce_to_canonical(P242, x)
+        reduce_to_canonical(gens, x)
     with pytest.raises(OutsideU0Error) as solved:
-        y_coordinates(P242, gens.base, gens.pairs, values)
+        y_coordinates(gens, values)
     with pytest.raises(OutsideU0Error) as crossed:  # its reduction reads the base minors from the shared memo
         verify_unique_intersection(P242, x, gens)
     assert tuple(reduced.value.xi) == tuple(solved.value.xi) == tuple(crossed.value.xi) == (2, 3)
@@ -369,8 +370,8 @@ def test_reduction_shares_the_minor_memo_and_the_zero():
         minor = minors_at(x)
         assert minor.scaled[1] == 3
         entries = [row[:] for row in minor.scaled[0]]
-        g, y = reduce_to_canonical(pt, x, minor)
-        assert (g, y) == reduce_to_canonical(pt, x)
+        g, y = reduce_to_canonical(gens, x, minor)
+        assert (g, y) == reduce_to_canonical(gens, x)
         assert minor.scaled[0] == entries  # the reduction worked on a copy
         assert invariant_values(gens, x, minor) == invariant_values(gens, x)
         assert minor.cache_info().hits > 0
@@ -391,7 +392,7 @@ def test_reduce_fixes_slice_points():
         entries[tuple(phi)] = val
         val += 1
     A = MatrixPoint.from_dict(8, entries)
-    g, y = reduce_to_canonical(pt, A)
+    g, y = reduce_to_canonical(build_generators(pt), A)
     assert y == A
     assert g.rows == identity(8).rows
 
@@ -401,8 +402,8 @@ def test_reduce_idempotent():
     for sizes in [(2, 2, 1, 1), (2, 4, 2)]:
         pt = ParabolicType(sizes)
         A = sample_u0_point(pt, rng)
-        _, y = reduce_to_canonical(pt, A)
-        g2, y2 = reduce_to_canonical(pt, y)
+        _, y = reduce_to_canonical(build_generators(pt), A)
+        g2, y2 = reduce_to_canonical(build_generators(pt), y)
         assert y2 == y
         assert g2.rows == identity(pt.n).rows
 
