@@ -229,6 +229,7 @@ def test_y_coordinates_takes_one_value_per_base_minor_and_pair():
         with pytest.raises(ValueError, match=re.escape(f"expected 8 generator values, got {len(wrong)}")):
             y_coordinates(gens, wrong)
 
+
 def test_y_coordinates_inverts_invariants_on_slice():
     # build a slice point, read its invariants, solve back: must return the same point
     pt = ParabolicType((2, 4, 2))
