@@ -36,6 +36,7 @@ from .rootcomb import (
     admissible_pairs,
     compute_base,
     dims,
+    nilradical_roots,
     phi_set,
     psi_set,
     render_diagram,
@@ -67,7 +68,7 @@ def _base_doc(ptype: ParabolicType) -> dict:
         "pairs": [q.to_json_dict() for q in pairs],
         "phi": [list(r) for r in sorted(phi_set(pairs))],
         "psi": [list(r) for r in sorted(psi_set(pairs))],
-        "dims": dims(ptype).to_dict(),
+        "dims": dims(ptype),
     }
 
 
@@ -199,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.max_minor is not None and (order := build_generators(args.type).largest_minor_order()) > args.max_minor:
                 raise ValueError(f"corner minor order {order} is above the limit {args.max_minor} of {args.command}")
             if "trials" in vars(args):  # orbit-dim ranks one n(n-1)/2 x dim m bracket matrix per trial
-                rows, cols = args.type.n * (args.type.n - 1) // 2, dims(args.type).dim_m
+                rows, cols = args.type.n * (args.type.n - 1) // 2, len(nilradical_roots(args.type))
                 if args.trials > MAX_TRIALS:
                     raise ValueError(f"--trials {args.trials} is above the limit {MAX_TRIALS}")
                 if (work := args.trials * rows * cols * min(rows, cols)) > MAX_ORBIT_WORK:

@@ -4,21 +4,23 @@ For a parabolic type this module builds the formal matrix X (one variable
 per nilradical position) and gives each generator one form: a sum of
 products of minors of X, each minor a pair (rows, cols) of ascending index
 tuples.  A corner minor M_gamma attached to a base root is one product of
-one minor; a pair polynomial L_q is one product of two corner minors per
-splitting; the extra (2,4,2) invariant D = det_{12,78}(X^2) is, by
-Cauchy-Binet, the 28 products det_{12,K}(X) det_{K,78}(X) over the
-2-subsets K.  Three readers consume a form.  ``expand`` multiplies out
-expanded minors of X, only where a generator is printed or an identity is
-checked symbolically (``GeneratorSet`` expands on first read).
-``form_value`` at a point reads each minor from ``minors_at``, which
-scales the point to integers once, by the lcm L of its denominators, and
-computes each minor once: the determinant of its integer submatrix over
-L**k.  ``invariant_values`` (a list in ``core_forms`` order) and the U0
-test ``vanishing_minor`` read that memo, and ``jacobian_row`` differentiates
-a form at a point by cofactors read from it.  The module also gives the
-restriction map to the linear slice spanned by the base and marked
-positions, and the inverse problem ``y_coordinates(gens, values)``: the
-unique slice point whose generators take those values.
+one minor, ``minor_form(base, gamma)``; a pair polynomial L_q is one product
+of two corner minors per splitting, ``pair_form(base, q)``; the extra (2,4,2)
+invariant D = det_{12,78}(X^2) is, by Cauchy-Binet, the 28 products
+det_{12,K}(X) det_{K,78}(X) over the 2-subsets K.  Three readers consume a
+form.  ``expand`` multiplies out expanded minors of X, only where a
+generator is printed or an identity is checked symbolically
+(``GeneratorSet`` expands on first read).  ``form_value`` at a point reads
+each minor from ``minors_at``, which scales the point to integers once, by
+the lcm L of its denominators, and computes each minor once: the
+determinant of its integer submatrix over L**k.  ``invariant_values`` (a
+list in ``core_forms`` order) and the U0 test ``vanishing_minor(base,
+point)`` read that memo, and ``jacobian_row`` differentiates a form at a
+point by cofactors read from it.  The module also gives the restriction
+``restrict(base, phi, f)`` to the linear slice spanned by the base and
+marked positions, and the inverse problem ``y_coordinates(gens, values)``:
+the unique slice point whose generators take those values.  A function
+given a ``Base`` or a ``GeneratorSet`` reads the type from it.
 """
 
 from __future__ import annotations
@@ -78,19 +80,19 @@ def splittings(q: AdmissiblePair) -> list[tuple[Root, Root]]:
     return [(Root(a, c), Root(c, b2)) for c in range(b, a2 + 1)]
 
 
-def minor_form(ptype: ParabolicType, base: Base, gamma: Root) -> Form:
+def minor_form(base: Base, gamma: Root) -> Form:
     """M_gamma: one product of one minor."""
     gamma = Root(*gamma)
-    if gamma not in nilradical_roots(ptype):
-        raise ValueError(f"{gamma} is not a nilradical position of type {ptype}")
+    if gamma not in nilradical_roots(base.ptype):
+        raise ValueError(f"{gamma} is not a nilradical position of type {base.ptype}")
     return ((minor_indices(base, gamma),),)
 
 
-def pair_form(ptype: ParabolicType, base: Base, q: AdmissiblePair) -> Form:
+def pair_form(base: Base, q: AdmissiblePair) -> Form:
     """L_q: the sum of M_(a,c) * M_(c,b') over ``splittings(q)``."""
     b, a2 = q.xi.j, q.xi_prime.i
-    if not (b < a2 and ptype.block_of(b) == ptype.block_of(a2)):
-        raise ValueError(f"pair {q.xi}, {q.xi_prime} is not admissible for type {ptype}")
+    if not (b < a2 and base.ptype.block_of(b) == base.ptype.block_of(a2)):
+        raise ValueError(f"pair {q.xi}, {q.xi_prime} is not admissible for type {base.ptype}")
     return tuple((minor_indices(base, left), minor_indices(base, right)) for left, right in splittings(q))
 
 
@@ -169,19 +171,19 @@ def jacobian_row(form: Form, minor: Callable[[Minor], Fraction], column: Mapping
     return row
 
 
-def vanishing_minor(ptype: ParabolicType, base: Base, point: MatrixPoint, minor: Callable | None = None) -> Root | None:
+def vanishing_minor(base: Base, point: MatrixPoint, minor: Callable | None = None) -> Root | None:
     """The first base root, in column order, whose minor vanishes at the point.
 
     None means every base minor is nonzero there: the point lies in U0.
     A point off the nilradical raises ValueError.  ``minor`` is the point's
     ``minors_at`` memo when the caller shares one.
     """
-    check_support(ptype, point)
+    check_support(base.ptype, point)
     minor = minor or minors_at(point)
     return next((xi for xi in base.by_column() if minor(minor_indices(base, xi)) == 0), None)
 
 
-def restrict(ptype: ParabolicType, base: Base, phi: Iterable[Root], f: Polynomial) -> Polynomial:
+def restrict(base: Base, phi: Iterable[Root], f: Polynomial) -> Polynomial:
     """Restriction to the slice: 0 at every position outside the base and marked positions.
 
     Keeps exactly the terms whose variables all lie on the slice; the
@@ -213,8 +215,8 @@ class GeneratorSet:
     @cached_property
     def forms(self) -> tuple[tuple[str, Form], ...]:
         """Each generator by name: the base minors in column order, the pair polynomials, then D on (2,4,2)."""
-        out = [(minor_name(xi), minor_form(self.ptype, self.base, xi)) for xi in self.base.by_column()]
-        out += [(pair_name(q), pair_form(self.ptype, self.base, q)) for q in self.pairs]
+        out = [(minor_name(xi), minor_form(self.base, xi)) for xi in self.base.by_column()]
+        out += [(pair_name(q), pair_form(self.base, q)) for q in self.pairs]
         return tuple(out + [("D", D_FORM)] * (self.ptype == CASE_242))
 
     def core_forms(self) -> list[Form]:

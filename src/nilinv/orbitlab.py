@@ -131,15 +131,15 @@ def orbit_experiment(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED
     d = dims(ptype)
     sampled = max_orbit_dim(ptype, trials, seed)
     covered = is_covered(ptype)
-    exceeded = sampled > d.predicted_regular_orbit_dim
-    matches = sampled == d.predicted_regular_orbit_dim
+    exceeded = sampled > d["predicted_regular_orbit_dim"]
+    matches = sampled == d["predicted_regular_orbit_dim"]
     return {
         "type": list(ptype.block_sizes),
         "seed": seed,
         "trials": trials,
-        "dims": d.to_dict(),
+        "dims": d,
         "max_rank": sampled,
-        "predicted": d.predicted_regular_orbit_dim,
+        "predicted": d["predicted_regular_orbit_dim"],
         "covered": covered,
         "match": matches,
         "exceeds_prediction": exceeded,
@@ -171,7 +171,7 @@ def reduce_to_canonical(gens: GeneratorSet, point: MatrixPoint, minor: Callable 
     slice_positions = set(base.roots) | phi_set(gens.pairs)
 
     minor = minor or minors_at(point)
-    xi = vanishing_minor(ptype, base, point, minor)
+    xi = vanishing_minor(base, point, minor)
     if xi is not None:
         raise OutsideU0Error(xi)
 
@@ -257,6 +257,8 @@ def verify_unique_intersection(ptype: ParabolicType, point: MatrixPoint, gens: G
     """
     if gens is None:
         gens = build_generators(ptype)
+    if gens.ptype != ptype:
+        raise ValueError(f"generators of type {gens.ptype} given for a point of type {ptype}")
     minor = minors_at(point)  # one scaling and one minor memo for the reduction and the input's values
     g, y = reduce_to_canonical(gens, point, minor)
     vals_in = invariant_values(gens, point, minor)

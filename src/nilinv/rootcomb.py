@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from typing import Iterable, Iterator, NamedTuple
@@ -198,6 +198,8 @@ def admissible_pairs(ptype: ParabolicType, base: Base | None = None) -> tuple[Ad
     """All pairs (xi, xi') of base roots with xi.j < xi'.i inside one block."""
     if base is None:
         base = compute_base(ptype)
+    if base.ptype != ptype:
+        raise ValueError(f"base of type {base.ptype} given for type {ptype}")
     pairs = []
     for xi in base.roots:
         for xi2 in base.roots:
@@ -230,38 +232,22 @@ def s_gamma(base: Base, gamma: Root) -> list[Root]:
     return sorted(r for r in base.roots if r.i > a and r.j < b)
 
 
-@dataclass(frozen=True)
-class Dims:
-    """Dimension bookkeeping for one parabolic type."""
-
-    dim_m: int
-    base_size: int
-    pair_count: int
-    phi_count: int
-    predicted_regular_orbit_dim: int
-    y_dim: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.predicted_regular_orbit_dim + self.y_dim == self.dim_m
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "consistent": self.consistent}
-
-
-def dims(ptype: ParabolicType) -> Dims:
+def dims(ptype: ParabolicType) -> dict:
+    """Dimension bookkeeping for one parabolic type, as its JSON document."""
     dim_m = len(nilradical_roots(ptype))
     base = compute_base(ptype)
     pairs = admissible_pairs(ptype, base)
-    phi = phi_set(pairs)
-    return Dims(
-        dim_m=dim_m,
-        base_size=len(base),
-        pair_count=len(pairs),
-        phi_count=len(phi),
-        predicted_regular_orbit_dim=dim_m - len(base) - len(pairs),
-        y_dim=len(base) + len(phi),
-    )
+    phi_count = len(phi_set(pairs))
+    predicted, y_dim = dim_m - len(base) - len(pairs), len(base) + phi_count
+    return {
+        "dim_m": dim_m,
+        "base_size": len(base),
+        "pair_count": len(pairs),
+        "phi_count": phi_count,
+        "predicted_regular_orbit_dim": predicted,
+        "y_dim": y_dim,
+        "consistent": predicted + y_dim == dim_m,
+    }
 
 
 DIAGRAM_FORMATS = ("text", "latex", "json")

@@ -225,7 +225,7 @@ def sample_u0_point(ptype: ParabolicType, rng: random.Random):
     base = compute_base(ptype)
     for _ in range(200):
         point = sample_point(ptype, rng)
-        if vanishing_minor(ptype, base, point) is None:
+        if vanishing_minor(base, point) is None:
             return point
     raise RuntimeError(f"could not sample a U0 point of type {ptype} in 200 tries")
 
@@ -250,7 +250,7 @@ def reduce_over_fractions(ptype, point):
     pairs = admissible_pairs(ptype, base)
     slice_positions = {Root(*r) for r in base.roots} | set(phi_set(pairs))
 
-    xi = vanishing_minor(ptype, base, point)
+    xi = vanishing_minor(base, point)
     if xi is not None:
         raise OutsideU0Error(xi)
 

@@ -123,30 +123,30 @@ def test_criterion_03_generator_fidelity():
     m2 = V(1, 3) * V(2, 4) - V(1, 4) * V(2, 3)
     n2 = V(5, 7) * V(6, 8) - V(5, 8) * V(6, 7)
     printed = {
-        "M1": (expand(pt, minor_form(pt, base, Root(2, 3))), V(2, 3)),
-        "M2": (expand(pt, minor_form(pt, base, Root(1, 4))), m2),
-        "N1": (expand(pt, minor_form(pt, base, Root(6, 7))), V(6, 7)),
-        "N2": (expand(pt, minor_form(pt, base, Root(5, 8))), n2),
+        "M1": (expand(pt, minor_form(base, Root(2, 3))), V(2, 3)),
+        "M2": (expand(pt, minor_form(base, Root(1, 4))), m2),
+        "N1": (expand(pt, minor_form(base, Root(6, 7))), V(6, 7)),
+        "N2": (expand(pt, minor_form(base, Root(5, 8))), n2),
         "L11": (
-            expand(pt, pair_form(pt, base, pair[(Root(2, 3), Root(6, 7))])),
+            expand(pt, pair_form(base, pair[(Root(2, 3), Root(6, 7))])),
             V(2, 3) * V(3, 7) + V(2, 4) * V(4, 7) + V(2, 5) * V(5, 7) + V(2, 6) * V(6, 7),
         ),
         # labels follow the pair convention; the printed displays for the two
         # mixed products are interchanged relative to it
         "L12": (
-            expand(pt, pair_form(pt, base, pair[(Root(2, 3), Root(5, 8))])),
+            expand(pt, pair_form(base, pair[(Root(2, 3), Root(5, 8))])),
             V(2, 3) * (V(3, 7) * V(6, 8) - V(3, 8) * V(6, 7))
             + V(2, 4) * (V(4, 7) * V(6, 8) - V(4, 8) * V(6, 7))
             + V(2, 5) * n2,
         ),
         "L21": (
-            expand(pt, pair_form(pt, base, pair[(Root(1, 4), Root(6, 7))])),
+            expand(pt, pair_form(base, pair[(Root(1, 4), Root(6, 7))])),
             m2 * V(4, 7)
             + (V(1, 3) * V(2, 5) - V(1, 5) * V(2, 3)) * V(5, 7)
             + (V(1, 3) * V(2, 6) - V(1, 6) * V(2, 3)) * V(6, 7),
         ),
         "L22": (
-            expand(pt, pair_form(pt, base, pair[(Root(1, 4), Root(5, 8))])),
+            expand(pt, pair_form(base, pair[(Root(1, 4), Root(5, 8))])),
             m2 * (V(4, 7) * V(6, 8) - V(4, 8) * V(6, 7))
             + (V(1, 3) * V(2, 5) - V(1, 5) * V(2, 3)) * n2,
         ),
@@ -199,12 +199,12 @@ def test_criterion_06_restriction_structure():
         pairs = admissible_pairs(pt, base)
         phi = phi_set(pairs)
         for xi in base.roots:
-            image = restrict(pt, base, phi, expand(pt, minor_form(pt, base, xi)))
+            image = restrict(base, phi, expand(pt, minor_form(base, xi)))
             coef, mono = as_monomial(image)
             ok = ok and abs(coef) == 1 and all(e == 1 for _, e in mono)
             ok = ok and {Root(*v) for v, _ in mono} == {xi} | set(s_gamma(base, xi))
         for q in pairs:
-            image = restrict(pt, base, phi, expand(pt, pair_form(pt, base, q)))
+            image = restrict(base, phi, expand(pt, pair_form(base, q)))
             coef, mono = as_monomial(image)
             want = {q.phi, q.xi} | set(s_gamma(base, q.xi)) | set(s_gamma(base, q.xi_prime))
             ok = ok and abs(coef) == 1 and all(e == 1 for _, e in mono)

@@ -80,7 +80,7 @@ def test_transform_examples():
     assert one_param_transform(P242, 5, Polynomial.constant(1)) == Polynomial.constant(1)
     base = compute_base(P242)
     for xi in base.roots:
-        m = expand(P242, minor_form(P242, base, xi))
+        m = expand(P242, minor_form(base, xi))
         for k in range(1, 8):
             assert one_param_transform(P242, k, m) == m
     with pytest.raises(ValueError):
@@ -142,11 +142,11 @@ def test_minor_shift_identities():
     for q in admissible_pairs(P242, base):
         (a, b), (a2, b2) = q.xi, q.xi_prime
         for k in range(b, a2):
-            raised = expand(P242, minor_form(P242, base, Root(a, k + 1)))
-            plain = expand(P242, minor_form(P242, base, Root(a, k)))
+            raised = expand(P242, minor_form(base, Root(a, k + 1)))
+            plain = expand(P242, minor_form(base, Root(a, k)))
             assert one_param_transform(P242, k, raised) == raised + t * plain
-            upper = expand(P242, minor_form(P242, base, Root(k, b2)))
-            lower = expand(P242, minor_form(P242, base, Root(k + 1, b2)))
+            upper = expand(P242, minor_form(base, Root(k, b2)))
+            lower = expand(P242, minor_form(base, Root(k + 1, b2)))
             assert one_param_transform(P242, k, upper) == upper - t * lower
 
 
@@ -285,7 +285,7 @@ def test_independence_ranks():
     nine = [form for _, form in gens.forms]
     assert len(nine) == 9 and independence_details(P242, nine).rank == 8  # D is algebraically dependent
     pt = ParabolicType((1, 1))
-    assert independence_details(pt, [minor_form(pt, compute_base(pt), Root(1, 2))]).rank == 1
+    assert independence_details(pt, [minor_form(compute_base(pt), Root(1, 2))]).rank == 1
     details = independence_details(P242, gens.core_forms(), seed=5)
     assert details.independent and details.expected == 8
 

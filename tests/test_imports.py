@@ -1,6 +1,8 @@
 """Each module of the package imports alone, in a fresh interpreter, and loads only what it uses."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -58,3 +60,30 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(paths) > 20
     unread = {str(p.relative_to(ROOT)): names for p in paths if (names := _unread_imports(p))}
     assert unread == {}
+
+
+# the signatures that keep a type beside its base or generators, each checking that the two agree
+TYPE_GIVEN_TWICE_ALLOWED = {"rootcomb.admissible_pairs", "orbitlab.verify_unique_intersection", "invgen.GeneratorSet.__init__"}
+
+
+def _functions(module):
+    """Every function and method defined in a module, by its name under the package, unwrapped from caches."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = [(f"{name}.{attr}", m) for attr, m in vars(obj).items()] if inspect.isclass(obj) else [(name, obj)]
+        for qualname, member in members:
+            for attr in ("__func__", "func", "fget"):  # staticmethod, classmethod, cached_property, property
+                member = getattr(member, attr, member)
+            if inspect.isfunction(fn := inspect.unwrap(member)):
+                yield f"{module.__name__.removeprefix('nilinv.')}.{qualname}", fn
+
+
+def test_no_signature_takes_the_type_beside_a_base_or_generators():
+    found = {}
+    for module in MODULES:
+        for name, fn in _functions(importlib.import_module(f"nilinv.{module}")):
+            found[name] = set(inspect.signature(fn).parameters)
+    assert {"invgen.minor_form", "invgen.GeneratorSet.__init__", "invgen.GeneratorSet.forms", "rootcomb.dims"} <= set(found)
+    twice = sorted(name for name, params in found.items() if "ptype" in params and params & {"base", "gens"})
+    assert [name for name in twice if name not in TYPE_GIVEN_TWICE_ALLOWED] == []

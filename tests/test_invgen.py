@@ -64,12 +64,12 @@ def test_formal_matrix_support():
 
 def test_minor_examples():
     base = compute_base(P242)
-    assert expand(P242, minor_form(P242, base, Root(2, 3))) == V(2, 3)
-    assert expand(P242, minor_form(P242, base, Root(1, 4))) == V(1, 3) * V(2, 4) - V(1, 4) * V(2, 3)
-    assert expand(P242, minor_form(P242, base, Root(5, 8))) == V(5, 7) * V(6, 8) - V(5, 8) * V(6, 7)
-    assert expand(P242, minor_form(P242, base, Root(2, 6))) == V(2, 6)
+    assert expand(P242, minor_form(base, Root(2, 3))) == V(2, 3)
+    assert expand(P242, minor_form(base, Root(1, 4))) == V(1, 3) * V(2, 4) - V(1, 4) * V(2, 3)
+    assert expand(P242, minor_form(base, Root(5, 8))) == V(5, 7) * V(6, 8) - V(5, 8) * V(6, 7)
+    assert expand(P242, minor_form(base, Root(2, 6))) == V(2, 6)
     with pytest.raises(ValueError):
-        expand(P242, minor_form(P242, base, Root(3, 5)))
+        expand(P242, minor_form(base, Root(3, 5)))
 
 
 def _pair(ptype, xi, xi_prime):
@@ -81,11 +81,11 @@ def _pair(ptype, xi, xi_prime):
 
 def test_l_poly_printed_forms():
     base = compute_base(P242)
-    l11 = expand(P242, pair_form(P242, base, _pair(P242, Root(2, 3), Root(6, 7))))
+    l11 = expand(P242, pair_form(base, _pair(P242, Root(2, 3), Root(6, 7))))
     assert l11 == V(2, 3) * V(3, 7) + V(2, 4) * V(4, 7) + V(2, 5) * V(5, 7) + V(2, 6) * V(6, 7)
 
     # pair (alpha_2, beta_1): the 2x2-minor-times-entry expansion
-    l21 = expand(P242, pair_form(P242, base, _pair(P242, Root(1, 4), Root(6, 7))))
+    l21 = expand(P242, pair_form(base, _pair(P242, Root(1, 4), Root(6, 7))))
     m2 = V(1, 3) * V(2, 4) - V(1, 4) * V(2, 3)
     assert l21 == (
         m2 * V(4, 7)
@@ -94,7 +94,7 @@ def test_l_poly_printed_forms():
     )
 
     # pair (alpha_1, beta_2): entry-times-2x2-minor expansion
-    l12 = expand(P242, pair_form(P242, base, _pair(P242, Root(2, 3), Root(5, 8))))
+    l12 = expand(P242, pair_form(base, _pair(P242, Root(2, 3), Root(5, 8))))
     n2 = V(5, 7) * V(6, 8) - V(5, 8) * V(6, 7)
     assert l12 == (
         V(2, 3) * (V(3, 7) * V(6, 8) - V(3, 8) * V(6, 7))
@@ -102,7 +102,7 @@ def test_l_poly_printed_forms():
         + V(2, 5) * n2
     )
 
-    l22 = expand(P242, pair_form(P242, base, _pair(P242, Root(1, 4), Root(5, 8))))
+    l22 = expand(P242, pair_form(base, _pair(P242, Root(1, 4), Root(5, 8))))
     assert l22 == (
         m2 * (V(4, 7) * V(6, 8) - V(4, 8) * V(6, 7))
         + (V(1, 3) * V(2, 5) - V(1, 5) * V(2, 3)) * n2
@@ -114,7 +114,7 @@ def test_l_poly_rejects_non_admissible():
     base = compute_base(pt)
     fake = AdmissiblePair(Root(1, 2), Root(2, 3), Root(2, 2), Root(2, 3), Root(1, 2))
     with pytest.raises(ValueError):
-        expand(pt, pair_form(pt, base, fake))
+        expand(pt, pair_form(base, fake))
 
 
 def test_power_minor():
@@ -133,9 +133,9 @@ def test_power_minor():
 def test_restrict_kills_off_slice_variables():
     base = compute_base(P242)
     phi = phi_set(admissible_pairs(P242))
-    assert not restrict(P242, base, phi, V(2, 6))
-    assert restrict(P242, base, phi, V(2, 3)) == V(2, 3)
-    assert restrict(P242, base, phi, V(3, 7)) == V(3, 7)
+    assert not restrict(base, phi, V(2, 6))
+    assert restrict(base, phi, V(2, 3)) == V(2, 3)
+    assert restrict(base, phi, V(3, 7)) == V(3, 7)
 
 
 def test_restrict_minor_images_are_signed_monomials():
@@ -145,7 +145,7 @@ def test_restrict_minor_images_are_signed_monomials():
         pairs = admissible_pairs(pt, base)
         phi = phi_set(pairs)
         for xi in base.roots:
-            image = restrict(pt, base, phi, expand(pt, minor_form(pt, base, xi)))
+            image = restrict(base, phi, expand(pt, minor_form(base, xi)))
             coef, mono = as_monomial(image)
             assert abs(coef) == 1
             assert all(e == 1 for _, e in mono)
@@ -159,7 +159,7 @@ def test_restrict_pair_images_are_signed_monomials():
         pairs = admissible_pairs(pt, base)
         phi = phi_set(pairs)
         for q in pairs:
-            image = restrict(pt, base, phi, expand(pt, pair_form(pt, base, q)))
+            image = restrict(base, phi, expand(pt, pair_form(base, q)))
             coef, mono = as_monomial(image)
             assert abs(coef) == 1
             assert all(e == 1 for _, e in mono)
@@ -171,7 +171,7 @@ def test_restrict_l22_golden():
     base = compute_base(P242)
     pairs = admissible_pairs(P242, base)
     q22 = _pair(P242, Root(1, 4), Root(5, 8))
-    image = restrict(P242, base, phi_set(pairs), expand(P242, pair_form(P242, base, q22)))
+    image = restrict(base, phi_set(pairs), expand(P242, pair_form(base, q22)))
     assert image == V(1, 4) * V(2, 3) * V(4, 8) * V(6, 7)
 
 
@@ -182,7 +182,7 @@ def test_restricted_monomials_pairwise_distinct():
         phi = phi_set(gens.pairs)
         monos = []
         for _, p in gens.named()[: len(gens.core_forms())]:
-            _, mono = as_monomial(restrict(pt, gens.base, phi, p))
+            _, mono = as_monomial(restrict(gens.base, phi, p))
             monos.append(mono)
         assert len(set(monos)) == len(monos)
 
@@ -267,7 +267,7 @@ def test_numeric_generators_match_expanded_polynomials():
                 assert got[: len(gens.base)] == [p.evaluate(values) for _, p in base_minors], sizes
                 assert got[len(gens.base) :] == [p.evaluate(values) for _, p in zip(gens.pairs, polys[len(gens.base) :])], sizes
                 first_zero = next((xi for xi, p in base_minors if p.evaluate(values) == 0), None)
-                assert vanishing_minor(ptype, gens.base, point) == first_zero, sizes
+                assert vanishing_minor(gens.base, point) == first_zero, sizes
                 verdicts.add(first_zero is None)
     assert verdicts == {True, False}
 
@@ -284,9 +284,9 @@ def test_restrict_equals_substituting_zero_off_the_slice():
             keep = set(gens.base.roots) | phi
             zeros = {tuple(r): 0 for r in nilradical_roots(ptype) if r not in keep}
             for name, p in gens.named():
-                assert restrict(ptype, gens.base, phi, p) == p.substitute(zeros), (sizes, name)
+                assert restrict(gens.base, phi, p) == p.substitute(zeros), (sizes, name)
     with pytest.raises(ValueError, match="non-position variable 'a'"):
-        restrict(P242, compute_base(P242), (), V(2, 3) * Polynomial.var("a"))
+        restrict(compute_base(P242), (), V(2, 3) * Polynomial.var("a"))
 
 
 def test_pair_polynomial_on_the_slice_is_the_splitting_c_equals_b():
@@ -300,10 +300,10 @@ def test_pair_polynomial_on_the_slice_is_the_splitting_c_equals_b():
             gens = build_generators(ptype)
             phi = phi_set(gens.pairs)
             for q in gens.pairs:
-                m_xi, m_phi = (expand(ptype, minor_form(ptype, gens.base, gamma)) for gamma in (q.xi, q.phi))
+                m_xi, m_phi = (expand(ptype, minor_form(gens.base, gamma)) for gamma in (q.xi, q.phi))
                 split = m_xi * m_phi
-                got = restrict(ptype, gens.base, phi, expand(ptype, pair_form(ptype, gens.base, q)))
-                assert got == restrict(ptype, gens.base, phi, split), (sizes, q)
+                got = restrict(gens.base, phi, expand(ptype, pair_form(gens.base, q)))
+                assert got == restrict(gens.base, phi, split), (sizes, q)
                 checked += 1
     assert checked == 74
 
@@ -312,7 +312,7 @@ def test_numeric_generators_reject_points_off_the_nilradical():
     pt = ParabolicType((2, 2))
     gens = build_generators(pt)
     entries = {(1, 3): 5, (1, 4): 7, (2, 3): 3, (2, 4): 2}
-    assert vanishing_minor(pt, gens.base, MatrixPoint.from_dict(4, entries)) is None
+    assert vanishing_minor(gens.base, MatrixPoint.from_dict(4, entries)) is None
     for bad in (
         MatrixPoint.from_dict(4, {**entries, (1, 2): 1}),  # inside a diagonal block
         MatrixPoint.from_dict(4, {**entries, (3, 1): 1}),  # below the diagonal
@@ -321,7 +321,7 @@ def test_numeric_generators_reject_points_off_the_nilradical():
         with pytest.raises(ValueError):
             invariant_values(gens, bad)
         with pytest.raises(ValueError):
-            vanishing_minor(pt, gens.base, bad)
+            vanishing_minor(gens.base, bad)
     # check_support reads only the positions off the nilradical: each one is read, and named
     for n in range(1, 7):
         for sizes in compositions(n):
@@ -401,9 +401,9 @@ def test_minors_without_the_lcm_scaling_are_caught():
 def _restricted_steps(ptype, base, pairs):
     # the symbolic solve order: each generator restricted to the slice, read as one signed monomial
     phi = phi_set(pairs)
-    steps = [(xi, expand(ptype, minor_form(ptype, base, xi))) for xi in sorted(base.roots, key=lambda r: len(s_gamma(base, r)))]
-    steps += [(q.phi, expand(ptype, pair_form(ptype, base, q))) for q in pairs]
-    return [(target, *as_monomial(restrict(ptype, base, phi, p))) for target, p in steps]
+    steps = [(xi, expand(ptype, minor_form(base, xi))) for xi in sorted(base.roots, key=lambda r: len(s_gamma(base, r)))]
+    steps += [(q.phi, expand(ptype, pair_form(base, q))) for q in pairs]
+    return [(target, *as_monomial(restrict(base, phi, p))) for target, p in steps]
 
 
 def _y_coordinates_by_restriction(ptype, steps, vals):

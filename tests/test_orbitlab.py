@@ -279,7 +279,7 @@ def _reduction_cases():
             cases.append((pt, adjoint(pt, random_unitriangular(pt.n, rng), y)))
         draw = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
         fractional = MatrixPoint.from_dict(pt.n, {tuple(r): draw() for r in sorted(nilradical_roots(pt))})
-        if vanishing_minor(pt, base, fractional) is None:
+        if vanishing_minor(base, fractional) is None:
             cases.append((pt, fractional))
     return cases
 
@@ -418,3 +418,13 @@ def test_verify_unique_intersection_batches():
             assert rep["invariants_preserved"]
             assert rep["y_coordinates_agree"]
             assert rep["pass"]
+
+
+def test_verify_unique_intersection_rejects_generators_of_another_type():
+    golden = pathlib.Path(__file__).parent / "golden"
+    point = MatrixPoint.from_json_dict(json.loads((golden / "point_242_u0.json").read_text()), P242.n)
+    # the golden point lies in U0 of (2,4,2); read under (2,2,2,2) its base minor at (4,5) vanishes
+    with pytest.raises(ValueError, match=r"^generators of type \(2,2,2,2\) given for a point of type \(2,4,2\)$"):
+        verify_unique_intersection(P242, point, build_generators(ParabolicType((2, 2, 2, 2))))
+    record = verify_unique_intersection(P242, point, build_generators(P242))
+    assert json.dumps(record, sort_keys=True, indent=2) + "\n" == (golden / "reduce_242.json").read_text()

@@ -130,7 +130,7 @@ def test_single_block_degenerates():
     assert compute_base(pt).roots == ()
     assert admissible_pairs(pt) == ()
     d = dims(pt)
-    assert d.dim_m == 0 and d.predicted_regular_orbit_dim == 0
+    assert d["dim_m"] == 0 and d["predicted_regular_orbit_dim"] == 0
 
 
 def test_admissible_pair_counts_and_fields():
@@ -144,6 +144,17 @@ def test_admissible_pair_counts_and_fields():
         assert q.alpha == (b, a2) and q.phi == (b, b2) and q.psi == (a, a2)
         assert q.alpha in reductive_roots(pt)
     assert len(admissible_pairs(ParabolicType((2, 1, 3, 2)))) == 3
+
+
+def test_admissible_pairs_rejects_a_base_of_another_type():
+    import pathlib
+
+    pt = ParabolicType((2, 4, 2))
+    with pytest.raises(ValueError, match=r"^base of type \(2,2,2,2\) given for type \(2,4,2\)$"):
+        admissible_pairs(pt, compute_base(ParabolicType((2, 2, 2, 2))))
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "base_242.json").read_text())
+    assert [q.to_json_dict() for q in admissible_pairs(pt, compute_base(pt))] == golden["pairs"]
+    assert admissible_pairs(pt, compute_base(pt)) == admissible_pairs(pt)
 
 
 def test_s_gamma_examples():
@@ -163,15 +174,15 @@ def test_nilradical_columns_match_the_block_formula():
             assert list(columns.values()) == list(range(len(columns)))
             # dim m = sum over block pairs a < b of n_a n_b, the count dims made before it read the roots
             block_formula = sum(sizes[a] * sizes[b] for a in range(len(sizes)) for b in range(a + 1, len(sizes)))
-            assert dims(pt).dim_m == block_formula == len(nilradical_roots(pt)), sizes
+            assert dims(pt)["dim_m"] == block_formula == len(nilradical_roots(pt)), sizes
 
 
 def test_dims_examples():
     d = dims(ParabolicType((2, 4, 2)))
-    assert (d.dim_m, d.base_size, d.pair_count, d.predicted_regular_orbit_dim) == (20, 4, 4, 12)
+    assert (d["dim_m"], d["base_size"], d["pair_count"], d["predicted_regular_orbit_dim"]) == (20, 4, 4, 12)
     d = dims(ParabolicType((2, 1, 3, 2)))
-    assert (d.dim_m, d.base_size, d.pair_count, d.predicted_regular_orbit_dim) == (23, 5, 3, 15)
-    assert dims(ParabolicType((6,))).dim_m == 0
+    assert (d["dim_m"], d["base_size"], d["pair_count"], d["predicted_regular_orbit_dim"]) == (23, 5, 3, 15)
+    assert dims(ParabolicType((6,)))["dim_m"] == 0
 
 
 def _marks_from_text(text):
@@ -276,9 +287,9 @@ def test_marked_roots_avoid_base_and_are_injective(pt):
 @settings(max_examples=60, deadline=None)
 def test_dims_identity(pt):
     d = dims(pt)
-    assert d.phi_count == d.pair_count
-    assert d.predicted_regular_orbit_dim + d.base_size + d.pair_count == d.dim_m
-    assert d.consistent
+    assert d["phi_count"] == d["pair_count"]
+    assert d["predicted_regular_orbit_dim"] + d["base_size"] + d["pair_count"] == d["dim_m"]
+    assert d["consistent"]
 
 
 def _closed_form(sizes):
