@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .exactpoly import MatrixPoint, Polynomial, T, rank
 from .invgen import CASE_242, Form, Minor, build_generators, expand, formal_matrix, jacobian_row, minors_at
 from .orbitlab import DEFAULT_SEED, bracket, sample_point
-from .rootcomb import AdmissiblePair, ParabolicType, Root, nilradical_columns, nilradical_roots, phi_set
+from .rootcomb import AdmissiblePair, ParabolicType, Root, nilradical_columns, nilradical_roots
 
 INDEPENDENCE_RETRIES = 5
 
@@ -208,15 +208,13 @@ def verify_type(ptype: ParabolicType, seed: int = DEFAULT_SEED) -> VerificationR
         independence = independence_details(ptype, core, seed)
     else:
         independence = IndependenceResult(rank=0, expected=0, seed=seed, attempts=0)
-    pairs = gens.pairs
-    s_phi = list(gens.base.roots) + sorted(phi_set(pairs))
     return VerificationReport(
         ptype=ptype,
         seed=seed,
         generators=[name for name, _ in gens.forms],
         independence=independence,
-        corank_alpha=weight_corank(pairs, ptype.n),
-        corank_s_phi=corank_of_roots(s_phi, ptype.n),
+        corank_alpha=weight_corank(gens.pairs, ptype.n),
+        corank_s_phi=corank_of_roots(gens.slice, ptype.n),
     )
 
 

@@ -64,7 +64,7 @@ def _base_doc(ptype: ParabolicType) -> dict:
     return {
         "type": list(ptype.block_sizes),
         "blocks": list(ptype.block_sizes),
-        "base": [[r.i, r.j] for r in base.by_column()],
+        "base": [[r.i, r.j] for r in base.roots],
         "pairs": [q.to_json_dict() for q in pairs],
         "phi": [list(r) for r in sorted(phi_set(pairs))],
         "psi": [list(r) for r in sorted(psi_set(pairs))],

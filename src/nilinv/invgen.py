@@ -10,22 +10,23 @@ invariant D = det_{12,78}(X^2) is, by Cauchy-Binet, the 28 products
 det_{12,K}(X) det_{K,78}(X) over the 2-subsets K.  Three readers consume a
 form.  ``expand`` multiplies out expanded minors of X, only where a
 generator is printed or an identity is checked symbolically
-(``GeneratorSet`` expands on first read).  ``form_value`` at a point reads
+(``GeneratorSet(ptype)`` builds the base, the pairs and the slice once from
+the type, and expands on first read).  ``form_value`` at a point reads
 each minor from ``minors_at``, which scales the point to integers once, by
 the lcm L of its denominators, and computes each minor once: the
 determinant of its integer submatrix over L**k.  ``invariant_values`` (a
 list in ``core_forms`` order) and the U0 test ``vanishing_minor(base,
 point)`` read that memo, and ``jacobian_row`` differentiates a form at a
 point by cofactors read from it.  The module also gives the restriction
-``restrict(base, phi, f)`` to the linear slice spanned by the base and
-marked positions, and the inverse problem ``y_coordinates(gens, values)``:
-the unique slice point whose generators take those values.  A function
-given a ``Base`` or a ``GeneratorSet`` reads the type from it.
+``restrict(base, phi, f)`` to the linear slice ``gens.slice`` spanned by the
+base and marked positions, and the inverse problem ``y_coordinates(gens,
+values)``: the unique slice point whose generators take those values, read
+off the first product of each form.  A function given a ``Base`` or a
+``GeneratorSet`` reads the type from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
@@ -44,6 +45,7 @@ from .rootcomb import (
     compute_base,
     is_covered,
     nilradical_roots,
+    phi_set,
     s_gamma,
 )
 
@@ -180,7 +182,7 @@ def vanishing_minor(base: Base, point: MatrixPoint, minor: Callable | None = Non
     """
     check_support(base.ptype, point)
     minor = minor or minors_at(point)
-    return next((xi for xi in base.by_column() if minor(minor_indices(base, xi)) == 0), None)
+    return next((xi for xi in base.roots if minor(minor_indices(base, xi)) == 0), None)
 
 
 def restrict(base: Base, phi: Iterable[Root], f: Polynomial) -> Polynomial:
@@ -204,18 +206,18 @@ def pair_name(q: AdmissiblePair) -> str:
     return f"L[{q.xi.i},{q.xi.j};{q.xi_prime.i},{q.xi_prime.j}]"
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """The generators attached to one parabolic type, each by its one form; expanded on first read."""
 
-    ptype: ParabolicType
-    base: Base
-    pairs: tuple[AdmissiblePair, ...]
+    def __init__(self, ptype: ParabolicType):
+        self.ptype, self.base = ptype, compute_base(ptype)
+        self.pairs = admissible_pairs(ptype, self.base)
+        self.slice = frozenset(self.base.roots) | phi_set(self.pairs)  # the base and marked positions
 
     @cached_property
     def forms(self) -> tuple[tuple[str, Form], ...]:
         """Each generator by name: the base minors in column order, the pair polynomials, then D on (2,4,2)."""
-        out = [(minor_name(xi), minor_form(self.base, xi)) for xi in self.base.by_column()]
+        out = [(minor_name(xi), minor_form(self.base, xi)) for xi in self.base.roots]
         out += [(pair_name(q), pair_form(self.base, q)) for q in self.pairs]
         return tuple(out + [("D", D_FORM)] * (self.ptype == CASE_242))
 
@@ -238,21 +240,20 @@ class GeneratorSet:
     def to_json_dict(self) -> dict:
         return {
             "type": list(self.ptype.block_sizes),
-            "base": [[xi.i, xi.j] for xi in self.base.by_column()],
+            "base": [[xi.i, xi.j] for xi in self.base.roots],
             "pairs": [q.to_json_dict() for q in self.pairs],
             "generators": [{"name": name, "poly": str(p)} for name, p in self.named()],
         }
 
     def to_latex(self) -> str:
-        labels = [f"M_{{{xi}}}" for xi in self.base.by_column()] + [f"L_{{{q.xi},{q.xi_prime}}}" for q in self.pairs]
+        labels = [f"M_{{{xi}}}" for xi in self.base.roots] + [f"L_{{{q.xi},{q.xi_prime}}}" for q in self.pairs]
         lines = [f"{label} &= {p.latex()}\\\\" for label, (_, p) in zip(labels + ["D"], self.named())]
         return "\n".join([r"\begin{align*}", *lines, r"\end{align*}"]) + "\n"
 
 
 def build_generators(ptype: ParabolicType) -> GeneratorSet:
     """The generators of a type; nothing is expanded until a polynomial is read."""
-    base = compute_base(ptype)
-    return GeneratorSet(ptype, base, admissible_pairs(ptype, base))
+    return GeneratorSet(ptype)
 
 
 def invariant_values(gens: GeneratorSet, point: MatrixPoint, minor: Callable | None = None) -> list[Fraction]:
@@ -269,28 +270,26 @@ def y_coordinates(gens: GeneratorSet, values: list[Fraction]) -> MatrixPoint:
     target coordinate and otherwise in coordinates solved before it: the
     base coordinates innermost first from the minor values (all of which
     must be nonzero), then each marked coordinate phi from its pair value.
-    Of the ``splittings`` c = b..a' of a pair, only c = b survives on
-    the slice, so there L_q is the first product of its form, M_xi * M_phi:
-    two determinants instead of 2(a' - b + 1).  Each target is its value
-    divided by the generator evaluated at the slice point built so far with
-    that target set to 1.
+    That monomial is the first product of the generator's form: a base
+    minor's one product, and for a pair the splitting c = b, M_xi * M_phi,
+    which ``splittings`` lists first and the only one that survives on the
+    slice.  Each target is its value divided by that product evaluated at
+    the slice point built so far with that target set to 1.
     """
     ptype, base, pairs = gens.ptype, gens.base, gens.pairs
     check_covered(ptype)
     if len(values) != len(base) + len(pairs):
         raise ValueError(f"expected {len(base) + len(pairs)} generator values, got {len(values)}")
-    m_values = dict(zip(base.by_column(), values))
-    for xi, value in m_values.items():  # the order of vanishing_minor
+    for xi, value in zip(base.roots, values):  # the order of vanishing_minor
         if value == 0:
             raise OutsideU0Error(xi)
 
-    # (target, value, the minors whose product is the generator on the slice)
-    inner_first = sorted(base.roots, key=lambda r: len(s_gamma(base, r)))
-    steps = [(xi, m_values[xi], (xi,)) for xi in inner_first]
-    steps += [(q.phi, value, (q.xi, q.phi)) for q, value in zip(pairs, values[len(base) :])]
+    # (target, value, the minors whose product is the generator on the slice); base minors by order, innermost first
+    firsts = [form[0] for form in gens.core_forms()]
+    steps = sorted(zip(base.roots, values, firsts), key=lambda step: len(step[2][0][0]))
+    steps += zip([q.phi for q in pairs], values[len(base) :], firsts[len(base) :])
     coords: dict[Root, Fraction] = {}
-    for target, value, factors in steps:
+    for target, value, product in steps:
         coords[target] = Fraction(1)
-        minors = [minor_indices(base, gamma) for gamma in factors]
-        coords[target] = value / prod(det([[coords.get((i, j), 0) for j in cols] for i in rows]) for rows, cols in minors)
+        coords[target] = value / prod(det([[coords.get((i, j), 0) for j in cols] for i in rows]) for rows, cols in product)
     return MatrixPoint.from_dict(ptype.n, coords)

@@ -28,7 +28,6 @@ from .rootcomb import (
     is_covered,
     nilradical_columns,
     nilradical_roots,
-    phi_set,
 )
 
 DEFAULT_SEED = 271828
@@ -165,10 +164,9 @@ def reduce_to_canonical(gens: GeneratorSet, point: MatrixPoint, minor: Callable 
     ``minor`` is the point's ``minors_at`` memo when the caller shares one: the
     U0 test reads it and the rows start from a copy of its integer scaling.
     """
-    ptype, base = gens.ptype, gens.base
+    ptype, base, slice_positions = gens.ptype, gens.base, gens.slice
     check_covered(ptype)
     n, s = ptype.n, ptype.s
-    slice_positions = set(base.roots) | phi_set(gens.pairs)
 
     minor = minor or minors_at(point)
     xi = vanishing_minor(base, point, minor)

@@ -138,11 +138,8 @@ class AdmissiblePair(NamedTuple):
 class Base:
     """The distinguished antichain of nilradical roots, one per used row and column."""
 
-    roots: tuple[Root, ...]  # sorted by row index
+    roots: tuple[Root, ...]  # sorted by column index, the one order its readers use
     ptype: ParabolicType
-
-    def by_column(self) -> tuple[Root, ...]:
-        return tuple(sorted(self.roots, key=lambda r: r.j))
 
     @cached_property
     def root_in_column(self) -> dict[int, Root]:
@@ -191,7 +188,7 @@ def compute_base(ptype: ParabolicType) -> Base:
                 roots.append(Root(r, c))
                 used_rows.add(r)
                 used_cols.add(c)
-    return Base(tuple(sorted(roots)), ptype)
+    return Base(tuple(sorted(roots, key=lambda r: r.j)), ptype)
 
 
 def admissible_pairs(ptype: ParabolicType, base: Base | None = None) -> tuple[AdmissiblePair, ...]:
@@ -272,7 +269,7 @@ def diagram_dict(ptype: ParabolicType, marked: str = "phi", offset: int = 0) -> 
         "offset": offset,
         "blocks": list(ptype.block_sizes),
         "marked": marked,
-        "base": [shift(r) for r in base.by_column()],
+        "base": [shift(r) for r in base.roots],
         "phi": [shift(r) for r in sorted(marks)],
     }
 

@@ -16,12 +16,14 @@ from nilinv import invgen
 from nilinv.errors import OutsideU0Error, UnsupportedTypeError
 from nilinv.exactpoly import MatrixPoint, Polynomial, det
 from nilinv.invgen import (
+    GeneratorSet,
     build_generators,
     check_support,
     expand,
     formal_matrix,
     invariant_values,
     minor_form,
+    minor_indices,
     minors_at,
     pair_form,
     restrict,
@@ -37,6 +39,7 @@ from nilinv.rootcomb import (
     admissible_pairs,
     compositions,
     compute_base,
+    dims,
     is_covered,
     nilradical_roots,
     phi_set,
@@ -236,7 +239,7 @@ def test_y_coordinates_inverts_invariants_on_slice():
     gens = build_generators(pt)
     entries = {}
     value = 2
-    for xi in gens.base.by_column():
+    for xi in gens.base.roots:
         entries[tuple(xi)] = value
         value += 1
     for q in gens.pairs:
@@ -263,7 +266,7 @@ def test_numeric_generators_match_expanded_polynomials():
                 values = {tuple(r): point.get(*r) for r in nilradical_roots(ptype)}
                 got = invariant_values(gens, point)
                 polys = [p for _, p in gens.named()]
-                base_minors = list(zip(gens.base.by_column(), polys))
+                base_minors = list(zip(gens.base.roots, polys))
                 assert got[: len(gens.base)] == [p.evaluate(values) for _, p in base_minors], sizes
                 assert got[len(gens.base) :] == [p.evaluate(values) for _, p in zip(gens.pairs, polys[len(gens.base) :])], sizes
                 first_zero = next((xi for xi, p in base_minors if p.evaluate(values) == 0), None)
@@ -435,7 +438,7 @@ def test_numeric_slice_solve_matches_symbolic_solve():
             zero_marks += sum(entries[q.phi] == 0 for q in gens.pairs)
             for point in (sample_u0_point(ptype, rng), MatrixPoint.from_dict(ptype.n, entries)):
                 vals = invariant_values(gens, point)
-                targets = [*gens.base.by_column(), *(q.phi for q in gens.pairs)]
+                targets = [*gens.base.roots, *(q.phi for q in gens.pairs)]
                 want = _y_coordinates_by_restriction(ptype, steps, dict(zip(targets, vals)))
                 assert y_coordinates(gens, vals) == want, sizes
     assert zero_marks > 0
@@ -479,3 +482,52 @@ def test_reduce_path_builds_no_per_type_data(monkeypatch):
                 monkeypatch.setattr(module, name, rebuild)
     record = verify_unique_intersection(P242, point, gens)
     assert json.dumps(record, sort_keys=True, indent=2) + "\n" == (golden / "reduce_242.json").read_text()
+
+
+def test_generator_set_is_built_from_its_type_alone():
+    # a base and pairs of another type can no longer be passed beside the type
+    p2222 = ParabolicType((2, 2, 2, 2))
+    with pytest.raises(TypeError):
+        GeneratorSet(P242, compute_base(p2222), admissible_pairs(p2222))
+    assert list(inspect.signature(GeneratorSet).parameters) == ["ptype"]
+    golden = (pathlib.Path(__file__).parent / "golden" / "invariants_242.txt").read_text()
+    assert [name for name, _ in GeneratorSet(P242).forms] == [line.split(" = ")[0] for line in golden.splitlines()]
+
+
+def test_slice_and_first_products_on_every_type_up_to_9():
+    rng = random.Random(DEFAULT_SEED)
+    solved = 0
+    for n in range(1, 10):
+        for sizes in compositions(n):
+            ptype = ParabolicType(sizes)
+            gens = GeneratorSet(ptype)
+            base, core = gens.base, gens.core_forms()
+            assert len(gens.slice) == len(core) == dims(ptype)["y_dim"], sizes
+            for xi, form in zip(base.roots, core):
+                assert form == ((minor_indices(base, xi),),), (sizes, xi)
+            for q, form in zip(gens.pairs, core[len(base) :]):
+                assert form[0] == (minor_indices(base, q.xi), minor_indices(base, q.phi)), (sizes, q)
+            if is_covered(ptype):
+                point = sample_u0_point(ptype, rng)
+                assert y_coordinates(gens, invariant_values(gens, point)).support() <= gens.slice, sizes
+                solved += 1
+    assert solved == 173  # the covered types among them
+
+
+def test_splittings_with_c_equals_b_last_are_caught(monkeypatch):
+    # y_coordinates reads each pair's first product as M_xi * M_phi; that holds only while c = b comes first
+    golden = pathlib.Path(__file__).parent / "golden"
+    point = MatrixPoint.from_json_dict(json.loads((golden / "point_242_u0.json").read_text()), P242.n)
+    want = json.loads((golden / "reduce_242.json").read_text())["y"]
+    gens = GeneratorSet(P242)
+    assert y_coordinates(gens, invariant_values(gens, point)).to_json_dict() == want
+    splittings = invgen.splittings
+    monkeypatch.setattr(invgen, "splittings", lambda q: splittings(q)[1:] + splittings(q)[:1])
+    mutant = GeneratorSet(P242)
+    values = invariant_values(mutant, point)
+    assert values == invariant_values(gens, point)  # the sum is the same; only its first product moved
+    try:
+        got = y_coordinates(mutant, values).to_json_dict()
+    except ZeroDivisionError:
+        return
+    assert got != want

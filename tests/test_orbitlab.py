@@ -349,7 +349,7 @@ def test_reduce_and_y_coordinates_name_the_same_vanishing_minor():
     x.rows[0][2] = x.rows[1][2] = Fraction(0)
     gens = build_generators(P242)
     values = invariant_values(gens, x)
-    m_values = dict(zip(gens.base.by_column(), values))
+    m_values = dict(zip(gens.base.roots, values))
     assert m_values[Root(1, 4)] == m_values[Root(2, 3)] == 0
     with pytest.raises(OutsideU0Error) as reduced:
         reduce_to_canonical(gens, x)
@@ -385,7 +385,7 @@ def test_reduce_fixes_slice_points():
     pt = P242
     entries = {}
     val = 2
-    for xi in compute_base(pt).by_column():
+    for xi in compute_base(pt).roots:
         entries[tuple(xi)] = val
         val += 1
     for phi in sorted(phi_set(admissible_pairs(pt))):

@@ -157,6 +157,13 @@ def test_admissible_pairs_rejects_a_base_of_another_type():
     assert admissible_pairs(pt, compute_base(pt)) == admissible_pairs(pt)
 
 
+def test_base_roots_are_sorted_by_column():
+    for n in range(1, 11):
+        for sizes in compositions(n):
+            cols = [r.j for r in compute_base(ParabolicType(sizes)).roots]
+            assert cols == sorted(cols), sizes
+
+
 def test_s_gamma_examples():
     pt = ParabolicType((2, 4, 2))
     base = compute_base(pt)
