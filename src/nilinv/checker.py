@@ -155,66 +155,31 @@ def weight_corank(pairs: Iterable[AdmissiblePair], n: int) -> int:
     return corank_of_roots([q.alpha for q in pairs], n)
 
 
-@dataclass
-class VerificationReport:
-    """All checks for one type: invariance (proved by ``check_invariance`` or refused), independence, corank bookkeeping."""
-
-    ptype: ParabolicType
-    seed: int
-    generators: list[str]  # names in ``gens.forms`` order, each proved invariant at every k
-    independence: IndependenceResult
-    corank_alpha: int
-    corank_s_phi: int
-
-    @property
-    def flags(self) -> dict[str, bool]:
-        return {
-            "invariance": True,
-            "independence": self.independence.independent,
-            "corank_bookkeeping": self.corank_alpha == self.corank_s_phi,
-        }
-
-    @property
-    def passed(self) -> bool:
-        return all(self.flags.values())
+class VerificationReport(dict):
+    """The JSON document of ``verify_type``; ``to_json_dict`` returns it as it is."""
 
     def to_json_dict(self) -> dict:
-        return {
-            "type": list(self.ptype.block_sizes),
-            "seed": self.seed,
-            "invariance": {name: [True] * (self.ptype.n - 1) for name in sorted(self.generators)},
-            "independence": self.independence.to_dict(),
-            "corank": {
-                "alpha": self.corank_alpha,
-                "s_phi": self.corank_s_phi,
-                "consistent": self.corank_alpha == self.corank_s_phi,
-            },
-            "trdeg": {
-                "field_n": self.independence.expected,  # |S| + |Q|
-                "field_b_claimed": self.corank_alpha,
-                "field_b_lattice": self.corank_s_phi,
-            },
-            "flags": self.flags,
-            "passed": self.passed,
-        }
+        return self
 
 
 def verify_type(ptype: ParabolicType, seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Run the full battery of checks for one type."""
+    """All checks for one type, as its JSON document: invariance (proved by ``check_invariance`` or refused), independence, corank bookkeeping."""
     gens = build_generators(ptype)
     check_invariance(ptype, gens.forms)
     core = gens.core_forms()
-    if core:
-        independence = independence_details(ptype, core, seed)
-    else:
-        independence = IndependenceResult(rank=0, expected=0, seed=seed, attempts=0)
+    independence = independence_details(ptype, core, seed) if core else IndependenceResult(0, 0, seed, 0)
+    alpha, s_phi = weight_corank(gens.pairs, ptype.n), corank_of_roots(gens.slice, ptype.n)
+    consistent = alpha == s_phi
+    flags = {"invariance": True, "independence": independence.independent, "corank_bookkeeping": consistent}
     return VerificationReport(
-        ptype=ptype,
+        type=list(ptype.block_sizes),
         seed=seed,
-        generators=[name for name, _ in gens.forms],
-        independence=independence,
-        corank_alpha=weight_corank(gens.pairs, ptype.n),
-        corank_s_phi=corank_of_roots(gens.slice, ptype.n),
+        invariance={name: [True] * (ptype.n - 1) for name in sorted(name for name, _ in gens.forms)},
+        independence=independence.to_dict(),
+        corank={"alpha": alpha, "s_phi": s_phi, "consistent": consistent},
+        trdeg={"field_n": independence.expected, "field_b_claimed": alpha, "field_b_lattice": s_phi},  # field_n = |S| + |Q|
+        flags=flags,
+        passed=all(flags.values()),
     )
 
 

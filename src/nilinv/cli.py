@@ -68,7 +68,7 @@ def _base_doc(ptype: ParabolicType) -> dict:
         "pairs": [q.to_json_dict() for q in pairs],
         "phi": [list(r) for r in sorted(phi_set(pairs))],
         "psi": [list(r) for r in sorted(psi_set(pairs))],
-        "dims": dims(ptype),
+        "dims": dims(base, pairs),
     }
 
 
@@ -113,12 +113,12 @@ def _invariants(args) -> tuple[str, int]:
 
 
 def _verify(args) -> tuple[str, int]:
-    report = verify_type(args.type, args.seed)
-    code = 0 if report.passed else 1
+    doc = verify_type(args.type, args.seed)
+    code = 0 if doc["passed"] else 1
     if args.format == "json":
-        return _json_doc(report.to_json_dict()), code
-    flags = " ".join(f"{k}={v}" for k, v in sorted(report.flags.items()))
-    return f"type {args.type} passed={report.passed} {flags}\n", code
+        return _json_doc(doc), code
+    flags = " ".join(f"{k}={v}" for k, v in sorted(doc["flags"].items()))
+    return f"type {args.type} passed={doc['passed']} {flags}\n", code
 
 
 def _orbit_dim(args) -> tuple[str, int]:

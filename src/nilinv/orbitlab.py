@@ -24,6 +24,8 @@ from .invgen import vanishing_minor, y_coordinates
 from .rootcomb import (
     ParabolicType,
     Root,
+    admissible_pairs,
+    compute_base,
     dims,
     is_covered,
     nilradical_columns,
@@ -127,7 +129,8 @@ def max_orbit_dim(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -
 
 def orbit_experiment(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -> dict:
     """Experiment record comparing the sampled maximum against the prediction."""
-    d = dims(ptype)
+    base = compute_base(ptype)
+    d = dims(base, admissible_pairs(ptype, base))
     sampled = max_orbit_dim(ptype, trials, seed)
     covered = is_covered(ptype)
     exceeded = sampled > d["predicted_regular_orbit_dim"]

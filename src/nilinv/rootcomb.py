@@ -229,11 +229,9 @@ def s_gamma(base: Base, gamma: Root) -> list[Root]:
     return sorted(r for r in base.roots if r.i > a and r.j < b)
 
 
-def dims(ptype: ParabolicType) -> dict:
-    """Dimension bookkeeping for one parabolic type, as its JSON document."""
-    dim_m = len(nilradical_roots(ptype))
-    base = compute_base(ptype)
-    pairs = admissible_pairs(ptype, base)
+def dims(base: Base, pairs: tuple[AdmissiblePair, ...]) -> dict:
+    """Dimension bookkeeping for the type of a base and its admissible pairs, as its JSON document."""
+    dim_m = len(nilradical_roots(base.ptype))
     phi_count = len(phi_set(pairs))
     predicted, y_dim = dim_m - len(base) - len(pairs), len(base) + phi_count
     return {

@@ -30,6 +30,7 @@ from nilinv.checker import (
     weight_corank,
 )
 from nilinv import exactpoly, invgen
+from nilinv.cli import main
 from nilinv.invgen import build_generators, expand, formal_matrix, jacobian_row, minor_form, minor_poly, minors_at
 from nilinv.orbitlab import DEFAULT_SEED, sample_point
 from nilinv.rootcomb import (
@@ -385,7 +386,7 @@ def test_corank_s_phi_values():
 def test_verify_type_reports():
     rep = verify_type(P242, seed=11)
     doc = rep.to_json_dict()
-    assert rep.passed
+    assert rep["passed"]
     assert doc["independence"]["rank"] == 8
     assert doc["corank"] == {"alpha": 1, "s_phi": 1, "consistent": True}
     assert doc["trdeg"]["field_n"] == 8
@@ -393,16 +394,38 @@ def test_verify_type_reports():
     # the corank bookkeeping genuinely fails for (2,2,2,1,1); the report
     # must say so rather than hide it
     rep2 = verify_type(ParabolicType((2, 2, 2, 1, 1)), seed=11)
-    assert rep2.flags["invariance"] and rep2.flags["independence"]
-    assert not rep2.flags["corank_bookkeeping"]
-    assert not rep2.passed
-    assert rep2.corank_alpha == 0 and rep2.corank_s_phi == 1
+    assert rep2["flags"]["invariance"] and rep2["flags"]["independence"]
+    assert not rep2["flags"]["corank_bookkeeping"]
+    assert not rep2["passed"]
+    assert rep2["corank"]["alpha"] == 0 and rep2["corank"]["s_phi"] == 1
 
 
 def test_verify_single_block():
     rep = verify_type(ParabolicType((4,)))
-    assert rep.passed
-    assert rep.independence.rank == 0 and rep.independence.expected == 0
+    assert rep["passed"]
+    assert rep["independence"]["rank"] == 0 and rep["independence"]["expected"] == 0
+
+
+def test_verify_document_contract_up_to_8(capsys):
+    # every composition with n <= 8: the verdicts agree with the fields they are read from, and verify prints the document
+    types = 0
+    for n in range(1, 9):
+        for sizes in compositions(n):
+            pt, types = ParabolicType(sizes), types + 1
+            doc, gens = verify_type(pt), build_generators(pt)
+            flags, corank, independence = doc["flags"], doc["corank"], doc["independence"]
+            assert doc["passed"] == all(flags.values()), sizes
+            assert corank["consistent"] == flags["corank_bookkeeping"] == (corank["alpha"] == corank["s_phi"]), sizes
+            assert doc["trdeg"] == {
+                "field_n": independence["expected"], "field_b_claimed": corank["alpha"], "field_b_lattice": corank["s_phi"],
+            }, sizes
+            assert independence["expected"] == len(gens.core_forms()), sizes
+            assert list(doc["invariance"]) == sorted(name for name, _ in gens.forms), sizes
+            assert all(table == [True] * (n - 1) for table in doc["invariance"].values()), sizes
+            assert doc.to_json_dict() is doc, sizes
+            main(["verify", "--type", ",".join(map(str, sizes))])
+            assert json.loads(capsys.readouterr().out) == doc, sizes
+    assert types == 255
 
 
 def test_case242_named_generators_match_displays():

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilinv import checker, exactpoly, invgen
+from nilinv import checker, exactpoly, invgen, rootcomb
 from nilinv.cli import COMMANDS, MAX_ORBIT_WORK, MAX_TRIALS, main
 from nilinv.invgen import build_generators
+from nilinv.orbitlab import DEFAULT_SEED
 from nilinv.rootcomb import ParabolicType
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -43,6 +44,24 @@ def test_base_json(capsys):
     assert doc["base"] == [[2, 3], [1, 4], [6, 7], [5, 8]]
     assert doc["dims"]["predicted_regular_orbit_dim"] == 12
     validate(doc, "base.schema.json")
+
+
+def test_base_builds_its_base_and_pairs_once(capsys, monkeypatch):
+    calls = {}
+    modules = [m for name, m in sys.modules.items() if name == "nilinv" or name.startswith("nilinv.")]
+    for name in ("compute_base", "admissible_pairs"):
+        original = getattr(rootcomb, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, out = run(capsys, "base", "--type", "2,4,2", "--format", "json")
+    assert code == 0 and out == (GOLDEN / "base_242.json").read_text(encoding="utf-8")
+    assert calls == {"compute_base": 1, "admissible_pairs": 1}
 
 
 def test_base_text(capsys):
@@ -92,6 +111,23 @@ def test_verify_exit_codes(capsys):
     doc = json.loads(out)
     assert doc["flags"]["invariance"] and not doc["flags"]["corank_bookkeeping"]
     validate(doc, "verification.schema.json")
+
+
+def test_verify_reports_a_dependent_verdict(capsys, monkeypatch):
+    monkeypatch.setattr(
+        checker, "independence_details",
+        lambda ptype, forms, seed: checker.IndependenceResult(rank=7, expected=8, seed=seed, attempts=5),
+    )
+    code, out = run(capsys, "verify", "--type", "2,4,2")
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] is False and doc["flags"]["independence"] is False
+    assert doc["independence"] == {
+        "rank": 7, "expected": 8, "seed": DEFAULT_SEED, "attempts": 5, "independent": False,
+        "note": "dependent or unlucky (failure probability bounded by Schwartz-Zippel)",
+    }
+    validate(doc, "verification.schema.json")
+    code, out = run(capsys, "verify", "--type", "2,4,2", "--format", "text")
+    assert code == 1 and "passed=False" in out.split() and "independence=False" in out.split()
 
 
 def test_orbit_dim_record(capsys):
@@ -409,10 +445,13 @@ def test_json_outputs_are_byte_identical(capsys):
         ("orbit_dim_222.json", ["orbit-dim", "--type", "2,2,2", "--trials", "10", "--seed", "7"], 0),
         ("base_242.txt", ["base", "--type", "2,4,2"], 0),
         ("case242_seed5.json", ["case242", "--seed", "5"], 0),
+        ("verify_4.json", ["verify", "--type", "4"], 0),
+        ("verify_22211.json", ["verify", "--type", "2,2,2,1,1"], 1),
     ],
     ids=[
         "base", "invariants", "reduce", "invariants-242-latex", "invariants-242-text", "invariants-433-latex",
         "invariants-433-text", "verify-242-json", "verify-22211-text", "orbit-dim", "base-242-text", "case242-seed5",
+        "verify-4-json", "verify-22211-json",
     ],
 )
 def test_output_matches_golden(capsys, golden, args, exit_code):

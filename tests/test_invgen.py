@@ -502,7 +502,7 @@ def test_slice_and_first_products_on_every_type_up_to_9():
             ptype = ParabolicType(sizes)
             gens = GeneratorSet(ptype)
             base, core = gens.base, gens.core_forms()
-            assert len(gens.slice) == len(core) == dims(ptype)["y_dim"], sizes
+            assert len(gens.slice) == len(core) == dims(gens.base, gens.pairs)["y_dim"], sizes
             for xi, form in zip(base.roots, core):
                 assert form == ((minor_indices(base, xi),),), (sizes, xi)
             for q, form in zip(gens.pairs, core[len(base) :]):
