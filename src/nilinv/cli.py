@@ -11,10 +11,10 @@ Subcommands expose the whole toolkit with text, JSON, and LaTeX output:
   case242    the full (2,4,2) study
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
-Each command bounds the size n of --type (n + --offset for diagram; the last
-field of its COMMANDS row), invariants the order of the largest corner minor
-it prints, and orbit-dim --trials and its rank work; a larger value is a
-usage error, raised before any work is done.
+Each command bounds the size n of --type (n + --offset for diagram),
+invariants the order of the largest corner minor it prints, and orbit-dim
+--trials and its rank work; a larger value is a usage error.  The handlers
+check the corner-minor, trials and work limits before any work is done.
 JSON outputs are deterministic for fixed seeds.  The NILINV_OUTDIR
 environment variable supplies a base directory for relative --out paths.
 """
@@ -29,18 +29,21 @@ import sys
 from .checker import case242_report, verify_type
 from .errors import NilinvError, OutsideU0Error
 from .exactpoly import MatrixPoint
-from .invgen import build_generators
+from .invgen import GeneratorSet, build_generators
 from .orbitlab import DEFAULT_SEED, orbit_experiment, verify_unique_intersection
 from .rootcomb import (
     ParabolicType,
-    admissible_pairs,
-    compute_base,
     dims,
     nilradical_roots,
     phi_set,
     psi_set,
     render_diagram,
 )
+
+MAX_MINOR = 8  # invariants prints every term of its largest corner minor, about order! of them
+MAX_TRIALS = 10_000  # orbit-dim; the limits and their measured cost are listed in README
+# default 20 trials on (1,)*24 (276 x 276); rank updates at most Bareiss's rows*cols*min cells plus a lift per touched row
+MAX_ORBIT_WORK = 20 * 276**3
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -58,17 +61,15 @@ def _json_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _base_doc(ptype: ParabolicType) -> dict:
-    base = compute_base(ptype)
-    pairs = admissible_pairs(ptype, base)
+def _base_doc(gens: GeneratorSet) -> dict:
     return {
-        "type": list(ptype.block_sizes),
-        "blocks": list(ptype.block_sizes),
-        "base": [[r.i, r.j] for r in base.roots],
-        "pairs": [q.to_json_dict() for q in pairs],
-        "phi": [list(r) for r in sorted(phi_set(pairs))],
-        "psi": [list(r) for r in sorted(psi_set(pairs))],
-        "dims": dims(base, pairs),
+        "type": list(gens.ptype.block_sizes),
+        "blocks": list(gens.ptype.block_sizes),
+        "base": [[r.i, r.j] for r in gens.base.roots],
+        "pairs": [q.to_json_dict() for q in gens.pairs],
+        "phi": [list(r) for r in sorted(phi_set(gens.pairs))],
+        "psi": [list(r) for r in sorted(psi_set(gens.pairs))],
+        "dims": dims(gens.base, gens.pairs),
     }
 
 
@@ -99,17 +100,23 @@ def _diagram(args) -> tuple[str, int]:
 
 
 def _base(args) -> tuple[str, int]:
-    doc = _base_doc(args.type)
+    doc = _base_doc(build_generators(args.type))
     return (_json_doc(doc) if args.format == "json" else _base_text(doc)), 0
 
 
 def _invariants(args) -> tuple[str, int]:
     gens = build_generators(args.type)
+    if (order := gens.largest_minor_order()) > MAX_MINOR:  # read off the forms, before anything is expanded
+        raise ValueError(f"corner minor order {order} is above the limit {MAX_MINOR} of invariants")
+    named = gens.named()
     if args.format == "json":
-        return _json_doc(gens.to_json_dict()), 0
+        doc = {key: value for key, value in _base_doc(gens).items() if key in ("type", "base", "pairs")}
+        return _json_doc({**doc, "generators": [{"name": name, "poly": str(p)} for name, p in named]}), 0
     if args.format == "latex":
-        return gens.to_latex(), 0
-    return "\n".join(f"{name} = {poly}" for name, poly in gens.named()) + "\n", 0
+        labels = [f"M_{{{xi}}}" for xi in gens.base.roots] + [f"L_{{{q.xi},{q.xi_prime}}}" for q in gens.pairs] + ["D"]
+        lines = [f"{label} &= {p.latex()}\\\\" for label, (_, p) in zip(labels, named)]
+        return "\n".join([r"\begin{align*}", *lines, r"\end{align*}"]) + "\n", 0
+    return "\n".join(f"{name} = {poly}" for name, poly in named) + "\n", 0
 
 
 def _verify(args) -> tuple[str, int]:
@@ -122,6 +129,12 @@ def _verify(args) -> tuple[str, int]:
 
 
 def _orbit_dim(args) -> tuple[str, int]:
+    # one n(n-1)/2 x dim m bracket matrix is ranked per trial
+    rows, cols = args.type.n * (args.type.n - 1) // 2, len(nilradical_roots(args.type))
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials {args.trials} is above the limit {MAX_TRIALS}")
+    if (work := args.trials * rows * cols * min(rows, cols)) > MAX_ORBIT_WORK:
+        raise ValueError(f"--trials {args.trials} needs rank work {work}, above the limit {MAX_ORBIT_WORK}")
     record = orbit_experiment(args.type, args.trials, args.seed)
     return _json_doc(record), 0 if record["pass"] else 1
 
@@ -153,39 +166,35 @@ def _format(*names: str) -> tuple[str, dict]:
     return "--format", {"default": names[0], "choices": list(names)}
 
 
-MAX_TRIALS = 10_000  # orbit-dim; the limits and their measured cost are listed in README
-# default 20 trials on (1,)*24 (276 x 276); rank updates at most Bareiss's rows*cols*min cells plus a lift per touched row
-MAX_ORBIT_WORK = 20 * 276**3
-
-# name -> (help, handler, options in --help order, largest corner minor order, largest n of --type);
+# name -> (help, handler, options in --help order, largest n of --type);
 # every parser ends with --out
 COMMANDS = {
     "diagram": ("render the diagram of a type", _diagram, [
         TYPE, _format("text", "latex", "json"),
         ("--marked", {"default": "phi", "choices": ["phi", "psi"]}),
         ("--offset", {"type": int, "default": 0}),
-    ], None, 200),
-    "base": ("base roots, pairs, marked sets, dimensions", _base, [TYPE, _format("text", "json")], None, 200),
-    "invariants": ("print the generator polynomials", _invariants, [TYPE, _format("text", "json", "latex")], 8, 24),
-    "verify": ("invariance/independence/corank report", _verify, [TYPE, SEED, _format("json", "text")], None, 24),
+    ], 200),
+    "base": ("base roots, pairs, marked sets, dimensions", _base, [TYPE, _format("text", "json")], 200),
+    "invariants": ("print the generator polynomials", _invariants, [TYPE, _format("text", "json", "latex")], 24),
+    "verify": ("invariance/independence/corank report", _verify, [TYPE, SEED, _format("json", "text")], 24),
     "orbit-dim": ("sampled maximal orbit dimension", _orbit_dim, [
         TYPE, ("--trials", {"type": int, "default": 20}), SEED,
-    ], None, 24),
+    ], 24),
     "reduce": ("conjugate a point file onto the slice", _reduce, [
         TYPE, ("--point", {"required": True, "help": "JSON file {n, entries: [[i,j,'p/q'],...]}"}),
-    ], None, 60),
-    "case242": ("the full (2,4,2) study", _case242, [SEED], None, None),
+    ], 60),
+    "case242": ("the full (2,4,2) study", _case242, [SEED], None),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="nilinv", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, options, max_minor, max_n) in COMMANDS.items():
+    for name, (help_text, handler, options, max_n) in COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for flag, spec in options + [("--out", {})]:
             command.add_argument(flag, **spec)
-        command.set_defaults(handler=handler, max_minor=max_minor, max_n=max_n)
+        command.set_defaults(handler=handler, max_n=max_n)
 
     try:
         args = parser.parse_args(argv)
@@ -197,14 +206,6 @@ def main(argv: list[str] | None = None) -> int:
             args.type = ParabolicType.from_string(args.type)
             if args.type.n > args.max_n:
                 raise ValueError(f"type size {args.type.n} is above the limit {args.max_n} of {args.command}")
-            if args.max_minor is not None and (order := build_generators(args.type).largest_minor_order()) > args.max_minor:
-                raise ValueError(f"corner minor order {order} is above the limit {args.max_minor} of {args.command}")
-            if "trials" in vars(args):  # orbit-dim ranks one n(n-1)/2 x dim m bracket matrix per trial
-                rows, cols = args.type.n * (args.type.n - 1) // 2, len(nilradical_roots(args.type))
-                if args.trials > MAX_TRIALS:
-                    raise ValueError(f"--trials {args.trials} is above the limit {MAX_TRIALS}")
-                if (work := args.trials * rows * cols * min(rows, cols)) > MAX_ORBIT_WORK:
-                    raise ValueError(f"--trials {args.trials} needs rank work {work}, above the limit {MAX_ORBIT_WORK}")
         text, code = args.handler(args)
         _emit(text, args.out)
     except (ValueError, NilinvError, OSError) as exc:

@@ -237,19 +237,6 @@ class GeneratorSet:
         """The largest order of a minor in the forms; expanding it costs about that order's factorial."""
         return max((len(rows) for _, form in self.forms for product in form for rows, _ in product), default=0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": list(self.ptype.block_sizes),
-            "base": [[xi.i, xi.j] for xi in self.base.roots],
-            "pairs": [q.to_json_dict() for q in self.pairs],
-            "generators": [{"name": name, "poly": str(p)} for name, p in self.named()],
-        }
-
-    def to_latex(self) -> str:
-        labels = [f"M_{{{xi}}}" for xi in self.base.roots] + [f"L_{{{q.xi},{q.xi_prime}}}" for q in self.pairs]
-        lines = [f"{label} &= {p.latex()}\\\\" for label, (_, p) in zip(labels + ["D"], self.named())]
-        return "\n".join([r"\begin{align*}", *lines, r"\end{align*}"]) + "\n"
-
 
 def build_generators(ptype: ParabolicType) -> GeneratorSet:
     """The generators of a type; nothing is expanded until a polynomial is read."""

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilinv import checker, exactpoly, invgen, rootcomb
-from nilinv.cli import COMMANDS, MAX_ORBIT_WORK, MAX_TRIALS, main
+from nilinv import checker, cli, exactpoly, invgen, rootcomb
+from nilinv.cli import COMMANDS, MAX_MINOR, MAX_ORBIT_WORK, MAX_TRIALS, main
 from nilinv.invgen import build_generators
 from nilinv.orbitlab import DEFAULT_SEED
 from nilinv.rootcomb import ParabolicType
@@ -318,30 +318,45 @@ def test_size_limits(capsys, tmp_path):
     assert captured.err == "error: type size 4 plus --offset 197 is above the limit 200 of diagram\n"
 
 
-# the corner-minor limit (README, "Input limits"): invariants prints every term of the largest minor;
-# verify proves invariance on index sets and has none (see test_verify_beyond_the_symbolic_orders)
-MINOR_LIMITS = {"invariants": 8}
-
-
 def test_minor_order_limits(capsys, monkeypatch):
-    assert {name: row[3] for name, row in COMMANDS.items() if row[3] is not None} == MINOR_LIMITS
-    for name, limit in MINOR_LIMITS.items():
-        # (k, k) has one corner minor of each order up to k
-        for k in (limit, limit + 1):
-            assert build_generators(ParabolicType((k, k))).largest_minor_order() == k
-        # one above the limit: exit 2 with one line, before any expansion (9! terms would take minutes)
-        assert main([name, "--type", f"{limit + 1},{limit + 1}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: corner minor order {limit + 1} is above the limit {limit} of {name}\n"
-        # at the limit the command runs; a stand-in handler keeps the test from expanding 8! terms
-        help_text, _, options, max_minor, max_n = COMMANDS[name]
-        monkeypatch.setitem(COMMANDS, name, (help_text, lambda args: ("ran\n", 0), options, max_minor, max_n))
-        assert main([name, "--type", f"{limit},{limit}"]) == 0
-        assert capsys.readouterr().out == "ran\n"
+    # the corner-minor limit (README, "Input limits"): invariants prints every term of the largest minor;
+    # verify proves invariance on index sets and has none (see test_verify_beyond_the_symbolic_orders)
+    assert MAX_MINOR == 8
+    # (k, k) has one corner minor of each order up to k
+    for k in (MAX_MINOR, MAX_MINOR + 1):
+        assert build_generators(ParabolicType((k, k))).largest_minor_order() == k
+    # a stand-in for the expansion keeps the test from expanding 8! terms (9! would take minutes)
+    expanded = []
+    monkeypatch.setattr(invgen.GeneratorSet, "named", lambda self: expanded.append(self.ptype) or [("ran", "x")])
+    # one above the limit: exit 2 with one line, before any expansion
+    assert main(["invariants", "--type", f"{MAX_MINOR + 1},{MAX_MINOR + 1}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and expanded == []
+    assert captured.err == f"error: corner minor order {MAX_MINOR + 1} is above the limit {MAX_MINOR} of invariants\n"
+    # at the limit the command runs
+    assert main(["invariants", "--type", f"{MAX_MINOR},{MAX_MINOR}"]) == 0
+    assert capsys.readouterr().out == "ran = x\n" and expanded == [ParabolicType((MAX_MINOR, MAX_MINOR))]
     # the orders behind the golden files and the README examples sit at or below the limit
     for sizes in [(2, 4, 2), (4, 3, 3), (2, 2, 1, 1), (2, 2, 2, 1, 1), (2, 1, 3, 2), (6, 6, 6), (7, 7, 7)]:
-        assert build_generators(ParabolicType(sizes)).largest_minor_order() <= min(MINOR_LIMITS.values()), sizes
+        assert build_generators(ParabolicType(sizes)).largest_minor_order() <= MAX_MINOR, sizes
+
+
+def test_invariants_builds_its_generators_once(capsys, monkeypatch):
+    builds = []
+    init = invgen.GeneratorSet.__init__
+
+    def counted(self, ptype):
+        builds.append(ptype)
+        init(self, ptype)
+
+    monkeypatch.setattr(invgen.GeneratorSet, "__init__", counted)
+    # the limit check and the output read one GeneratorSet, in every format
+    for sizes, fmt, golden in (("2,4,2", "text", "invariants_242.txt"), ("2,4,2", "latex", "invariants_242.tex"),
+                               ("2,2,1,1", "json", "invariants_2211.json")):
+        builds.clear()
+        assert main(["invariants", "--type", sizes, "--format", fmt]) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(), golden
+        assert builds == [ParabolicType.from_string(sizes)], golden
 
 
 def test_verify_beyond_the_symbolic_orders(capsys, monkeypatch):
@@ -372,10 +387,12 @@ def test_verify_beyond_the_symbolic_orders(capsys, monkeypatch):
         assert captured.err == f"error: invariance of generator {name} is not proved on index sets at k = {open_ks}\n"
 
 
-def test_trials_limit(capsys):
+def test_trials_limit(capsys, monkeypatch):
     assert MAX_TRIALS == 10_000
     assert main(["orbit-dim", "--type", "1,1", "--trials", str(MAX_TRIALS)]) == 0
     capsys.readouterr()
+    # a refused run never samples: without the check, 10**20 trials would run for ever
+    monkeypatch.setattr(cli, "orbit_experiment", lambda *args: pytest.fail("orbit-dim sampled past its trials limit"))
     assert main(["orbit-dim", "--type", "2,2", "--trials", "99999999999999999999"]) == 2
     assert main(["orbit-dim", "--type", "2,2", "--trials", str(MAX_TRIALS + 1)]) == 2
     captured = capsys.readouterr()
@@ -388,6 +405,8 @@ def test_trials_limit(capsys):
 def test_orbit_work_limit(capsys, monkeypatch):
     # trials x rows x cols x min(rows, cols) of the bracket matrix; (1,)*24 has the largest one, 276 x 276
     ones24 = ",".join(["1"] * 24)
+    # a stand-in for the sampler keeps (1,)*24 from sampling; a refused run never reaches it
+    monkeypatch.setattr(cli, "orbit_experiment", lambda ptype, trials, seed: {"pass": True, "trials": trials})
     assert MAX_ORBIT_WORK == 20 * 276 * 276 * 276
     assert main(["orbit-dim", "--type", ones24, "--trials", "21"]) == 2
     captured = capsys.readouterr()
@@ -397,13 +416,11 @@ def test_orbit_work_limit(capsys, monkeypatch):
     assert main(["orbit-dim", "--type", "4,4,4,4,4,4", "--trials", "27"]) == 2
     work = 27 * 276 * 240 * 240
     assert capsys.readouterr().err == f"error: --trials 27 needs rank work {work}, above the limit {MAX_ORBIT_WORK}\n"
-    # the default trials at n = 24 and 10,000 trials on (2,2) are admitted; a stand-in handler keeps (1,)*24 from sampling
-    help_text, _, options, max_minor, max_n = COMMANDS["orbit-dim"]
-    monkeypatch.setitem(COMMANDS, "orbit-dim", (help_text, lambda args: (f"{args.trials}\n", 0), options, max_minor, max_n))
+    # the default trials at n = 24 and 10,000 trials on (2,2) are admitted
     for sizes, trials in ((ones24, None), ("4,4,4,4,4,4", 26), ("2,2", MAX_TRIALS)):
         argv = ["orbit-dim", "--type", sizes] + ([] if trials is None else ["--trials", str(trials)])
         assert main(argv) == 0
-        assert capsys.readouterr().out == f"{trials or 20}\n"
+        assert json.loads(capsys.readouterr().out) == {"pass": True, "trials": trials or 20}
 
 
 def test_out_file_and_outdir_env(tmp_path, capsys, monkeypatch):

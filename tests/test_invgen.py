@@ -190,7 +190,7 @@ def test_restricted_monomials_pairwise_distinct():
         assert len(set(monos)) == len(monos)
 
 
-def test_build_generators_counts_and_extras():
+def test_build_generators_counts_and_extras(capsys):
     gens = build_generators(P242)
     assert [name for name, _ in gens.forms] == [
         *("M[2,3]", "M[1,4]", "M[6,7]", "M[5,8]"),
@@ -200,9 +200,11 @@ def test_build_generators_counts_and_extras():
     assert len(gens.core_forms()) == 8 and [name for name, _ in gens.named()] == [name for name, _ in gens.forms]
     gens2 = build_generators(ParabolicType((2, 2)))
     assert [name for name, _ in gens2.forms] == ["M[2,3]", "M[1,4]"] and len(gens2.core_forms()) == 2
-    doc = gens.to_json_dict()
+    assert main(["invariants", "--type", "2,4,2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["type"] == [2, 4, 2] and len(doc["generators"]) == 9
-    assert "M_{(2,3)}" in gens.to_latex()
+    assert main(["invariants", "--type", "2,4,2", "--format", "latex"]) == 0
+    assert "M_{(2,3)}" in capsys.readouterr().out
 
 
 def test_y_coordinates_2_2():

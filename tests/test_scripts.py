@@ -9,13 +9,14 @@ import sys
 from nilinv.cli import main
 
 ROOT = pathlib.Path(__file__).parent.parent
+REPORTS = ["case242.json", "verify_2-1-3-2.json", "verify_2-2-1-1.json", "verify_2-2-2-1-1.json", "verify_2-4-2.json"]
 
 
-def _run_script(name, *args):
-    env = dict(os.environ)
+def _run_script(name, *args, cwd=None, **environ):
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True, text=True, env=env, timeout=300, cwd=cwd
     )
 
 
@@ -40,11 +41,18 @@ def test_verify_paper_types_reports_equal_the_cli(tmp_path, capsys):
     assert result.returncode == 1, result.stderr
     assert "(2, 2, 2, 1, 1): passed=False  corank_bookkeeping=False" in result.stdout
     written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == [
-        "case242.json", "verify_2-1-3-2.json", "verify_2-2-1-1.json", "verify_2-2-2-1-1.json", "verify_2-4-2.json",
-    ]
+    assert written == REPORTS
     for name in written:
         argv = ["case242"] if name == "case242.json" else ["verify", "--type", name[7:-5].replace("-", ",")]
         code = main(argv)
         assert capsys.readouterr().out == (tmp_path / name).read_text(), name
         assert code == (0 if json.loads((tmp_path / name).read_text())["passed"] else 1)
+
+
+def test_verify_paper_types_writes_into_its_outdir_under_nilinv_outdir(tmp_path):
+    # the script hands nilinv absolute --out paths, so NILINV_OUTDIR does not move a relative --outdir
+    elsewhere = tmp_path / "elsewhere"
+    result = _run_script("verify_paper_types.py", "--outdir", "reports", cwd=tmp_path, NILINV_OUTDIR=str(elsewhere))
+    assert result.returncode == 1, result.stderr
+    assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == REPORTS
+    assert not elsewhere.exists()
