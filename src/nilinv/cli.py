@@ -69,7 +69,7 @@ def _base_doc(gens: GeneratorSet) -> dict:
         "pairs": [q.to_json_dict() for q in gens.pairs],
         "phi": [list(r) for r in sorted(phi_set(gens.pairs))],
         "psi": [list(r) for r in sorted(psi_set(gens.pairs))],
-        "dims": dims(gens.base, gens.pairs),
+        "dims": dims(gens),
     }
 
 
@@ -145,6 +145,8 @@ def _reduce(args) -> tuple[str, int]:
             doc = json.load(fh)
         except RecursionError:  # json.load recurses once per level of nesting
             raise ValueError(f"point file {args.point} is nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"point file {args.point} is not JSON: {exc}") from None
     point = MatrixPoint.from_json_dict(doc, args.type.n)
     try:
         record = verify_unique_intersection(args.type, point)

@@ -3,7 +3,7 @@
 Everything is computed over arbitrary-precision rationals
 (fractions.Fraction); no floating point appears anywhere.  One scaler,
 ``scale_to_integers``, multiplies rows of ints and Fractions by the lcm L
-of all their denominators; ``rank``, ``det``, ``invgen.minors_at`` and
+of all their denominators; ``rank``, ``invgen.minors_at`` and
 ``orbitlab.orbit_dim`` eliminate the integer rows it returns.
 ``MatrixPoint`` is the one exact-matrix type.  Its entries are rationals
 for nilradical points and unitriangular group elements (its subclass
@@ -258,8 +258,8 @@ def det_minor(m: MatrixPoint, rows: Iterable[int], cols: Iterable[int]) -> Polyn
     """Determinant of the submatrix of a polynomial matrix on the given rows and columns.
 
     Expands the minor by its first row.  Indices must be strictly ascending;
-    this fixes the sign convention used throughout the package.  A minor of
-    a rational matrix is ``det`` of its submatrix.
+    this fixes the sign convention used throughout the package.  Minors of
+    a rational point are read from ``invgen.minors_at``.
     """
     rows = tuple(rows)
     cols = tuple(cols)
@@ -343,14 +343,6 @@ def rank(matrix: Sequence[Sequence[Scalar]]) -> int:
     if len(widths := {len(row) for row in matrix}) > 1:
         raise ValueError(f"ragged rows of lengths {sorted(widths)}")
     return _eliminate(scale_to_integers(matrix)[0])[0]
-
-
-def det(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Exact determinant of a square rational matrix, by the elimination of ``rank``."""
-    if any(len(row) != len(matrix) for row in matrix):
-        raise ValueError(f"determinant of a non-square matrix with {len(matrix)} rows")
-    rows, scale = scale_to_integers(matrix)
-    return Fraction(_eliminate(rows)[1], scale ** len(rows))
 
 
 @dataclass

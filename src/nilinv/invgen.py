@@ -20,9 +20,9 @@ point)`` read that memo, and ``jacobian_row`` differentiates a form at a
 point by cofactors read from it.  The module also gives the restriction
 ``restrict(base, phi, f)`` to the linear slice ``gens.slice`` spanned by the
 base and marked positions, and the inverse problem ``y_coordinates(gens,
-values)``: the unique slice point whose generators take those values, read
-off the first product of each form.  A function given a ``Base`` or a
-``GeneratorSet`` reads the type from it.
+values)``: the unique slice point whose generators take those values, solved
+from their signed monomials on the slice (``slice_matching``).  A function
+given a ``Base`` or a ``GeneratorSet`` reads the type from it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from .errors import OutsideU0Error, UnsupportedTypeError
-from .exactpoly import MatrixPoint, Polynomial, _eliminate, det, det_minor, scale_to_integers
+from .exactpoly import MatrixPoint, Polynomial, _eliminate, det_minor, scale_to_integers
 from .rootcomb import (
     AdmissiblePair,
     Base,
@@ -76,7 +76,8 @@ def minor_indices(base: Base, gamma: Root) -> Minor:
 def splittings(q: AdmissiblePair) -> list[tuple[Root, Root]]:
     """The roots ((a, c), (c, b')) of the minors in L_q, one pair per splitting (b, c) + (c, a') of alpha_q, c = b..a'.
 
-    Either summand of a splitting may vanish (c = b or c = a').
+    Either summand of a splitting may vanish (c = b or c = a').  The order, c
+    ascending, is the order of the products of L_q in its printed polynomial.
     """
     (a, b), (a2, b2) = q.xi, q.xi_prime
     return [(Root(a, c), Root(c, b2)) for c in range(b, a2 + 1)]
@@ -250,33 +251,37 @@ def invariant_values(gens: GeneratorSet, point: MatrixPoint, minor: Callable | N
     return [form_value(form, minor) for form in gens.core_forms()]
 
 
+@lru_cache(maxsize=None)
+def slice_matching(base: Base, gamma: Root) -> tuple[int, tuple[Root, ...]]:
+    """(epsilon, S_gamma): on the slice M_gamma is epsilon * y_gamma * prod(y over S_gamma), if that is its one matching there.
+
+    gamma and S_gamma match the rows of M_gamma to its columns; epsilon is the sign of that
+    matching, the parity of the inversions of its columns listed in row order.
+    """
+    inner = tuple(s_gamma(base, gamma))
+    cols = [r.j for r in sorted([Root(*gamma), *inner])]
+    return (-1) ** sum(c > d for c, d in combinations(cols, 2)), inner
+
+
 def y_coordinates(gens: GeneratorSet, values: list[Fraction]) -> MatrixPoint:
     """The unique slice point whose generators take the prescribed values, given in ``core_forms`` order.
 
-    On the slice each generator is a signed monomial, linear in its own
-    target coordinate and otherwise in coordinates solved before it: the
-    base coordinates innermost first from the minor values (all of which
-    must be nonzero), then each marked coordinate phi from its pair value.
-    That monomial is the first product of the generator's form: a base
-    minor's one product, and for a pair the splitting c = b, M_xi * M_phi,
-    which ``splittings`` lists first and the only one that survives on the
-    slice.  Each target is its value divided by that product evaluated at
-    the slice point built so far with that target set to 1.
+    On the slice M_xi is the signed monomial of ``slice_matching`` and L_q is M_xi * M_phi,
+    its splitting c = b.  Each target is its value divided by the rest of its monomial: the
+    base roots in column order, which solves S_xi before xi (their values must be nonzero),
+    then each phi over the value of M_xi.  ``verify_unique_intersection`` cross-checks it.
     """
-    ptype, base, pairs = gens.ptype, gens.base, gens.pairs
-    check_covered(ptype)
+    base, pairs = gens.base, gens.pairs
+    check_covered(gens.ptype)
     if len(values) != len(base) + len(pairs):
         raise ValueError(f"expected {len(base) + len(pairs)} generator values, got {len(values)}")
-    for xi, value in zip(base.roots, values):  # the order of vanishing_minor
+    minor_values = dict(zip(base.roots, values))
+    for xi, value in minor_values.items():  # the order of vanishing_minor
         if value == 0:
             raise OutsideU0Error(xi)
-
-    # (target, value, the minors whose product is the generator on the slice); base minors by order, innermost first
-    firsts = [form[0] for form in gens.core_forms()]
-    steps = sorted(zip(base.roots, values, firsts), key=lambda step: len(step[2][0][0]))
-    steps += zip([q.phi for q in pairs], values[len(base) :], firsts[len(base) :])
-    coords: dict[Root, Fraction] = {}
-    for target, value, product in steps:
-        coords[target] = Fraction(1)
-        coords[target] = value / prod(det([[coords.get((i, j), 0) for j in cols] for i in rows]) for rows, cols in product)
-    return MatrixPoint.from_dict(ptype.n, coords)
+    y: dict[Root, Fraction] = {}
+    steps = [(xi, 1) for xi in base.roots] + [(q.phi, minor_values[q.xi]) for q in pairs]
+    for (target, factor), value in zip(steps, values):
+        sign, inner = slice_matching(base, target)
+        y[target] = value / (factor * prod((y[r] for r in inner), start=Fraction(sign)))
+    return MatrixPoint.from_dict(gens.ptype.n, y)

@@ -21,16 +21,7 @@ from .errors import OutsideU0Error, ReductionError
 from .exactpoly import ZERO, MatrixPoint, _eliminate, scale_to_integers
 from .invgen import GeneratorSet, build_generators, check_covered, check_support, invariant_values, minors_at
 from .invgen import vanishing_minor, y_coordinates
-from .rootcomb import (
-    ParabolicType,
-    Root,
-    admissible_pairs,
-    compute_base,
-    dims,
-    is_covered,
-    nilradical_columns,
-    nilradical_roots,
-)
+from .rootcomb import ParabolicType, Root, dims, is_covered, nilradical_columns, nilradical_roots
 
 DEFAULT_SEED = 271828
 SAMPLE_RANGE = (-9, 9)
@@ -129,8 +120,7 @@ def max_orbit_dim(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -
 
 def orbit_experiment(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -> dict:
     """Experiment record comparing the sampled maximum against the prediction."""
-    base = compute_base(ptype)
-    d = dims(base, admissible_pairs(ptype, base))
+    d = dims(GeneratorSet(ptype))
     sampled = max_orbit_dim(ptype, trials, seed)
     covered = is_covered(ptype)
     exceeded = sampled > d["predicted_regular_orbit_dim"]

@@ -229,8 +229,9 @@ def s_gamma(base: Base, gamma: Root) -> list[Root]:
     return sorted(r for r in base.roots if r.i > a and r.j < b)
 
 
-def dims(base: Base, pairs: tuple[AdmissiblePair, ...]) -> dict:
-    """Dimension bookkeeping for the type of a base and its admissible pairs, as its JSON document."""
+def dims(gens) -> dict:
+    """Dimension bookkeeping for the base and admissible pairs of one ``invgen.GeneratorSet``, as its JSON document."""
+    base, pairs = gens.base, gens.pairs
     dim_m = len(nilradical_roots(base.ptype))
     phi_count = len(phi_set(pairs))
     predicted, y_dim = dim_m - len(base) - len(pairs), len(base) + phi_count

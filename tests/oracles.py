@@ -6,14 +6,14 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from nilinv import exactpoly
 from nilinv.checker import one_param_transform
 from nilinv.errors import OutsideU0Error, ReductionError
 from nilinv.exactpoly import MatrixPoint, Polynomial, det_minor
-from nilinv.invgen import check_covered, check_support, formal_matrix, vanishing_minor
+from nilinv.invgen import check_covered, check_support, formal_matrix, minors_at, vanishing_minor
 from nilinv.orbitlab import GroupElement, sample_point
 from nilinv.rootcomb import ParabolicType, Root, admissible_pairs, compute_base, nilradical_roots, phi_set
 
@@ -54,6 +54,12 @@ def bareiss(matrix):
         if r == nr:
             break
     return r, Fraction(sign * prev, scale) if r == nr == nc else Fraction(0)
+
+
+def full_minor(matrix, minors=minors_at):
+    """The determinant of a square matrix: its full minor, read through ``minors`` (``invgen.minors_at`` or a mutant)."""
+    order = tuple(range(1, len(matrix) + 1))
+    return minors(MatrixPoint(len(matrix), [list(row) for row in matrix]))((order, order))
 
 
 def without_lcm_scaling(module, *names):
@@ -130,6 +136,33 @@ def power_minor(ptype, k, rows, cols):
     if k < 1:
         raise ValueError("power must be a positive integer")
     return det_minor(reduce(matmul, [formal_matrix(ptype)] * k), rows, cols)
+
+
+def y_coordinates_by_det(gens, values):
+    """The slice solve of ``invgen.y_coordinates`` by determinants: the reference its signed monomials are held to.
+
+    Each generator is read off the first product of its form: a base minor's one
+    product, and for a pair the splitting c = b, M_xi * M_phi, which ``splittings``
+    lists first and the only one that survives on the slice.  The base minors go
+    innermost first, then the pairs; each target is its value divided by that
+    product at the slice point built so far with the target set to 1, every minor
+    a ``bareiss`` determinant.
+    """
+    base, pairs = gens.base, gens.pairs
+    check_covered(gens.ptype)
+    if len(values) != len(base) + len(pairs):
+        raise ValueError(f"expected {len(base) + len(pairs)} generator values, got {len(values)}")
+    for xi, value in zip(base.roots, values):
+        if value == 0:
+            raise OutsideU0Error(xi)
+    firsts = [form[0] for form in gens.core_forms()]
+    steps = sorted(zip(base.roots, values, firsts), key=lambda step: len(step[2][0][0]))
+    steps += zip([q.phi for q in pairs], values[len(base) :], firsts[len(base) :])
+    coords = {}
+    for target, value, product in steps:
+        coords[target] = Fraction(1)
+        coords[target] = value / prod(bareiss([[coords.get((i, j), 0) for j in cols] for i in rows])[1] for rows, cols in product)
+    return MatrixPoint.from_dict(gens.ptype.n, coords)
 
 
 # -- matrices -------------------------------------------------------------------

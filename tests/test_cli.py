@@ -226,6 +226,17 @@ def test_reduce_rejects_a_deeply_nested_point_file(tmp_path):
     assert result.stderr == f"error: point file {path} is nested too deeply\n"
 
 
+def test_reduce_rejects_a_point_file_that_is_not_json(tmp_path, capsys):
+    # the decoder's message alone would not name the file
+    path = tmp_path / "point.json"
+    path.write_text("n = 8\n")
+    code = main(["reduce", "--type", "2,4,2", "--point", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: point file {path} is not JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
 def test_case242(capsys):
     code, out = run(capsys, "case242")
     assert code == 0
@@ -453,6 +464,8 @@ def test_json_outputs_are_byte_identical(capsys):
         ("base_242.json", ["base", "--type", "2,4,2", "--format", "json"], 0),
         ("invariants_2211.json", ["invariants", "--type", "2,2,1,1", "--format", "json"], 0),
         ("reduce_242.json", ["reduce", "--type", "2,4,2", "--point", str(GOLDEN / "point_242_u0.json")], 0),
+        # (2,5,3) has pairs whose slice monomials carry two base roots and the sign -1
+        ("reduce_253.json", ["reduce", "--type", "2,5,3", "--point", str(GOLDEN / "point_253_u0.json")], 0),
         ("invariants_242.tex", ["invariants", "--type", "2,4,2", "--format", "latex"], 0),
         ("invariants_242.txt", ["invariants", "--type", "2,4,2", "--format", "text"], 0),
         ("invariants_433.tex", ["invariants", "--type", "4,3,3", "--format", "latex"], 0),
@@ -466,7 +479,7 @@ def test_json_outputs_are_byte_identical(capsys):
         ("verify_22211.json", ["verify", "--type", "2,2,2,1,1"], 1),
     ],
     ids=[
-        "base", "invariants", "reduce", "invariants-242-latex", "invariants-242-text", "invariants-433-latex",
+        "base", "invariants", "reduce", "reduce-253", "invariants-242-latex", "invariants-242-text", "invariants-433-latex",
         "invariants-433-text", "verify-242-json", "verify-22211-text", "orbit-dim", "base-242-text", "case242-seed5",
         "verify-4-json", "verify-22211-json",
     ],

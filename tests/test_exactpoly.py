@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilinv import exactpoly, orbitlab
-from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, _var_key, det, det_minor, rank
+from nilinv import exactpoly, invgen, orbitlab
+from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, _var_key, det_minor, rank
 from nilinv.invgen import formal_matrix
 from nilinv.orbitlab import DEFAULT_SEED, bracket, max_orbit_dim, orbit_dim, sample_point
 from nilinv.rootcomb import ParabolicType, compositions, nilradical_roots
-from oracles import bareiss, degree, gradient, identity, matmul, without_lcm_scaling
+from oracles import bareiss, degree, full_minor, gradient, identity, matmul, without_lcm_scaling
 
 X13 = Polynomial.var((1, 3))
 X14 = Polynomial.var((1, 4))
@@ -317,10 +317,10 @@ def test_rank_with_fractions():
 
 
 def test_det_scales_rows_of_different_denominators_by_one_lcm():
-    # L = 30 scales both rows; the determinant of the scaled rows is divided by L**2
+    # L = 30 scales both rows; the full minor of the scaled rows is divided by L**2
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(7)]]
-    assert det(m) == Fraction(103, 30) == bareiss(m)[1]
-    assert det([]) == 1 == bareiss([])[1]
+    assert full_minor(m) == Fraction(103, 30) == bareiss(m)[1]
+    assert full_minor([]) == 1 == bareiss([])[1]
 
 
 @functools.cache
@@ -341,14 +341,17 @@ def _scaling_cases():
 
 
 def test_rank_and_det_without_the_lcm_scaling_are_caught():
-    mutant_rank, mutant_det = without_lcm_scaling(exactpoly, "rank", "det")
+    # the determinant is the full minor of invgen.minors_at
+    (mutant_rank,) = without_lcm_scaling(exactpoly, "rank")
+    (mutant_minors,) = without_lcm_scaling(invgen, "minors_at")
+    mutant_det = lambda m: full_minor(m, mutant_minors)
     integral = lambda m: all(v.denominator == 1 for row in m for v in row)
     fractional = [m for m in _scaling_cases() if not integral(m)]
     assert any(mutant_rank(m) != bareiss(m)[0] for m in fractional)
     assert any(mutant_det(m) != bareiss(m)[1] for m in fractional)
-    # on integer rows the mutants are rank and det
+    # on integer rows the mutants are rank and the full minor
     for m in filter(integral, _scaling_cases()):
-        assert (mutant_rank(m), mutant_det(m)) == (rank(m), det(m)) == bareiss(m)
+        assert (mutant_rank(m), mutant_det(m)) == (rank(m), full_minor(m)) == bareiss(m)
 
 
 def test_rank_rejects_ragged_rows():

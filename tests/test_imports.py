@@ -87,3 +87,6 @@ def test_no_signature_takes_the_type_beside_a_base_or_generators():
     assert {"invgen.minor_form", "invgen.GeneratorSet.__init__", "invgen.GeneratorSet.forms", "rootcomb.dims"} <= set(found)
     twice = sorted(name for name, params in found.items() if "ptype" in params and params & {"base", "gens"})
     assert [name for name in twice if name not in TYPE_GIVEN_TWICE_ALLOWED] == []
+    # pairs beside a base could be of another type; a GeneratorSet holds both
+    assert sorted(name for name, params in found.items() if {"base", "pairs"} <= params) == []
+    assert found["rootcomb.dims"] == {"gens"}

@@ -14,7 +14,7 @@ import pytest
 
 from nilinv import invgen
 from nilinv.errors import OutsideU0Error, UnsupportedTypeError
-from nilinv.exactpoly import MatrixPoint, Polynomial, det
+from nilinv.exactpoly import MatrixPoint, Polynomial
 from nilinv.invgen import (
     GeneratorSet,
     build_generators,
@@ -45,7 +45,7 @@ from nilinv.rootcomb import (
     phi_set,
     s_gamma,
 )
-from oracles import as_monomial, matmul, power_minor, sample_u0_point, without_lcm_scaling
+from oracles import as_monomial, bareiss, matmul, power_minor, sample_u0_point, without_lcm_scaling, y_coordinates_by_det
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -367,7 +367,7 @@ def _minor_cases():
 
 def _fraction_det(point, m):
     rows, cols = m
-    return det([[point.get(i, j) for j in cols] for i in rows])
+    return bareiss([[point.get(i, j) for j in cols] for i in rows])[1]
 
 
 def test_minors_from_one_integer_scaling_match_fraction_determinants():
@@ -504,7 +504,7 @@ def test_slice_and_first_products_on_every_type_up_to_9():
             ptype = ParabolicType(sizes)
             gens = GeneratorSet(ptype)
             base, core = gens.base, gens.core_forms()
-            assert len(gens.slice) == len(core) == dims(gens.base, gens.pairs)["y_dim"], sizes
+            assert len(gens.slice) == len(core) == dims(gens)["y_dim"], sizes
             for xi, form in zip(base.roots, core):
                 assert form == ((minor_indices(base, xi),),), (sizes, xi)
             for q, form in zip(gens.pairs, core[len(base) :]):
@@ -516,20 +516,60 @@ def test_slice_and_first_products_on_every_type_up_to_9():
     assert solved == 173  # the covered types among them
 
 
-def test_splittings_with_c_equals_b_last_are_caught(monkeypatch):
-    # y_coordinates reads each pair's first product as M_xi * M_phi; that holds only while c = b comes first
+def test_y_coordinates_reads_no_form(monkeypatch):
+    # the solve reads the base and the pairs alone, so neither the forms nor the order of splittings
     golden = pathlib.Path(__file__).parent / "golden"
     point = MatrixPoint.from_json_dict(json.loads((golden / "point_242_u0.json").read_text()), P242.n)
     want = json.loads((golden / "reduce_242.json").read_text())["y"]
     gens = GeneratorSet(P242)
-    assert y_coordinates(gens, invariant_values(gens, point)).to_json_dict() == want
-    splittings = invgen.splittings
-    monkeypatch.setattr(invgen, "splittings", lambda q: splittings(q)[1:] + splittings(q)[:1])
-    mutant = GeneratorSet(P242)
-    values = invariant_values(mutant, point)
-    assert values == invariant_values(gens, point)  # the sum is the same; only its first product moved
-    try:
-        got = y_coordinates(mutant, values).to_json_dict()
-    except ZeroDivisionError:
-        return
-    assert got != want
+    values = invariant_values(gens, point)
+
+    def unread(self):
+        raise AssertionError("y_coordinates read a form")
+
+    monkeypatch.setattr(GeneratorSet, "forms", property(unread))
+    monkeypatch.setattr(GeneratorSet, "core_forms", unread)
+    assert y_coordinates(gens, values).to_json_dict() == want
+    assert y_coordinates(GeneratorSet(P242), values).to_json_dict() == want
+
+
+@functools.cache
+def _solve_cases():
+    """(label, gens, values, pinned y) for the slice solve.
+
+    Every reduce_pins.json record with its y, then a seeded U0 point of every
+    covered composition with n <= 10 and of (9,9,9), with None.
+    """
+    cases = []
+    for key, records in json.loads((pathlib.Path(__file__).parent / "golden" / "reduce_pins.json").read_text()).items():
+        gens = GeneratorSet(ParabolicType.from_string(key))
+        for rec in records:
+            point = MatrixPoint.from_json_dict({"n": gens.ptype.n, "entries": rec["point"]})
+            cases.append((key, gens, invariant_values(gens, point), rec["y"]))
+    rng = random.Random(DEFAULT_SEED)
+    for sizes in [s for n in range(1, 11) for s in compositions(n) if is_covered(ParabolicType(s))] + [(9, 9, 9)]:
+        gens = GeneratorSet(ParabolicType(sizes))
+        cases.append((sizes, gens, invariant_values(gens, sample_u0_point(gens.ptype, rng)), None))
+    return cases
+
+
+def test_monomial_solve_matches_the_det_solve():
+    assert len(_solve_cases()) == 3 * 76 + 247 + 1
+    for label, gens, values, pinned in _solve_cases():
+        got = y_coordinates(gens, values)
+        assert got == y_coordinates_by_det(gens, values), label
+        # a pinned point reduces to the pinned y, which the solve reaches from the values alone
+        assert pinned is None or got.to_json_dict()["entries"] == pinned, label
+
+
+@pytest.mark.parametrize("pattern, mutation", [
+    (r"start=Fraction\(sign\)", "start=Fraction(1)"),  # the sign of the matching dropped
+    (r"minor_values\[q\.xi\]", "minor_values[q.xi_prime]"),  # a pair divided by the value of xi' in place of xi
+])
+def test_monomial_solve_mutants_are_caught(pattern, mutation):
+    source, subs = re.subn(pattern, mutation, inspect.getsource(y_coordinates))
+    assert subs == 1
+    namespace = dict(vars(invgen))
+    exec(source, namespace)
+    mutant = namespace["y_coordinates"]
+    assert any(mutant(gens, values) != y_coordinates_by_det(gens, values) for _, gens, values, _ in _solve_cases())

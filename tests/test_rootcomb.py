@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilinv.invgen import GeneratorSet
 from nilinv.rootcomb import (
     ParabolicType,
     Root,
@@ -25,8 +26,7 @@ from oracles import higher, reductive_roots
 
 
 def dims_of(pt):
-    base = compute_base(pt)
-    return dims(base, admissible_pairs(pt, base))
+    return dims(GeneratorSet(pt))
 
 
 PAPER_BASES = {
