@@ -26,7 +26,11 @@ def main() -> int:
     mismatches = 0
     for n in range(1, args.max_n + 1):
         for sizes in compositions(n):
-            rec = orbit_experiment(ParabolicType(sizes), args.trials, args.seed)
+            try:
+                rec = orbit_experiment(ParabolicType(sizes), args.trials, args.seed)
+            except ValueError as exc:  # a usage error such as --trials 0, as nilinv reports it
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             records.append(rec)
             tag = "covered" if rec["covered"] else "open   "
             status = "ok" if rec["pass"] else "MISMATCH"

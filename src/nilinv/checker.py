@@ -2,7 +2,7 @@
 
 Invariance under every one-parameter unitriangular subgroup, proved on the
 index sets of the generators' forms with nothing expanded by
-``check_invariance``, which raises on a form the proof leaves open,
+``invgen.check_invariance``, which raises on a form the proof leaves open,
 algebraic independence via the exact rank at random rational points of the
 Jacobian read by cofactors off the forms, weight-system coranks, and the
 full (2,4,2) case study, returned as its JSON document (the quadratic
@@ -15,14 +15,13 @@ polynomial, the reference the tests hold the proof against.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Iterable, Sequence
 
 from .exactpoly import MatrixPoint, Polynomial, T, rank
-from .invgen import CASE_242, Form, Minor, build_generators, expand, formal_matrix, jacobian_row, minors_at
+from .invgen import CASE_242, Form, build_generators, check_invariance, expand, formal_matrix, jacobian_row, minors_at
 from .orbitlab import DEFAULT_SEED, bracket, sample_point
 from .rootcomb import AdmissiblePair, ParabolicType, Root, nilradical_columns, nilradical_roots
 
@@ -57,56 +56,6 @@ def one_param_transform(ptype: ParabolicType, k: int, f: Polynomial) -> Polynomi
         if not term:
             return out
         out = out + term
-
-
-def minor_derivative(k: int, minor: Minor) -> list[tuple[int, Minor]]:
-    """D_k M_{R,C} = [k+1 in C, k not in C] M_{R, C-(k+1)+k} - [k in R, k+1 not in R] M_{R-k+(k+1), C}, as signed minors.
-
-    delta_k(X) = XE - EX with E = E_{k,k+1}; k and k+1 are adjacent, so no reordering sign appears.
-    """
-    rows, cols = minor
-    out = []
-    if k + 1 in cols and k not in cols:
-        out.append((1, (rows, tuple(k if c == k + 1 else c for c in cols))))
-    if k in rows and k + 1 not in rows:
-        out.append((-1, (tuple(k + 1 if r == k else r for r in rows), cols)))
-    return out
-
-
-def is_zero_minor(ptype: ParabolicType, minor: Minor) -> bool:
-    """Whether a minor of X is identically 0: its support has no perfect matching.
-
-    Row r of X reaches only the columns after its block, and these supports are nested, so Hall's
-    condition is greedy: pair R and C in order and require each column to lie after its row's block.
-    """
-    return any(c <= ptype.block_end(ptype.block_of(r)) for r, c in zip(*minor))
-
-
-def proves_invariance(ptype: ParabolicType, form: Form, k: int) -> bool:
-    """Whether D_k of the form cancels on index sets, which proves that g_k(t) fixes it.
-
-    D_k by ``minor_derivative`` and the product rule; a term with a factor that ``is_zero_minor`` is
-    dropped, and the signs of the terms on the same minors are summed.  Sound, not complete (minors
-    obey Pluecker relations), so False is no verdict.
-    """
-    total: Counter = Counter()
-    for product in form:
-        for i, factor in enumerate(product):
-            for sign, moved in minor_derivative(k, factor):
-                factors = product[:i] + (moved,) + product[i + 1 :]
-                if not any(is_zero_minor(ptype, m) for m in factors):
-                    total[tuple(sorted(factors))] += sign
-    return not any(total.values())
-
-
-def check_invariance(ptype: ParabolicType, named: Sequence[tuple[str, Form]]) -> None:
-    """Prove each named form invariant under g_k(t), k = 1..n-1, by ``proves_invariance`` with nothing expanded.
-
-    The proof is not complete, so a form it leaves open at some k is refused: ValueError names it and those k.
-    """
-    for name, form in named:
-        if unproved := [k for k in range(1, ptype.n) if not proves_invariance(ptype, form, k)]:
-            raise ValueError(f"invariance of generator {name} is not proved on index sets at k = {', '.join(map(str, unproved))}")
 
 
 def jacobian_rank_at(ptype: ParabolicType, forms: Sequence[Form], point: MatrixPoint) -> int:

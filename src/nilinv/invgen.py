@@ -7,7 +7,7 @@ tuples.  A corner minor M_gamma attached to a base root is one product of
 one minor, ``minor_form(base, gamma)``; a pair polynomial L_q is one product
 of two corner minors per splitting, ``pair_form(base, q)``; the extra (2,4,2)
 invariant D = det_{12,78}(X^2) is, by Cauchy-Binet, the 28 products
-det_{12,K}(X) det_{K,78}(X) over the 2-subsets K.  Three readers consume a
+det_{12,K}(X) det_{K,78}(X) over the 2-subsets K.  Five readers consume a
 form.  ``expand`` multiplies out expanded minors of X, only where a
 generator is printed or an identity is checked symbolically
 (``GeneratorSet(ptype)`` builds the base, the pairs and the slice once from
@@ -17,25 +17,30 @@ the lcm L of its denominators, and computes each minor once: the
 determinant of its integer submatrix over L**k.  ``invariant_values`` (a
 list in ``core_forms`` order) and the U0 test ``vanishing_minor(base,
 point)`` read that memo, and ``jacobian_row`` differentiates a form at a
-point by cofactors read from it.  The module also gives the restriction
-``restrict(base, phi, f)`` to the linear slice ``gens.slice`` spanned by the
-base and marked positions, and the inverse problem ``y_coordinates(gens,
-values)``: the unique slice point whose generators take those values, solved
-from their signed monomials on the slice (``slice_matching``).  A function
-given a ``Base`` or a ``GeneratorSet`` reads the type from it.
+point by cofactors read from it.  ``check_invariance`` proves a form
+invariant on its index sets, and ``GeneratorSet.slice_monomials`` reads
+each core form on the linear slice ``gens.slice`` spanned by the base and
+marked positions as one signed monomial, by the one matching of each minor
+there.  Those monomials prove the generators independent
+(``proves_independence``) and solve the inverse problem ``y_coordinates(gens,
+values)``: the unique slice point whose generators take those values.
+``restrict(base, phi, f)`` is the restriction of an expanded polynomial to
+the slice.  A function given a ``Base`` or a ``GeneratorSet`` reads the
+type from it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import prod
 from operator import mul
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import OutsideU0Error, UnsupportedTypeError
-from .exactpoly import MatrixPoint, Polynomial, _eliminate, det_minor, scale_to_integers
+from .exactpoly import MatrixPoint, Polynomial, _eliminate, det_minor, rank, scale_to_integers
 from .rootcomb import (
     AdmissiblePair,
     Base,
@@ -65,7 +70,6 @@ def formal_matrix(ptype: ParabolicType) -> MatrixPoint:
     return MatrixPoint(n, rows)
 
 
-@lru_cache(maxsize=None)
 def minor_indices(base: Base, gamma: Root) -> Minor:
     """The rows {a} + rows(S_gamma) and columns cols(S_gamma) + {b} of the minor M_gamma."""
     inner = s_gamma(base, gamma)
@@ -117,6 +121,56 @@ def form_value(form: Form, minor: Callable[[Minor], Polynomial | Fraction]) -> P
 def expand(ptype: ParabolicType, form: Form) -> Polynomial:
     """A form expanded on the formal matrix X."""
     return form_value(form, lambda m: minor_poly(ptype, *m))
+
+
+def minor_derivative(k: int, minor: Minor) -> list[tuple[int, Minor]]:
+    """D_k M_{R,C} = [k+1 in C, k not in C] M_{R, C-(k+1)+k} - [k in R, k+1 not in R] M_{R-k+(k+1), C}, as signed minors.
+
+    delta_k(X) = XE - EX with E = E_{k,k+1}; k and k+1 are adjacent, so no reordering sign appears.
+    """
+    rows, cols = minor
+    out = []
+    if k + 1 in cols and k not in cols:
+        out.append((1, (rows, tuple(k if c == k + 1 else c for c in cols))))
+    if k in rows and k + 1 not in rows:
+        out.append((-1, (tuple(k + 1 if r == k else r for r in rows), cols)))
+    return out
+
+
+def is_zero_minor(ptype: ParabolicType, minor: Minor) -> bool:
+    """Whether a minor of X is identically 0: its support has no perfect matching.
+
+    Row r of X reaches only the columns after its block, and these supports are nested, so Hall's
+    condition is greedy: pair R and C in order and require each column to lie after its row's block.
+    """
+    return any(c <= ptype.block_end(ptype.block_of(r)) for r, c in zip(*minor))
+
+
+def proves_invariance(ptype: ParabolicType, form: Form, k: int) -> bool:
+    """Whether D_k of the form cancels on index sets, which proves that g_k(t) fixes it.
+
+    D_k by ``minor_derivative`` and the product rule; a term with a factor that ``is_zero_minor`` is
+    dropped, and the signs of the terms on the same minors are summed.  Sound, not complete (minors
+    obey Pluecker relations), so False is no verdict.
+    """
+    total: Counter = Counter()
+    for product in form:
+        for i, factor in enumerate(product):
+            for sign, moved in minor_derivative(k, factor):
+                factors = product[:i] + (moved,) + product[i + 1 :]
+                if not any(is_zero_minor(ptype, m) for m in factors):
+                    total[tuple(sorted(factors))] += sign
+    return not any(total.values())
+
+
+def check_invariance(ptype: ParabolicType, named: Sequence[tuple[str, Form]]) -> None:
+    """Prove each named form invariant under g_k(t), k = 1..n-1, by ``proves_invariance`` with nothing expanded.
+
+    The proof is not complete, so a form it leaves open at some k is refused: ValueError names it and those k.
+    """
+    for name, form in named:
+        if unproved := [k for k in range(1, ptype.n) if not proves_invariance(ptype, form, k)]:
+            raise ValueError(f"invariance of generator {name} is not proved on index sets at k = {', '.join(map(str, unproved))}")
 
 
 def check_covered(ptype: ParabolicType) -> None:
@@ -199,6 +253,43 @@ def restrict(base: Base, phi: Iterable[Root], f: Polynomial) -> Polynomial:
     return Polynomial._wrap({mono: c for mono, c in f.terms.items() if all(v in keep for v, _ in mono)})
 
 
+def _one_matching(minor: Minor, keep: frozenset[Root], name: str) -> list[Root] | None:
+    """The one perfect matching of a minor's rows to its columns inside ``keep``, in row order; None if there is none.
+
+    The matching is found by augmenting paths.  It is the only one when there is no alternating
+    cycle, that is no cycle of rows r -> r' where row r reaches the column matched to row r';
+    peeling the rows nothing points to leaves exactly the cycles.  A second matching raises
+    ValueError naming the generator.
+    """
+    rows, cols = minor
+    reach = {r: [c for c in cols if (r, c) in keep] for r in rows}
+    owner: dict[int, int] = {}  # column -> the row matched to it
+
+    def augment(r: int, seen: set[int]) -> bool:
+        for c in reach[r]:
+            if c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
+        return False
+
+    if not all(augment(r, set()) for r in rows):
+        return None
+    matched = {r: c for c, r in owner.items()}
+    points_to = {r: [owner[c] for c in reach[r] if c != matched[r]] for r in rows}
+    indegree = Counter(s for targets in points_to.values() for s in targets)
+    peeled = [r for r in rows if not indegree[r]]
+    for r in peeled:  # grows while it is read
+        for s in points_to[r]:
+            indegree[s] -= 1
+            if not indegree[s]:
+                peeled.append(s)
+    if len(peeled) < len(rows):
+        raise ValueError(f"generator {name} is not one monomial on the slice: its minor {minor} has two matchings there")
+    return [Root(r, matched[r]) for r in rows]
+
+
 def minor_name(gamma: Root) -> str:
     return f"M[{gamma.i},{gamma.j}]"
 
@@ -234,6 +325,35 @@ class GeneratorSet:
         """Each generator by name, expanded on X."""
         return list(self._expanded)
 
+    @cached_property
+    def _slice_monomials(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        column = {p: k for k, p in enumerate(sorted(self.slice))}
+        out = []
+        for name, form in self.forms[: len(self.base) + len(self.pairs)]:
+            survivors = []
+            for product in form:
+                matchings = [_one_matching(minor, self.slice, name) for minor in product]
+                if None not in matchings:
+                    survivors.append(matchings)
+            if len(survivors) != 1:
+                raise ValueError(f"generator {name} has {len(survivors)} products that survive on the slice, not one")
+            row, sign = [0] * len(column), 1
+            for matching in survivors[0]:
+                sign *= (-1) ** sum(c > d for c, d in combinations([p.j for p in matching], 2))
+                for p in matching:
+                    row[column[p]] += 1
+            out.append((sign, tuple(row)))
+        return tuple(out)
+
+    def slice_monomials(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Each core form on the slice as one signed monomial: (sign, exponents at ``sorted(slice)``).
+
+        A product survives when each of its minors has a perfect matching inside the slice
+        (``_one_matching``), and is then the product of the signed monomials of those matchings.
+        ValueError names a form with other than one surviving product, or a minor matched twice.
+        """
+        return list(self._slice_monomials)
+
     def largest_minor_order(self) -> int:
         """The largest order of a minor in the forms; expanding it costs about that order's factorial."""
         return max((len(rows) for _, form in self.forms for product in form for rows, _ in product), default=0)
@@ -251,37 +371,39 @@ def invariant_values(gens: GeneratorSet, point: MatrixPoint, minor: Callable | N
     return [form_value(form, minor) for form in gens.core_forms()]
 
 
-@lru_cache(maxsize=None)
-def slice_matching(base: Base, gamma: Root) -> tuple[int, tuple[Root, ...]]:
-    """(epsilon, S_gamma): on the slice M_gamma is epsilon * y_gamma * prod(y over S_gamma), if that is its one matching there.
+def proves_independence(gens: GeneratorSet) -> bool:
+    """Whether the core forms are proved algebraically independent by their monomials on the slice Y.
 
-    gamma and S_gamma match the rows of M_gamma to its columns; epsilon is the sign of that
-    matching, the parity of the inversions of its columns listed in row order.
+    A relation P(f) = 0 gives P(f|Y) = 0, and monomials whose exponent rows are linearly
+    independent are algebraically independent: full rank of the rows is a proof, a shortfall
+    no verdict.  ``slice_monomials`` raises ValueError on a form that is not one monomial on Y.
     """
-    inner = tuple(s_gamma(base, gamma))
-    cols = [r.j for r in sorted([Root(*gamma), *inner])]
-    return (-1) ** sum(c > d for c, d in combinations(cols, 2)), inner
+    rows = [row for _, row in gens.slice_monomials()]
+    return rank(rows) == len(rows)
 
 
 def y_coordinates(gens: GeneratorSet, values: list[Fraction]) -> MatrixPoint:
     """The unique slice point whose generators take the prescribed values, given in ``core_forms`` order.
 
-    On the slice M_xi is the signed monomial of ``slice_matching`` and L_q is M_xi * M_phi,
-    its splitting c = b.  Each target is its value divided by the rest of its monomial: the
-    base roots in column order, which solves S_xi before xi (their values must be nonzero),
-    then each phi over the value of M_xi.  ``verify_unique_intersection`` cross-checks it.
+    Each generator is its signed monomial on the slice (``slice_monomials``), with one new
+    coordinate as a factor: xi for M_xi, phi for L_q.  Each target is its value divided by
+    the rest of its monomial, the base roots in column order, which solves S_xi before xi
+    (their values must be nonzero), then the pairs.  ``verify_unique_intersection``
+    cross-checks it.
     """
     base, pairs = gens.base, gens.pairs
     check_covered(gens.ptype)
     if len(values) != len(base) + len(pairs):
         raise ValueError(f"expected {len(base) + len(pairs)} generator values, got {len(values)}")
-    minor_values = dict(zip(base.roots, values))
-    for xi, value in minor_values.items():  # the order of vanishing_minor
+    for xi, value in zip(base.roots, values):  # the order of vanishing_minor
         if value == 0:
             raise OutsideU0Error(xi)
     y: dict[Root, Fraction] = {}
-    steps = [(xi, 1) for xi in base.roots] + [(q.phi, minor_values[q.xi]) for q in pairs]
-    for (target, factor), value in zip(steps, values):
-        sign, inner = slice_matching(base, target)
-        y[target] = value / (factor * prod((y[r] for r in inner), start=Fraction(sign)))
+    positions = sorted(gens.slice)  # the columns of the exponent rows
+    targets = [*base.roots, *(q.phi for q in pairs)]
+    for target, (sign, row), value in zip(targets, gens.slice_monomials(), values):
+        rest = [(y[p], e) for p, e in zip(positions, row) if e and p != target]
+        # the rest of the monomial as one fraction of integer products, normalized once
+        num, den = prod(f.numerator ** e for f, e in rest), prod(f.denominator ** e for f, e in rest)
+        y[target] = Fraction(value.numerator * den, value.denominator * num * sign)
     return MatrixPoint.from_dict(gens.ptype.n, y)

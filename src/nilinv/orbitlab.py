@@ -2,7 +2,8 @@
 
 Unitriangular group elements, the sparse bracket [E_ij, x] and orbit
 dimension as the exact rank of its integer rows, laid out once per type
-from that bracket, randomized search for the maximal orbit dimension, and
+from that bracket, randomized search for the maximal orbit dimension, which
+stops at the bound that invariant and independent generators prove, and
 the block-by-block elimination that conjugates any point with nonvanishing
 base minors onto the linear slice spanned by the base and marked positions,
 on integer rows with one denominator per row.
@@ -19,8 +20,8 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import OutsideU0Error, ReductionError
 from .exactpoly import ZERO, MatrixPoint, _eliminate, scale_to_integers
-from .invgen import GeneratorSet, build_generators, check_covered, check_support, invariant_values, minors_at
-from .invgen import vanishing_minor, y_coordinates
+from .invgen import GeneratorSet, build_generators, check_covered, check_invariance, check_support, invariant_values
+from .invgen import minors_at, proves_independence, vanishing_minor, y_coordinates
 from .rootcomb import ParabolicType, Root, dims, is_covered, nilradical_columns, nilradical_roots
 
 DEFAULT_SEED = 271828
@@ -109,29 +110,59 @@ def sample_point(ptype: ParabolicType, rng: random.Random) -> MatrixPoint:
     return MatrixPoint.from_dict(ptype.n, dict(zip(map(tuple, nilradical_columns(ptype)), _draw(ptype, rng))))
 
 
-def max_orbit_dim(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -> int:
-    """Maximum orbit dimension over seeded random integer points: the draws of ``sample_point``, ranked on one layout."""
+def max_orbit_dim(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED, bound: int | None = None) -> int:
+    """Maximum orbit dimension over seeded random integer points: the draws of ``sample_point``, ranked on one layout.
+
+    ``bound`` is a proved upper bound on every orbit dimension, if one is known: the draws
+    stop at the first that reaches it, as no later draw can rank higher.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     layout = list(bracket_layout(ptype))
-    return max(_rank_at(layout, _draw(ptype, rng)) for _ in range(trials))
+    best = 0
+    for _ in range(trials):
+        best = max(best, _rank_at(layout, _draw(ptype, rng)))
+        if best == bound:
+            break
+    return best
+
+
+def proves_orbit_bound(gens: GeneratorSet) -> bool:
+    """Whether every orbit is proved to have dimension at most dim m - |S| - |Q|.
+
+    It is, once the core forms are proved invariant (``check_invariance``) and independent
+    (``proves_independence``): then trdeg C(m)^N >= |S| + |Q|, and by Rosenlicht (1956) the
+    largest orbit dimension is dim m - trdeg C(m)^N.  A proof that does not go through is no
+    verdict: False.
+    """
+    try:
+        check_invariance(gens.ptype, gens.forms)
+        return proves_independence(gens)
+    except ValueError:
+        return False
 
 
 def orbit_experiment(ptype: ParabolicType, trials: int, seed: int = DEFAULT_SEED) -> dict:
-    """Experiment record comparing the sampled maximum against the prediction."""
-    d = dims(GeneratorSet(ptype))
-    sampled = max_orbit_dim(ptype, trials, seed)
+    """Experiment record comparing the sampled maximum against the prediction.
+
+    The draws stop at the prediction where ``proves_orbit_bound`` holds, which leaves the
+    maximum as it is; a single trial has nothing to stop, so it is drawn without the proof.
+    """
+    gens = GeneratorSet(ptype)
+    d = dims(gens)
+    predicted = d["predicted_regular_orbit_dim"]
+    sampled = max_orbit_dim(ptype, trials, seed, predicted if trials > 1 and proves_orbit_bound(gens) else None)
     covered = is_covered(ptype)
-    exceeded = sampled > d["predicted_regular_orbit_dim"]
-    matches = sampled == d["predicted_regular_orbit_dim"]
+    exceeded = sampled > predicted
+    matches = sampled == predicted
     return {
         "type": list(ptype.block_sizes),
         "seed": seed,
         "trials": trials,
         "dims": d,
         "max_rank": sampled,
-        "predicted": d["predicted_regular_orbit_dim"],
+        "predicted": predicted,
         "covered": covered,
         "match": matches,
         "exceeds_prediction": exceeded,

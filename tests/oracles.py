@@ -121,7 +121,7 @@ def as_monomial(p):
 def invariance_table(ptype, f):
     """Per-k invariance of an expanded polynomial, k = 1..n-1, by the symbolic t-substitution of ``one_param_transform``.
 
-    The reference that ``checker.proves_invariance`` is compared against.
+    The reference that ``invgen.proves_invariance`` is compared against.
     """
     return [one_param_transform(ptype, k, f) == f for k in range(1, ptype.n)]
 

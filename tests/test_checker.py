@@ -17,21 +17,18 @@ from nilinv.exactpoly import Polynomial, T, rank
 from nilinv.checker import (
     case242_generators,
     case242_report,
-    check_invariance,
     corank_of_roots,
     derivation,
     independence_details,
-    is_zero_minor,
     jacobian_rank_at,
-    minor_derivative,
     one_param_transform,
-    proves_invariance,
     verify_type,
     weight_corank,
 )
 from nilinv import exactpoly, invgen
 from nilinv.cli import main
-from nilinv.invgen import build_generators, expand, formal_matrix, jacobian_row, minor_form, minor_poly, minors_at
+from nilinv.invgen import build_generators, check_invariance, expand, formal_matrix, is_zero_minor, jacobian_row
+from nilinv.invgen import minor_derivative, minor_form, minor_poly, minors_at, proves_invariance
 from nilinv.orbitlab import DEFAULT_SEED, sample_point
 from nilinv.rootcomb import (
     ParabolicType,
@@ -275,7 +272,7 @@ def test_unproved_form_is_refused(monkeypatch):
     x24 = ((((2,), (4,)),),)  # the entry x_(2,4), moved by g_3(t) only
     with pytest.raises(ValueError, match=r"^invariance of generator x24 is not proved on index sets at k = 3$"):
         check_invariance(pt, named + [("x24", x24)])
-    monkeypatch.setattr("nilinv.checker.proves_invariance", lambda ptype, form, k: k != 2)
+    monkeypatch.setattr("nilinv.invgen.proves_invariance", lambda ptype, form, k: k != 2)
     with pytest.raises(ValueError, match=r"^invariance of generator M\[2,3\] is not proved on index sets at k = 2$"):
         check_invariance(pt, named)
 

@@ -274,7 +274,7 @@ def test_case242_refuses_an_open_d_before_expanding(capsys, monkeypatch):
 
     for module, name in ((invgen, "minor_poly"), (exactpoly, "det_minor"), (invgen, "det_minor")):
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(checker, "proves_invariance", lambda ptype, form, k: False)
+    monkeypatch.setattr(invgen, "proves_invariance", lambda ptype, form, k: False)
     assert main(["case242"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -389,7 +389,7 @@ def test_verify_beyond_the_symbolic_orders(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: type size 27 is above the limit 24 of verify\n"
     # a generator the index-set proof leaves open is refused with one line, before anything is expanded;
     # (2,2,1,1) has no minor above order 2, and it is refused all the same
-    monkeypatch.setattr(checker, "proves_invariance", lambda ptype, form, k: False)
+    monkeypatch.setattr(invgen, "proves_invariance", lambda ptype, form, k: False)
     for sizes, name in (("8,8", "M[8,9]"), ("2,2,1,1", "M[2,3]")):
         assert main(["verify", "--type", sizes]) == 2
         captured = capsys.readouterr()
@@ -473,6 +473,8 @@ def test_json_outputs_are_byte_identical(capsys):
         ("verify_242_seed13.json", ["verify", "--type", "2,4,2", "--seed", "13"], 0),
         ("verify_22211.txt", ["verify", "--type", "2,2,2,1,1", "--format", "text"], 1),
         ("orbit_dim_222.json", ["orbit-dim", "--type", "2,2,2", "--trials", "10", "--seed", "7"], 0),
+        # a covered type whose three draws all fall short of the bound: an early stop cannot hide the shortfall
+        ("orbit_dim_1x20.json", ["orbit-dim", "--type", ",".join(["1"] * 20), "--trials", "3"], 1),
         ("base_242.txt", ["base", "--type", "2,4,2"], 0),
         ("case242_seed5.json", ["case242", "--seed", "5"], 0),
         ("verify_4.json", ["verify", "--type", "4"], 0),
@@ -480,7 +482,7 @@ def test_json_outputs_are_byte_identical(capsys):
     ],
     ids=[
         "base", "invariants", "reduce", "reduce-253", "invariants-242-latex", "invariants-242-text", "invariants-433-latex",
-        "invariants-433-text", "verify-242-json", "verify-22211-text", "orbit-dim", "base-242-text", "case242-seed5",
+        "invariants-433-text", "verify-242-json", "verify-22211-text", "orbit-dim", "orbit-dim-1x20", "base-242-text", "case242-seed5",
         "verify-4-json", "verify-22211-json",
     ],
 )

@@ -4,10 +4,12 @@ import functools
 import inspect
 import itertools
 import json
+import operator
 import pathlib
 import random
 import re
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,10 @@ import pytest
 from nilinv import invgen
 from nilinv.errors import OutsideU0Error, UnsupportedTypeError
 from nilinv.exactpoly import MatrixPoint, Polynomial
+from nilinv.checker import independence_details
 from nilinv.invgen import (
     GeneratorSet,
+    _one_matching,
     build_generators,
     check_support,
     expand,
@@ -26,6 +30,7 @@ from nilinv.invgen import (
     minor_indices,
     minors_at,
     pair_form,
+    proves_independence,
     restrict,
     vanishing_minor,
     y_coordinates,
@@ -516,21 +521,87 @@ def test_slice_and_first_products_on_every_type_up_to_9():
     assert solved == 173  # the covered types among them
 
 
-def test_y_coordinates_reads_no_form(monkeypatch):
-    # the solve reads the base and the pairs alone, so neither the forms nor the order of splittings
+def test_y_coordinates_reads_no_splitting_order(monkeypatch):
+    # the solve reads the one product of each form that survives on the slice, wherever the splittings put it
     golden = pathlib.Path(__file__).parent / "golden"
-    point = MatrixPoint.from_json_dict(json.loads((golden / "point_242_u0.json").read_text()), P242.n)
-    want = json.loads((golden / "reduce_242.json").read_text())["y"]
+    monkeypatch.setattr(invgen, "splittings", lambda q, listed=invgen.splittings: listed(q)[::-1])
+    for sizes, name in (((2, 4, 2), "242"), ((2, 5, 3), "253")):
+        gens = GeneratorSet(ParabolicType(sizes))
+        for q, form in zip(gens.pairs, gens.core_forms()[len(gens.base) :]):
+            assert form[-1] == (minor_indices(gens.base, q.xi), minor_indices(gens.base, q.phi)), q  # c = b comes last
+        point = MatrixPoint.from_json_dict(json.loads((golden / f"point_{name}_u0.json").read_text()), gens.ptype.n)
+        want = json.loads((golden / f"reduce_{name}.json").read_text())["y"]
+        assert y_coordinates(gens, invariant_values(gens, point)).to_json_dict() == want, sizes
+
+
+def _restricted_form(gens, form):
+    return restrict(gens.base, phi_set(gens.pairs), expand(gens.ptype, form))
+
+
+def test_slice_monomials_are_the_restricted_forms():
+    checked = 0
+    for n in range(1, 8):
+        for sizes in compositions(n):
+            gens = GeneratorSet(ParabolicType(sizes))
+            positions = sorted(gens.slice)
+            for form, (sign, row) in zip(gens.core_forms(), gens.slice_monomials(), strict=True):
+                factors = [V(*p) for p, e in zip(positions, row) for _ in range(e)]
+                assert _restricted_form(gens, form) == functools.reduce(operator.mul, factors, Polynomial.constant(sign))
+                checked += 1
+    assert checked == 485
+
+
+def test_monomial_independence_matches_the_sampled_verdict():
+    types = 0
+    for n in range(1, 10):
+        for sizes in compositions(n):
+            ptype = ParabolicType(sizes)
+            gens = GeneratorSet(ptype)
+            core = gens.core_forms()
+            sampled = independence_details(ptype, core).independent if core else True
+            assert proves_independence(gens) is sampled is True, sizes
+            types += 1
+    assert types == 511
+
+
+def test_slice_without_phi_is_refused():
+    # on the base alone no product of a pair polynomial has a matching: L_q restricts to 0 there
     gens = GeneratorSet(P242)
-    values = invariant_values(gens, point)
+    gens.slice = frozenset(gens.base.roots)
+    assert not restrict(gens.base, [], expand(P242, gens.core_forms()[len(gens.base)]))
+    with pytest.raises(ValueError, match=r"^generator L\[1,4;5,8\] has 0 products that survive on the slice, not one$"):
+        gens.slice_monomials()
 
-    def unread(self):
-        raise AssertionError("y_coordinates read a form")
 
-    monkeypatch.setattr(GeneratorSet, "forms", property(unread))
-    monkeypatch.setattr(GeneratorSet, "core_forms", unread)
-    assert y_coordinates(gens, values).to_json_dict() == want
-    assert y_coordinates(GeneratorSet(P242), values).to_json_dict() == want
+def _mutant(obj, pattern, mutation):
+    source, subs = re.subn(pattern, mutation, inspect.getsource(obj))
+    assert subs == 1
+    namespace = dict(vars(invgen))
+    exec(source, namespace)
+    return namespace[obj.__name__]
+
+
+def test_a_second_matching_is_refused():
+    # rows 1, 2 and columns 3, 4: two matchings on the full support, one once (2,3) is gone, none without row 2
+    minor, full = ((1, 2), (3, 4)), frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
+    with pytest.raises(ValueError, match=r"^generator X is not one monomial on the slice: its minor .* has two matchings there$"):
+        _one_matching(minor, full, "X")
+    assert _one_matching(minor, full - {(2, 3)}, "X") == [(1, 3), (2, 4)]
+    assert _one_matching(minor, frozenset({(1, 3), (1, 4)}), "X") is None
+    # a slice that is the whole nilradical of (2,2): M[1,4] then has both matchings
+    gens = GeneratorSet(ParabolicType((2, 2)))
+    gens.slice = nilradical_roots(gens.ptype)
+    with pytest.raises(ValueError, match=r"^generator M\[1,4\] is not one monomial"):
+        gens.slice_monomials()
+    # the first matching accepted without the cycle test
+    assert _mutant(_one_matching, r"if len\(peeled\) < len\(rows\):", "if False:")(minor, full, "X") is not None
+
+
+def test_distinct_rows_in_place_of_their_rank_are_caught():
+    # three distinct exponent rows of rank 2: x, y and xy are algebraically dependent
+    stub = types.SimpleNamespace(slice_monomials=lambda: [(1, (1, 0)), (1, (0, 1)), (1, (1, 1))])
+    assert proves_independence(stub) is False
+    assert _mutant(proves_independence, r"rank\(rows\) == len\(rows\)", "len(set(rows)) == len(rows)")(stub) is True
 
 
 @functools.cache
@@ -562,14 +633,14 @@ def test_monomial_solve_matches_the_det_solve():
         assert pinned is None or got.to_json_dict()["entries"] == pinned, label
 
 
-@pytest.mark.parametrize("pattern, mutation", [
-    (r"start=Fraction\(sign\)", "start=Fraction(1)"),  # the sign of the matching dropped
-    (r"minor_values\[q\.xi\]", "minor_values[q.xi_prime]"),  # a pair divided by the value of xi' in place of xi
+@pytest.mark.parametrize("obj, pattern, mutation", [
+    pytest.param(y_coordinates, r"num \* sign\)", "num)", id="sign-dropped-by-the-solve"),
+    pytest.param(GeneratorSet, r"\(-1\) \*\* sum", "1 ** sum", id="sign-dropped-from-the-matchings"),
 ])
-def test_monomial_solve_mutants_are_caught(pattern, mutation):
-    source, subs = re.subn(pattern, mutation, inspect.getsource(y_coordinates))
-    assert subs == 1
-    namespace = dict(vars(invgen))
-    exec(source, namespace)
-    mutant = namespace["y_coordinates"]
-    assert any(mutant(gens, values) != y_coordinates_by_det(gens, values) for _, gens, values, _ in _solve_cases())
+def test_monomial_solve_mutants_are_caught(obj, pattern, mutation):
+    mutant = _mutant(obj, pattern, mutation)
+    pins = [case for case in _solve_cases() if case[3] is not None]  # every reduce_pins.json record
+    if obj is GeneratorSet:
+        pins = [(label, mutant(gens.ptype), values, y) for label, gens, values, y in pins]
+    solve = y_coordinates if obj is GeneratorSet else mutant
+    assert any(solve(gens, values) != y_coordinates_by_det(gens, values) for _, gens, values, _ in pins)

@@ -14,7 +14,8 @@ import pytest
 from nilinv import orbitlab
 from nilinv.errors import OutsideU0Error, ReductionError, UnsupportedTypeError
 from nilinv.exactpoly import ZERO, MatrixPoint
-from nilinv.invgen import build_generators, formal_matrix, invariant_values, minors_at, vanishing_minor, y_coordinates
+from nilinv.invgen import GeneratorSet, build_generators, formal_matrix, invariant_values, minors_at, vanishing_minor
+from nilinv.invgen import y_coordinates
 from nilinv.orbitlab import (
     GroupElement,
     bracket,
@@ -22,6 +23,7 @@ from nilinv.orbitlab import (
     max_orbit_dim,
     orbit_dim,
     orbit_experiment,
+    proves_orbit_bound,
     reduce_to_canonical,
     sample_point,
     verify_unique_intersection,
@@ -206,6 +208,56 @@ def test_orbit_experiment_record():
     rec2 = orbit_experiment(ParabolicType((1, 2, 2, 1)), trials=20, seed=9)
     assert not rec2["covered"]
     assert rec2["exceeds_prediction"] is (rec2["max_rank"] > rec2["predicted"])
+
+
+SWEEP = [ParabolicType(sizes) for n in range(1, 9) for sizes in compositions(n)]
+
+
+def _sweep(experiment, seed, monkeypatch):
+    """The records of ``experiment`` over every composition with n <= 8 at 5 trials, and the draws it ranked."""
+    draws = []
+    monkeypatch.setattr(orbitlab, "_rank_at", lambda *args, rank=orbitlab._rank_at: draws.append(1) or rank(*args))
+    records = [experiment(ptype, 5, seed) for ptype in SWEEP]
+    monkeypatch.undo()
+    return records, len(draws)
+
+
+@functools.cache
+def _all_trials(seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(orbitlab, "proves_orbit_bound", lambda gens: False)
+        return _sweep(orbit_experiment, seed, monkeypatch)
+
+
+@pytest.mark.parametrize("seed, draws", [(1, 260), (2, 271)])
+def test_early_stop_keeps_the_all_trials_record(seed, draws, monkeypatch):
+    assert all(proves_orbit_bound(GeneratorSet(ptype)) for ptype in SWEEP)
+    assert _all_trials(seed)[1] == 5 * len(SWEEP)
+    assert _sweep(orbit_experiment, seed, monkeypatch) == (_all_trials(seed)[0], draws)
+
+
+def _open(*args):
+    raise ValueError("not proved")
+
+
+@pytest.mark.parametrize("where, stub", [
+    ("orbitlab.check_invariance", _open),  # a form the invariance proof leaves open
+    ("invgen.GeneratorSet.slice_monomials", _open),  # a form that is not one monomial on the slice
+    ("orbitlab.proves_independence", lambda gens: False),  # exponent rows short of full rank
+])
+def test_every_trial_is_drawn_without_the_proof(where, stub, monkeypatch):
+    monkeypatch.setattr(f"nilinv.{where}", stub)
+    assert not any(proves_orbit_bound(GeneratorSet(ptype)) for ptype in SWEEP)
+    assert _sweep(orbit_experiment, 1, monkeypatch) == _all_trials(1)
+
+
+def test_a_stop_below_the_bound_is_caught(monkeypatch):
+    source, subs = re.subn(r"predicted if trials > 1", "predicted - 1 if trials > 1", inspect.getsource(orbit_experiment))
+    assert subs == 1
+    namespace = dict(vars(orbitlab))
+    exec(source, namespace)
+    for seed in (1, 2):
+        assert _sweep(namespace["orbit_experiment"], seed, monkeypatch)[0] != _all_trials(seed)[0]
 
 
 def test_reduce_2_2_closed_form():

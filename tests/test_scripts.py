@@ -28,6 +28,13 @@ def test_scan_orbit_dims_finds_no_mismatch():
     assert lines[-1] == "31 types, 0 mismatches"
 
 
+def test_scan_orbit_dims_refuses_zero_trials_as_nilinv_does(capsys):
+    result = _run_script("scan_orbit_dims.py", "--max-n", "3", "--trials", "0")
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: trials must be >= 1\n")
+    assert main(["orbit-dim", "--type", "2,1", "--trials", "0"]) == 2
+    assert capsys.readouterr().err == result.stderr
+
+
 def test_scan_orbit_dims_records_match_the_golden_file(tmp_path):
     # every record, max_rank included, pins the draw order of the sampler and the rank at each draw
     result = _run_script("scan_orbit_dims.py", "--max-n", "7", "--trials", "5", "--outdir", str(tmp_path))
