@@ -1,8 +1,8 @@
 """Verification engines.
 
 Invariance under every one-parameter unitriangular subgroup, proved on the
-index sets of the generators' forms with nothing expanded by
-``invgen.check_invariance``, which raises on a form the proof leaves open,
+index sets of the generators' forms, one pass per form with nothing expanded,
+by ``invgen.check_invariance``, which raises on a form the proof leaves open,
 algebraic independence via the exact rank at random rational points of the
 Jacobian read by cofactors off the forms, weight-system coranks, and the
 full (2,4,2) case study, returned as its JSON document (the quadratic

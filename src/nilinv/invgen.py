@@ -18,7 +18,8 @@ determinant of its integer submatrix over L**k.  ``invariant_values`` (a
 list in ``core_forms`` order) and the U0 test ``vanishing_minor(base,
 point)`` read that memo, and ``jacobian_row`` differentiates a form at a
 point by cofactors read from it.  ``check_invariance`` proves a form
-invariant on its index sets, and ``GeneratorSet.slice_monomials`` reads
+invariant on its index sets in one pass over its minors
+(``unproved_steps``), and ``GeneratorSet.slice_monomials`` reads
 each core form on the linear slice ``gens.slice`` spanned by the base and
 marked positions as one signed monomial, by the one matching of each minor
 there.  Those monomials prove the generators independent
@@ -123,18 +124,15 @@ def expand(ptype: ParabolicType, form: Form) -> Polynomial:
     return form_value(form, lambda m: minor_poly(ptype, *m))
 
 
-def minor_derivative(k: int, minor: Minor) -> list[tuple[int, Minor]]:
-    """D_k M_{R,C} = [k+1 in C, k not in C] M_{R, C-(k+1)+k} - [k in R, k+1 not in R] M_{R-k+(k+1), C}, as signed minors.
+def minor_derivatives(minor: Minor) -> list[tuple[int, int, Minor]]:
+    """(k, sign, moved minor) for every k whose D_k moves the minor, a k outside 1..n-1 included.
 
+    D_k M_{R,C} = [k+1 in C, k not in C] M_{R, C-(k+1)+k} - [k in R, k+1 not in R] M_{R-k+(k+1), C}, as
     delta_k(X) = XE - EX with E = E_{k,k+1}; k and k+1 are adjacent, so no reordering sign appears.
     """
     rows, cols = minor
-    out = []
-    if k + 1 in cols and k not in cols:
-        out.append((1, (rows, tuple(k if c == k + 1 else c for c in cols))))
-    if k in rows and k + 1 not in rows:
-        out.append((-1, (tuple(k + 1 if r == k else r for r in rows), cols)))
-    return out
+    out = [(c - 1, 1, (rows, cols[:i] + (c - 1,) + cols[i + 1 :])) for i, c in enumerate(cols) if c - 1 not in cols]
+    return out + [(r, -1, (rows[:i] + (r + 1,) + rows[i + 1 :], cols)) for i, r in enumerate(rows) if r + 1 not in rows]
 
 
 def is_zero_minor(ptype: ParabolicType, minor: Minor) -> bool:
@@ -146,30 +144,30 @@ def is_zero_minor(ptype: ParabolicType, minor: Minor) -> bool:
     return any(c <= ptype.block_end(ptype.block_of(r)) for r, c in zip(*minor))
 
 
-def proves_invariance(ptype: ParabolicType, form: Form, k: int) -> bool:
-    """Whether D_k of the form cancels on index sets, which proves that g_k(t) fixes it.
+def unproved_steps(ptype: ParabolicType, form: Form) -> list[int]:
+    """The k, 1 <= k < n, at which D_k of the form does not cancel on index sets; [] proves every g_k(t) fixes it.
 
-    D_k by ``minor_derivative`` and the product rule; a term with a factor that ``is_zero_minor`` is
-    dropped, and the signs of the terms on the same minors are summed.  Sound, not complete (minors
-    obey Pluecker relations), so False is no verdict.
+    One pass over the form's minors: D_k by ``minor_derivatives`` and the product rule; a term with a
+    factor that ``is_zero_minor`` is dropped, and the signs of the terms at the same k on the same minors
+    are summed.  Sound, not complete (minors obey Pluecker relations), so an open k is no verdict.
     """
     total: Counter = Counter()
     for product in form:
         for i, factor in enumerate(product):
-            for sign, moved in minor_derivative(k, factor):
+            for k, sign, moved in minor_derivatives(factor):
                 factors = product[:i] + (moved,) + product[i + 1 :]
-                if not any(is_zero_minor(ptype, m) for m in factors):
-                    total[tuple(sorted(factors))] += sign
-    return not any(total.values())
+                if 1 <= k < ptype.n and not any(is_zero_minor(ptype, m) for m in factors):
+                    total[k, tuple(sorted(factors))] += sign
+    return sorted({k for (k, _), count in total.items() if count})
 
 
 def check_invariance(ptype: ParabolicType, named: Sequence[tuple[str, Form]]) -> None:
-    """Prove each named form invariant under g_k(t), k = 1..n-1, by ``proves_invariance`` with nothing expanded.
+    """Prove each named form invariant under g_k(t), k = 1..n-1, by ``unproved_steps`` with nothing expanded.
 
     The proof is not complete, so a form it leaves open at some k is refused: ValueError names it and those k.
     """
     for name, form in named:
-        if unproved := [k for k in range(1, ptype.n) if not proves_invariance(ptype, form, k)]:
+        if unproved := unproved_steps(ptype, form):
             raise ValueError(f"invariance of generator {name} is not proved on index sets at k = {', '.join(map(str, unproved))}")
 
 
@@ -253,6 +251,17 @@ def restrict(base: Base, phi: Iterable[Root], f: Polynomial) -> Polynomial:
     return Polynomial._wrap({mono: c for mono, c in f.terms.items() if all(v in keep for v, _ in mono)})
 
 
+def _augment(r: int, reach: Mapping[int, list[int]], owner: dict[int, int], seen: set[int]) -> bool:
+    """Match row r by an augmenting path through unseen columns into ``owner``; not a closure, so it leaves no cycle."""
+    for c in reach[r]:
+        if c not in seen:
+            seen.add(c)
+            if c not in owner or _augment(owner[c], reach, owner, seen):
+                owner[c] = r
+                return True
+    return False
+
+
 def _one_matching(minor: Minor, keep: frozenset[Root], name: str) -> list[Root] | None:
     """The one perfect matching of a minor's rows to its columns inside ``keep``, in row order; None if there is none.
 
@@ -264,17 +273,7 @@ def _one_matching(minor: Minor, keep: frozenset[Root], name: str) -> list[Root] 
     rows, cols = minor
     reach = {r: [c for c in cols if (r, c) in keep] for r in rows}
     owner: dict[int, int] = {}  # column -> the row matched to it
-
-    def augment(r: int, seen: set[int]) -> bool:
-        for c in reach[r]:
-            if c not in seen:
-                seen.add(c)
-                if c not in owner or augment(owner[c], seen):
-                    owner[c] = r
-                    return True
-        return False
-
-    if not all(augment(r, set()) for r in rows):
+    if not all(_augment(r, reach, owner, set()) for r in rows):
         return None
     matched = {r: c for c, r in owner.items()}
     points_to = {r: [owner[c] for c in reach[r] if c != matched[r]] for r in rows}

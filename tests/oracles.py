@@ -3,6 +3,7 @@
 import inspect
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -13,7 +14,7 @@ from nilinv import exactpoly
 from nilinv.checker import one_param_transform
 from nilinv.errors import OutsideU0Error, ReductionError
 from nilinv.exactpoly import MatrixPoint, Polynomial, det_minor
-from nilinv.invgen import check_covered, check_support, formal_matrix, minors_at, vanishing_minor
+from nilinv.invgen import check_covered, check_support, formal_matrix, is_zero_minor, minors_at, vanishing_minor
 from nilinv.orbitlab import GroupElement, sample_point
 from nilinv.rootcomb import ParabolicType, Root, admissible_pairs, compute_base, nilradical_roots, phi_set
 
@@ -60,6 +61,15 @@ def full_minor(matrix, minors=minors_at):
     """The determinant of a square matrix: its full minor, read through ``minors`` (``invgen.minors_at`` or a mutant)."""
     order = tuple(range(1, len(matrix) + 1))
     return minors(MatrixPoint(len(matrix), [list(row) for row in matrix]))((order, order))
+
+
+def mutant(obj, pattern, mutation):
+    """A function or class rebuilt from its source in its module's namespace, with the one match of ``pattern`` replaced."""
+    source, subs = re.subn(pattern, mutation, inspect.getsource(obj))
+    assert subs == 1
+    namespace = dict(vars(inspect.getmodule(obj)))
+    exec(source, namespace)
+    return namespace[obj.__name__]
 
 
 def without_lcm_scaling(module, *names):
@@ -121,9 +131,39 @@ def as_monomial(p):
 def invariance_table(ptype, f):
     """Per-k invariance of an expanded polynomial, k = 1..n-1, by the symbolic t-substitution of ``one_param_transform``.
 
-    The reference that ``invgen.proves_invariance`` is compared against.
+    The reference that ``invgen.unproved_steps`` is compared against.
     """
     return [one_param_transform(ptype, k, f) == f for k in range(1, ptype.n)]
+
+
+def minor_derivative(k, minor):
+    """D_k M_{R,C} = [k+1 in C, k not in C] M_{R, C-(k+1)+k} - [k in R, k+1 not in R] M_{R-k+(k+1), C}, as signed minors.
+
+    One k at a time: the reference of ``invgen.minor_derivatives``.
+    """
+    rows, cols = minor
+    out = []
+    if k + 1 in cols and k not in cols:
+        out.append((1, (rows, tuple(k if c == k + 1 else c for c in cols))))
+    if k in rows and k + 1 not in rows:
+        out.append((-1, (tuple(k + 1 if r == k else r for r in rows), cols)))
+    return out
+
+
+def proves_invariance(ptype, form, k):
+    """Whether D_k of a form cancels on index sets, one k and one ``Counter`` at a time: the reference of ``invgen.unproved_steps``.
+
+    D_k by ``minor_derivative`` and the product rule; a term with a factor that ``is_zero_minor`` is
+    dropped, and the signs of the terms on the same minors are summed.
+    """
+    total = Counter()
+    for product in form:
+        for i, factor in enumerate(product):
+            for sign, moved in minor_derivative(k, factor):
+                factors = product[:i] + (moved,) + product[i + 1 :]
+                if not any(is_zero_minor(ptype, m) for m in factors):
+                    total[tuple(sorted(factors))] += sign
+    return not any(total.values())
 
 
 def is_n_invariant(ptype, f):

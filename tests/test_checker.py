@@ -28,7 +28,7 @@ from nilinv.checker import (
 from nilinv import exactpoly, invgen
 from nilinv.cli import main
 from nilinv.invgen import build_generators, check_invariance, expand, formal_matrix, is_zero_minor, jacobian_row
-from nilinv.invgen import minor_derivative, minor_form, minor_poly, minors_at, proves_invariance
+from nilinv.invgen import D_FORM, minor_derivatives, minor_form, minor_poly, minors_at, unproved_steps
 from nilinv.orbitlab import DEFAULT_SEED, sample_point
 from nilinv.rootcomb import (
     ParabolicType,
@@ -39,7 +39,7 @@ from nilinv.rootcomb import (
     nilradical_roots,
     phi_set,
 )
-from oracles import gradient, identity, invariance_table, is_n_invariant, matmul
+from oracles import gradient, identity, invariance_table, is_n_invariant, matmul, mutant, proves_invariance
 
 P242 = ParabolicType((2, 4, 2))
 PAPER_TYPES = [(2, 1, 3, 2), (2, 2, 2, 1, 1), (2, 2, 1, 1), (2, 4, 2)]
@@ -174,7 +174,8 @@ def _random_minors():
 def test_minor_derivative_matches_derive():
     checked = 0
     for pt, k, (rows, cols) in _random_minors():
-        rule = sum((sign * minor_poly(pt, *m) for sign, m in minor_derivative(k, (rows, cols))), Polynomial.zero())
+        moves = [(sign, m) for step, sign, m in minor_derivatives((rows, cols)) if step == k]
+        rule = sum((sign * minor_poly(pt, *m) for sign, m in moves), Polynomial.zero())
         assert rule == minor_poly(pt, rows, cols).derive(derivation(pt, k)[1]), (pt, k, rows, cols)
         checked += 1
     assert checked == 6 * sum(n - 1 for n in range(2, 7) for _ in compositions(n))
@@ -189,7 +190,8 @@ def test_zero_minor_test_matches_expansion():
 
 
 def _proof_table(pt, form):
-    return [proves_invariance(pt, form, k) for k in range(1, pt.n)]
+    unproved = unproved_steps(pt, form)
+    return [k not in unproved for k in range(1, pt.n)]
 
 
 def test_proof_matches_symbolic_invariance_and_rejects_mutant():
@@ -237,6 +239,42 @@ def test_every_form_proved_on_a_sample_up_to_n24():
     assert forms == 5545
 
 
+def _random_forms():
+    # four seeded forms on every composition with 2 <= n <= 8: 1-3 products of 1-2 random minors of order 1..3
+    rng = random.Random(DEFAULT_SEED)
+    for n in range(2, 9):
+        for sizes in compositions(n):
+            for _ in range(4):
+                form = []
+                for _ in range(rng.randint(1, 3)):
+                    orders = [rng.randint(1, min(3, n // 2)) for _ in range(rng.randint(1, 2))]
+                    form.append(tuple(tuple(tuple(sorted(rng.sample(range(1, n + 1), o))) for _ in "RC") for o in orders))
+                yield ParabolicType(sizes), tuple(form)
+
+
+def test_one_pass_proof_matches_the_per_k_proof():
+    forms = opened = 0
+    for pt, form in _random_forms():
+        unproved = [k for k in range(1, pt.n) if not proves_invariance(pt, form, k)]
+        assert unproved_steps(pt, form) == unproved, (pt, form)
+        forms += 1
+        opened += bool(unproved)
+    assert forms == 1016 and opened == 184
+
+
+def test_one_pass_proof_mutants_are_caught():
+    # x13 + x24 on (2,2): D_1 x13 = -x23 and D_3 x24 = +x23 cancel only across k
+    pt = ParabolicType((2, 2))
+    form = ((((1,), (3,)),), (((2,), (4,)),))
+    assert unproved_steps(pt, form) == [1, 3]
+    assert [k for k, proved in enumerate(invariance_table(pt, expand(pt, form)), 1) if not proved] == [1, 3]
+    assert mutant(unproved_steps, r"total\[k, ", "total[None, ")(pt, form) == []  # a Counter keyed by factors alone
+    # D on (2,4,2) moves row 8 of det_{K,78} to row 9, which the 1 <= k < n filter drops
+    assert unproved_steps(P242, D_FORM) == []
+    with pytest.raises(ValueError, match=r"^index 9 out of range 1\.\.8$"):
+        mutant(unproved_steps, r"1 <= k < ptype\.n and ", "")(P242, D_FORM)
+
+
 def test_verify_expands_nothing(monkeypatch):
     # (6,6,6) against the symbolic invariance tables of the expanded generators
     pt = ParabolicType((6, 6, 6))
@@ -272,7 +310,7 @@ def test_unproved_form_is_refused(monkeypatch):
     x24 = ((((2,), (4,)),),)  # the entry x_(2,4), moved by g_3(t) only
     with pytest.raises(ValueError, match=r"^invariance of generator x24 is not proved on index sets at k = 3$"):
         check_invariance(pt, named + [("x24", x24)])
-    monkeypatch.setattr("nilinv.invgen.proves_invariance", lambda ptype, form, k: k != 2)
+    monkeypatch.setattr("nilinv.invgen.unproved_steps", lambda ptype, form: [2])
     with pytest.raises(ValueError, match=r"^invariance of generator M\[2,3\] is not proved on index sets at k = 2$"):
         check_invariance(pt, named)
 

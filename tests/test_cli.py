@@ -274,7 +274,7 @@ def test_case242_refuses_an_open_d_before_expanding(capsys, monkeypatch):
 
     for module, name in ((invgen, "minor_poly"), (exactpoly, "det_minor"), (invgen, "det_minor")):
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(invgen, "proves_invariance", lambda ptype, form, k: False)
+    monkeypatch.setattr(invgen, "unproved_steps", lambda ptype, form: list(range(1, ptype.n)))
     assert main(["case242"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -389,7 +389,7 @@ def test_verify_beyond_the_symbolic_orders(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: type size 27 is above the limit 24 of verify\n"
     # a generator the index-set proof leaves open is refused with one line, before anything is expanded;
     # (2,2,1,1) has no minor above order 2, and it is refused all the same
-    monkeypatch.setattr(invgen, "proves_invariance", lambda ptype, form, k: False)
+    monkeypatch.setattr(invgen, "unproved_steps", lambda ptype, form: list(range(1, ptype.n)))
     for sizes, name in (("8,8", "M[8,9]"), ("2,2,1,1", "M[2,3]")):
         assert main(["verify", "--type", sizes]) == 2
         captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Tests for generator construction, restriction, and slice coordinates."""
 
 import functools
+import gc
 import inspect
 import itertools
 import json
@@ -50,7 +51,7 @@ from nilinv.rootcomb import (
     phi_set,
     s_gamma,
 )
-from oracles import as_monomial, bareiss, matmul, power_minor, sample_u0_point, without_lcm_scaling, y_coordinates_by_det
+from oracles import as_monomial, bareiss, matmul, mutant, power_minor, sample_u0_point, without_lcm_scaling, y_coordinates_by_det
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -573,14 +574,6 @@ def test_slice_without_phi_is_refused():
         gens.slice_monomials()
 
 
-def _mutant(obj, pattern, mutation):
-    source, subs = re.subn(pattern, mutation, inspect.getsource(obj))
-    assert subs == 1
-    namespace = dict(vars(invgen))
-    exec(source, namespace)
-    return namespace[obj.__name__]
-
-
 def test_a_second_matching_is_refused():
     # rows 1, 2 and columns 3, 4: two matchings on the full support, one once (2,3) is gone, none without row 2
     minor, full = ((1, 2), (3, 4)), frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
@@ -594,14 +587,27 @@ def test_a_second_matching_is_refused():
     with pytest.raises(ValueError, match=r"^generator M\[1,4\] is not one monomial"):
         gens.slice_monomials()
     # the first matching accepted without the cycle test
-    assert _mutant(_one_matching, r"if len\(peeled\) < len\(rows\):", "if False:")(minor, full, "X") is not None
+    assert mutant(_one_matching, r"if len\(peeled\) < len\(rows\):", "if False:")(minor, full, "X") is not None
+
+
+def test_slice_monomials_leave_no_garbage():
+    # the augmenting search is not a closure over itself, so no matching is left in a reference cycle for the collector
+    gens = GeneratorSet(ParabolicType((4, 4, 4, 4)))
+    gc.collect()
+    gc.disable()
+    try:
+        monomials = gens.slice_monomials()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(monomials) == len(gens.base) + len(gens.pairs)
 
 
 def test_distinct_rows_in_place_of_their_rank_are_caught():
     # three distinct exponent rows of rank 2: x, y and xy are algebraically dependent
     stub = types.SimpleNamespace(slice_monomials=lambda: [(1, (1, 0)), (1, (0, 1)), (1, (1, 1))])
     assert proves_independence(stub) is False
-    assert _mutant(proves_independence, r"rank\(rows\) == len\(rows\)", "len(set(rows)) == len(rows)")(stub) is True
+    assert mutant(proves_independence, r"rank\(rows\) == len\(rows\)", "len(set(rows)) == len(rows)")(stub) is True
 
 
 @functools.cache
@@ -638,9 +644,9 @@ def test_monomial_solve_matches_the_det_solve():
     pytest.param(GeneratorSet, r"\(-1\) \*\* sum", "1 ** sum", id="sign-dropped-from-the-matchings"),
 ])
 def test_monomial_solve_mutants_are_caught(obj, pattern, mutation):
-    mutant = _mutant(obj, pattern, mutation)
+    broken = mutant(obj, pattern, mutation)
     pins = [case for case in _solve_cases() if case[3] is not None]  # every reduce_pins.json record
     if obj is GeneratorSet:
-        pins = [(label, mutant(gens.ptype), values, y) for label, gens, values, y in pins]
-    solve = y_coordinates if obj is GeneratorSet else mutant
+        pins = [(label, broken(gens.ptype), values, y) for label, gens, values, y in pins]
+    solve = y_coordinates if obj is GeneratorSet else broken
     assert any(solve(gens, values) != y_coordinates_by_det(gens, values) for _, gens, values, _ in pins)
