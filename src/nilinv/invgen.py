@@ -251,41 +251,27 @@ def restrict(base: Base, phi: Iterable[Root], f: Polynomial) -> Polynomial:
     return Polynomial._wrap({mono: c for mono, c in f.terms.items() if all(v in keep for v, _ in mono)})
 
 
-def _augment(r: int, reach: Mapping[int, list[int]], owner: dict[int, int], seen: set[int]) -> bool:
-    """Match row r by an augmenting path through unseen columns into ``owner``; not a closure, so it leaves no cycle."""
-    for c in reach[r]:
-        if c not in seen:
-            seen.add(c)
-            if c not in owner or _augment(owner[c], reach, owner, seen):
-                owner[c] = r
-                return True
-    return False
-
-
 def _one_matching(minor: Minor, keep: frozenset[Root], name: str) -> list[Root] | None:
-    """The one perfect matching of a minor's rows to its columns inside ``keep``, in row order; None if there is none.
+    """The one perfect matching of a minor's rows to its columns inside ``keep``, in row order; None if peeling finds none.
 
-    The matching is found by augmenting paths.  It is the only one when there is no alternating
-    cycle, that is no cycle of rows r -> r' where row r reaches the column matched to row r';
-    peeling the rows nothing points to leaves exactly the cycles.  A second matching raises
-    ValueError naming the generator.
+    Peels forced rows: the row with the fewest columns left is matched when it has one, as that
+    match lies in every perfect matching, and a row with none leaves no matching.  When every row
+    has two or more, there is no single matching and ValueError names the generator: a single
+    matching always leaves a forced row, since were each row to reach two columns or more,
+    alternating unmatched and matched edges would close a cycle that gives a second matching.
     """
     rows, cols = minor
-    reach = {r: [c for c in cols if (r, c) in keep] for r in rows}
-    owner: dict[int, int] = {}  # column -> the row matched to it
-    if not all(_augment(r, reach, owner, set()) for r in rows):
-        return None
-    matched = {r: c for c, r in owner.items()}
-    points_to = {r: [owner[c] for c in reach[r] if c != matched[r]] for r in rows}
-    indegree = Counter(s for targets in points_to.values() for s in targets)
-    peeled = [r for r in rows if not indegree[r]]
-    for r in peeled:  # grows while it is read
-        for s in points_to[r]:
-            indegree[s] -= 1
-            if not indegree[s]:
-                peeled.append(s)
-    if len(peeled) < len(rows):
-        raise ValueError(f"generator {name} is not one monomial on the slice: its minor {minor} has two matchings there")
+    reach = {r: {c for c in cols if (r, c) in keep} for r in rows}
+    matched: dict[int, int] = {}
+    while reach:
+        size, r = min((len(left), r) for r, left in reach.items())
+        if size == 0:
+            return None
+        if size > 1:
+            raise ValueError(f"generator {name} is not one monomial on the slice: its minor {minor} has no single matching there")
+        (matched[r],) = reach.pop(r)
+        for left in reach.values():
+            left.discard(matched[r])
     return [Root(r, matched[r]) for r in rows]
 
 
@@ -349,7 +335,7 @@ class GeneratorSet:
 
         A product survives when each of its minors has a perfect matching inside the slice
         (``_one_matching``), and is then the product of the signed monomials of those matchings.
-        ValueError names a form with other than one surviving product, or a minor matched twice.
+        ValueError names a form with other than one surviving product, or a minor with no single matching.
         """
         return list(self._slice_monomials)
 

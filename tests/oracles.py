@@ -205,6 +205,44 @@ def y_coordinates_by_det(gens, values):
     return MatrixPoint.from_dict(gens.ptype.n, coords)
 
 
+def _augment(r, reach, owner, seen):
+    """Match row r by an augmenting path through unseen columns into ``owner``."""
+    for c in reach[r]:
+        if c not in seen:
+            seen.add(c)
+            if c not in owner or _augment(owner[c], reach, owner, seen):
+                owner[c] = r
+                return True
+    return False
+
+
+def one_matching_by_augmenting(minor, keep, name):
+    """The slice matching of ``invgen._one_matching`` by augmenting paths and a cycle test: the reference it is held to.
+
+    A perfect matching is found by augmenting paths.  It is the only one when there is no alternating
+    cycle, that is no cycle of rows r -> r' where row r reaches the column matched to row r';
+    peeling the rows nothing points to leaves exactly the cycles.  None when there is no matching;
+    a second matching raises ValueError naming the generator.
+    """
+    rows, cols = minor
+    reach = {r: [c for c in cols if (r, c) in keep] for r in rows}
+    owner = {}  # column -> the row matched to it
+    if not all(_augment(r, reach, owner, set()) for r in rows):
+        return None
+    matched = {r: c for c, r in owner.items()}
+    points_to = {r: [owner[c] for c in reach[r] if c != matched[r]] for r in rows}
+    indegree = Counter(s for targets in points_to.values() for s in targets)
+    peeled = [r for r in rows if not indegree[r]]
+    for r in peeled:  # grows while it is read
+        for s in points_to[r]:
+            indegree[s] -= 1
+            if not indegree[s]:
+                peeled.append(s)
+    if len(peeled) < len(rows):
+        raise ValueError(f"generator {name} is not one monomial on the slice: its minor {minor} has two matchings there")
+    return [Root(r, matched[r]) for r in rows]
+
+
 # -- matrices -------------------------------------------------------------------
 
 

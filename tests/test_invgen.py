@@ -37,7 +37,7 @@ from nilinv.invgen import (
     y_coordinates,
 )
 from nilinv.cli import main
-from nilinv.orbitlab import DEFAULT_SEED, SAMPLE_RANGE, reduce_to_canonical, sample_point, verify_unique_intersection
+from nilinv.orbitlab import DEFAULT_SEED, SAMPLE_RANGE, proves_orbit_bound, reduce_to_canonical, sample_point, verify_unique_intersection
 from nilinv.rootcomb import (
     AdmissiblePair,
     ParabolicType,
@@ -51,7 +51,17 @@ from nilinv.rootcomb import (
     phi_set,
     s_gamma,
 )
-from oracles import as_monomial, bareiss, matmul, mutant, power_minor, sample_u0_point, without_lcm_scaling, y_coordinates_by_det
+from oracles import (
+    as_monomial,
+    bareiss,
+    matmul,
+    mutant,
+    one_matching_by_augmenting,
+    power_minor,
+    sample_u0_point,
+    without_lcm_scaling,
+    y_coordinates_by_det,
+)
 
 P242 = ParabolicType((2, 4, 2))
 
@@ -577,7 +587,7 @@ def test_slice_without_phi_is_refused():
 def test_a_second_matching_is_refused():
     # rows 1, 2 and columns 3, 4: two matchings on the full support, one once (2,3) is gone, none without row 2
     minor, full = ((1, 2), (3, 4)), frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
-    with pytest.raises(ValueError, match=r"^generator X is not one monomial on the slice: its minor .* has two matchings there$"):
+    with pytest.raises(ValueError, match=r"^generator X is not one monomial on the slice: its minor .* has no single matching there$"):
         _one_matching(minor, full, "X")
     assert _one_matching(minor, full - {(2, 3)}, "X") == [(1, 3), (2, 4)]
     assert _one_matching(minor, frozenset({(1, 3), (1, 4)}), "X") is None
@@ -586,12 +596,71 @@ def test_a_second_matching_is_refused():
     gens.slice = nilradical_roots(gens.ptype)
     with pytest.raises(ValueError, match=r"^generator M\[1,4\] is not one monomial"):
         gens.slice_monomials()
-    # the first matching accepted without the cycle test
-    assert mutant(_one_matching, r"if len\(peeled\) < len\(rows\):", "if False:")(minor, full, "X") is not None
+
+
+def _verdict(match, minor, keep):
+    """The matching that ``match`` finds, None when it finds none, or "refused"."""
+    try:
+        return match(minor, keep, "X")
+    except ValueError:
+        return "refused"
+
+
+@pytest.mark.parametrize("pattern, mutation", [
+    pytest.param(r"if size > 1:\n.*\n\s+\(matched\[r\],\) = reach\.pop\(r\)", "matched[r] = min(reach.pop(r))", id="smallest-column-where-stuck"),
+    pytest.param(r"if size == 0:", "if size != 1:", id="none-where-stuck"),
+])
+def test_peeling_mutants_are_caught(pattern, mutation, monkeypatch):
+    broken = mutant(_one_matching, pattern, mutation)
+    minor, full = ((1, 2), (3, 4)), frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
+    assert _verdict(_one_matching, minor, full) == "refused" != _verdict(broken, minor, full)
+    # (2,2) with the whole nilradical as slice: the mutant gives M[1,4] a monomial, or none, in place of the refusal
+    monkeypatch.setattr(invgen, "_one_matching", broken)
+    gens = GeneratorSet(ParabolicType((2, 2)))
+    gens.slice = nilradical_roots(gens.ptype)
+    try:
+        gens.slice_monomials()
+    except ValueError as err:
+        assert "is not one monomial" not in str(err)
+
+
+LARGE = [(20, 20, 20), (14, 14, 14), (1,) * 24, (5,) * 12, (1,) * 60]
+
+
+def test_peeling_matches_the_augmenting_reference():
+    minors = unmatched = 0
+    for sizes in [s for n in range(1, 11) for s in compositions(n)] + LARGE:
+        gens = GeneratorSet(ParabolicType(sizes))
+        for minor in {minor for form in gens.core_forms() for product in form for minor in product}:
+            got = _one_matching(minor, gens.slice, "X")
+            assert got == one_matching_by_augmenting(minor, gens.slice, "X"), (sizes, minor)
+            minors, unmatched = minors + 1, unmatched + (got is None)
+    assert (minors, unmatched) == (11810, 3578)
+
+
+def test_peeling_against_the_reference_on_random_supports():
+    # the peeling keeps every matching and every refusal of the reference; where the reference
+    # finds no matching and every row reaches two columns or more, the peeling refuses instead
+    rng = random.Random(DEFAULT_SEED)
+    seen = set()
+    for _ in range(5000):
+        k = rng.randint(1, 5)
+        minor, density = (tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1))), rng.random()
+        keep = frozenset((r, c) for r in minor[0] for c in minor[1] if rng.random() < density)
+        want, got = _verdict(one_matching_by_augmenting, minor, keep), _verdict(_one_matching, minor, keep)
+        assert got == want or (want is None and got == "refused"), (minor, sorted(keep))
+        seen.add((want if want in (None, "refused") else "matched", got if got in (None, "refused") else "matched"))
+    assert seen == {("matched", "matched"), ("refused", "refused"), (None, None), (None, "refused")}
+
+
+@pytest.mark.parametrize("sizes", LARGE[:3], ids=["20-20-20", "14-14-14", "1x24"])
+def test_large_slices_prove_the_orbit_bound(sizes):
+    gens = GeneratorSet(ParabolicType(sizes))
+    assert proves_independence(gens) and proves_orbit_bound(gens)
 
 
 def test_slice_monomials_leave_no_garbage():
-    # the augmenting search is not a closure over itself, so no matching is left in a reference cycle for the collector
+    # the peeling loop builds no closure and no reference cycle, so a matching leaves nothing for the collector
     gens = GeneratorSet(ParabolicType((4, 4, 4, 4)))
     gc.collect()
     gc.disable()
