@@ -2,9 +2,9 @@
 
 Everything is computed over arbitrary-precision rationals
 (fractions.Fraction); no floating point appears anywhere.  One scaler,
-``scale_to_integers``, multiplies rows of ints and Fractions by the lcm L
-of all their denominators; ``rank``, ``invgen.minors_at`` and
-``orbitlab.orbit_dim`` eliminate the integer rows it returns.
+``scale_to_integers``, multiplies each row by the lcm of its own
+denominators; ``rank``, ``invgen.minors_at``, ``orbitlab.orbit_dim`` and
+``orbitlab.reduce_to_canonical`` start from the integer rows it returns.
 ``MatrixPoint`` is the one exact-matrix type.  Its entries are rationals
 for nilradical points and unitriangular group elements (its subclass
 ``orbitlab.GroupElement``), and polynomials for the formal matrix of
@@ -332,10 +332,11 @@ def _eliminate(rows: list[list[int]]) -> tuple[int, int]:
     return r, sign * prev if r == nr == nc else 0
 
 
-def scale_to_integers(matrix: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
-    """Rows of ints and Fractions times the lcm L of all their denominators, as ints, and L."""
-    scale = lcm(*(v.denominator for row in matrix for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in matrix], scale
+def scale_to_integers(matrix: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
+    """Rows of ints and Fractions, each times the lcm of its own denominators, as ints; and those row lcms."""
+    # lcm(*generator) would grow its argument tuple, and each discarded tuple stays on CPython's free list
+    lcms = [lcm(*[v.denominator for v in row]) for row in matrix]
+    return [[v.numerator * (m // v.denominator) for v in row] for row, m in zip(matrix, lcms)], lcms
 
 
 def rank(matrix: Sequence[Sequence[Scalar]]) -> int:

@@ -12,14 +12,14 @@ form.  ``expand`` multiplies out expanded minors of X, only where a
 generator is printed or an identity is checked symbolically
 (``GeneratorSet(ptype)`` builds the base, the pairs and the slice once from
 the type, and expands on first read).  ``form_value`` at a point reads
-each minor from ``minors_at``, which scales the point to integers once, by
-the lcm L of its denominators, and computes each minor once: the
-determinant of its integer submatrix over L**k.  ``invariant_values`` (a
-list in ``core_forms`` order) and the U0 test ``vanishing_minor(base,
-point)`` read that memo, and ``jacobian_row`` differentiates a form at a
-point by cofactors read from it.  ``check_invariance`` proves a form
-invariant on its index sets in one pass over its minors
-(``unproved_steps``), and ``GeneratorSet.slice_monomials`` reads
+each minor from ``minors_at``, which scales the point to integers once,
+each row by the lcm of its own denominators, and computes each minor once:
+the determinant of its integer submatrix over the lcms of its rows.
+``invariant_values`` (a list in ``core_forms`` order) and the U0 test
+``vanishing_minor(base, point)`` read that memo, and ``jacobian_row``
+differentiates a form at a point by cofactors read from it.
+``check_invariance`` proves a form invariant on its index sets in one pass
+over its minors (``unproved_steps``), and ``GeneratorSet.slice_monomials`` reads
 each core form on the linear slice ``gens.slice`` spanned by the base and
 marked positions as one signed monomial, by the one matching of each minor
 there.  Those monomials prove the generators independent
@@ -190,19 +190,17 @@ def check_support(ptype: ParabolicType, point: MatrixPoint) -> None:
 def minors_at(point: MatrixPoint) -> Callable[[Minor], Fraction]:
     """The minors of a rational point, each computed once.
 
-    The point is scaled to integers once, by the lcm L of its denominators; a minor
-    of order k is then the determinant of the integer submatrix divided by L**k.
-    That scaling is kept as ``minor.scaled``, (entries, L), for a caller that reads
-    the integers too; it must not be changed.
+    The point is scaled to integers once, each row by the lcm of its own denominators;
+    a minor is then the determinant of the integer submatrix divided by the lcms of its rows.
     """
-    entries, scale = scaled = scale_to_integers(point.rows)
+    entries, lcms = scale_to_integers(point.rows)
 
     @lru_cache(maxsize=None)
     def minor(m: Minor) -> Fraction:
         rows, cols = m
-        return Fraction(_eliminate([[entries[i - 1][j - 1] for j in cols] for i in rows])[1], scale ** len(rows))
+        det = _eliminate([[entries[i - 1][j - 1] for j in cols] for i in rows])[1]
+        return Fraction(det, prod(lcms[i - 1] for i in rows))
 
-    minor.scaled = scaled
     return minor
 
 
@@ -313,12 +311,13 @@ class GeneratorSet:
     @cached_property
     def _slice_monomials(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         column = {p: k for k, p in enumerate(sorted(self.slice))}
+        memo: dict[Minor, list[Root] | None] = {}  # the forms share most of their minors
         out = []
         for name, form in self.forms[: len(self.base) + len(self.pairs)]:
             survivors = []
             for product in form:
-                matchings = [_one_matching(minor, self.slice, name) for minor in product]
-                if None not in matchings:
+                memo.update({minor: _one_matching(minor, self.slice, name) for minor in product if minor not in memo})
+                if None not in (matchings := [memo[minor] for minor in product]):
                     survivors.append(matchings)
             if len(survivors) != 1:
                 raise ValueError(f"generator {name} has {len(survivors)} products that survive on the slice, not one")

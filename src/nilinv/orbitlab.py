@@ -6,7 +6,7 @@ from that bracket, randomized search for the maximal orbit dimension, which
 stops at the bound that invariant and independent generators prove, and
 the block-by-block elimination that conjugates any point with nonvanishing
 base minors onto the linear slice spanned by the base and marked positions,
-on integer rows with one denominator per row.
+on integer rows that each start over the lcm of their own denominators.
 """
 
 from __future__ import annotations
@@ -91,13 +91,13 @@ def _rank_at(layout: Iterable[list[tuple[int, int]]], values: list[int]) -> int:
 def orbit_dim(ptype: ParabolicType, x: MatrixPoint) -> int:
     """Exact rank of a -> [a, x] from strictly upper matrices into the nilradical; ValueError off the nilradical.
 
-    The bracket is linear in x, so x is scaled once to integers by the lcm of its denominators;
-    its values, in ``nilradical_columns`` order, fill the rows of ``bracket_layout``, which go
-    straight to Bareiss elimination.
+    The bracket is linear in x and its rows mix entries of different rows of x, so x's values,
+    in ``nilradical_columns`` order, are scaled to integers as one row, by the lcm of all their
+    denominators; they fill the rows of ``bracket_layout``, which go straight to Bareiss elimination.
     """
     check_support(ptype, x)
-    entries = scale_to_integers(x.rows)[0]
-    return _rank_at(bracket_layout(ptype), [entries[i - 1][j - 1] for i, j in nilradical_columns(ptype)])
+    (values,), _ = scale_to_integers([[x.get(i, j) for i, j in nilradical_columns(ptype)]])
+    return _rank_at(bracket_layout(ptype), values)
 
 
 def _draw(ptype: ParabolicType, rng: random.Random) -> list[int]:
@@ -183,10 +183,10 @@ def reduce_to_canonical(gens: GeneratorSet, point: MatrixPoint, minor: Callable 
     with at most three blocks.
 
     It runs on integers: row r of the point is A[r] / D[r] and of g G[r] / E[r],
-    one positive denominator per row, and a row a step touches is divided by
-    the gcd of its entries and denominator; Fractions are built at the end.
-    ``minor`` is the point's ``minors_at`` memo when the caller shares one: the
-    U0 test reads it and the rows start from a copy of its integer scaling.
+    one positive denominator per row, from ``scale_to_integers``, and a row a step
+    touches is divided by the gcd of its entries and denominator; Fractions are
+    built at the end.  ``minor`` is the point's ``minors_at`` memo when the caller
+    shares one: the U0 test reads it.
     """
     ptype, base, slice_positions = gens.ptype, gens.base, gens.slice
     check_covered(ptype)
@@ -197,8 +197,7 @@ def reduce_to_canonical(gens: GeneratorSet, point: MatrixPoint, minor: Callable 
     if xi is not None:
         raise OutsideU0Error(xi)
 
-    entries, scale = minor.scaled
-    A, D = [row[:] for row in entries], [scale] * n
+    A, D = scale_to_integers(point.rows)
     G, E = [[int(i == j) for j in range(n)] for i in range(n)], [1] * n
     threeblock = s == 3 and not ptype.is_nonincreasing
 
@@ -281,7 +280,7 @@ def verify_unique_intersection(ptype: ParabolicType, point: MatrixPoint, gens: G
         gens = build_generators(ptype)
     if gens.ptype != ptype:
         raise ValueError(f"generators of type {gens.ptype} given for a point of type {ptype}")
-    minor = minors_at(point)  # one scaling and one minor memo for the reduction and the input's values
+    minor = minors_at(point)  # one minor memo for the reduction's U0 test and the input's values
     g, y = reduce_to_canonical(gens, point, minor)
     vals_in = invariant_values(gens, point, minor)
     vals_out = invariant_values(gens, y)

@@ -77,7 +77,7 @@ def without_lcm_scaling(module, *names):
 
     The mutant scales nothing: it returns other rows unless every denominator is 1.
     """
-    pattern = r"v\.numerator \* \(scale // v\.denominator\)"
+    pattern = r"v\.numerator \* \(m // v\.denominator\)"
     source, subs = re.subn(pattern, "v.numerator", inspect.getsource(exactpoly.scale_to_integers))
     assert subs == 1
     helpers = dict(vars(exactpoly))

@@ -466,6 +466,8 @@ def test_json_outputs_are_byte_identical(capsys):
         ("reduce_242.json", ["reduce", "--type", "2,4,2", "--point", str(GOLDEN / "point_242_u0.json")], 0),
         # (2,5,3) has pairs whose slice monomials carry two base roots and the sign -1
         ("reduce_253.json", ["reduce", "--type", "2,5,3", "--point", str(GOLDEN / "point_253_u0.json")], 0),
+        # the (2,4,2) point with row r divided by r + 1: its rows start over different denominators
+        ("reduce_242_rational.json", ["reduce", "--type", "2,4,2", "--point", str(GOLDEN / "point_242_rational.json")], 0),
         ("invariants_242.tex", ["invariants", "--type", "2,4,2", "--format", "latex"], 0),
         ("invariants_242.txt", ["invariants", "--type", "2,4,2", "--format", "text"], 0),
         ("invariants_433.tex", ["invariants", "--type", "4,3,3", "--format", "latex"], 0),
@@ -481,9 +483,9 @@ def test_json_outputs_are_byte_identical(capsys):
         ("verify_22211.json", ["verify", "--type", "2,2,2,1,1"], 1),
     ],
     ids=[
-        "base", "invariants", "reduce", "reduce-253", "invariants-242-latex", "invariants-242-text", "invariants-433-latex",
-        "invariants-433-text", "verify-242-json", "verify-22211-text", "orbit-dim", "orbit-dim-1x20", "base-242-text", "case242-seed5",
-        "verify-4-json", "verify-22211-json",
+        "base", "invariants", "reduce", "reduce-253", "reduce-242-rational", "invariants-242-latex", "invariants-242-text",
+        "invariants-433-latex", "invariants-433-text", "verify-242-json", "verify-22211-text", "orbit-dim", "orbit-dim-1x20",
+        "base-242-text", "case242-seed5", "verify-4-json", "verify-22211-json",
     ],
 )
 def test_output_matches_golden(capsys, golden, args, exit_code):

@@ -17,7 +17,7 @@ from nilinv.exactpoly import MatrixPoint, Polynomial, T, _eliminate, _mono_mul, 
 from nilinv.invgen import formal_matrix
 from nilinv.orbitlab import DEFAULT_SEED, bracket, max_orbit_dim, orbit_dim, sample_point
 from nilinv.rootcomb import ParabolicType, compositions, nilradical_roots
-from oracles import bareiss, degree, full_minor, gradient, identity, matmul, without_lcm_scaling
+from oracles import bareiss, degree, full_minor, gradient, identity, matmul, mutant, without_lcm_scaling
 
 X13 = Polynomial.var((1, 3))
 X14 = Polynomial.var((1, 4))
@@ -444,12 +444,14 @@ def _commutator_rank(pt, x):
 
 @functools.cache
 def _cross_check_cases():
-    """(type, point, naive rank) on every composition with n <= 7 at three points.
+    """(type, point, naive rank) on every composition with n <= 7 at three points, and one point of (1,3,1,1).
 
     The points are a DEFAULT_SEED integer point, a point with denominators 2 to 4
     and the zero point.  The fractional point is x_(p,q) = a_p / b_q with a_p in
     -9..9 and b_q in 2..4: a rank-one matrix on the nilradical, so its orbit is
-    not generic and its rank hangs on the exact values.
+    not generic and its rank hangs on the exact values.  The point of (1,3,1,1)
+    has rows over different denominators, and its rank 6 drops to 5 when each row
+    is scaled by its own lcm.
     """
     cases = []
     for n in range(1, 8):
@@ -459,13 +461,16 @@ def _cross_check_cases():
             fractional = MatrixPoint.from_dict(n, {r: Fraction(a[r.i - 1], b[r.j - 1]) for r in nilradical_roots(pt)})
             for x in (sample_point(pt, random.Random(DEFAULT_SEED)), fractional, MatrixPoint.zeros(n)):
                 cases.append((pt, x, _commutator_rank(pt, x)))
-    return cases
+    pt = ParabolicType((1, 3, 1, 1))
+    x = MatrixPoint.from_dict(6, {(1, 2): 1, (1, 3): Fraction(1, 3), (1, 4): Fraction(2, 3), (2, 5): -1, (2, 6): -1,
+                                  (3, 5): Fraction(3, 2), (3, 6): Fraction(-1, 2), (4, 6): 1})
+    return cases + [(pt, x, _commutator_rank(pt, x))]
 
 
 def test_orbit_dim_matches_naive_commutator_rank():
     # orbit_dim scales x to integers and places sparse bracket rows; the naive path does neither
     cases = _cross_check_cases()
-    assert len(cases) == 3 * 127
+    assert len(cases) == 3 * 127 + 1
     for pt, x, want in cases:
         assert orbit_dim(pt, x) == want, (pt.block_sizes, x.to_json_dict())
 
@@ -477,6 +482,14 @@ def test_orbit_dim_without_the_lcm_scaling_is_caught():
     assert any(mutant(pt, x) != want for pt, x, want in _cross_check_cases() if not integral(x))
     # at an integer point the mutant is orbit_dim
     assert all(mutant(pt, x) == want for pt, x, want in _cross_check_cases() if integral(x))
+
+
+def test_orbit_dim_scaled_row_by_row_is_caught():
+    # a bracket row mixes entries of different rows of x, so each row of x over its own lcm is another matrix
+    broken = mutant(orbit_dim, r"\(values,\), _ = scale_to_integers\(.*\)\n",
+                    "entries = scale_to_integers(x.rows)[0]\n    values = [entries[i - 1][j - 1] for i, j in nilradical_columns(ptype)]\n")
+    caught = [(pt.block_sizes, broken(pt, x), want) for pt, x, want in _cross_check_cases() if broken(pt, x) != want]
+    assert caught == [((1, 3, 1, 1), 5, 6)]
 
 
 def test_orbit_dim_on_a_layout_without_the_negative_entries_is_caught():

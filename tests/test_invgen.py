@@ -400,13 +400,19 @@ def test_minors_from_one_integer_scaling_match_fraction_determinants():
 
 
 def test_minors_divided_by_one_power_too_few_are_caught():
-    # the mutant divides a minor of order k by L**(k-1) in place of L**k
-    source, subs = re.subn(r"scale \*\* len\(rows\)", "scale ** (len(rows) - 1)", inspect.getsource(minors_at))
-    assert subs == 1
-    namespace = dict(vars(invgen))
-    exec(source, namespace)
-    mutant = namespace["minors_at"]
-    assert any(mutant(y)(m) != _fraction_det(y, m) for y, minors in _minor_cases() for m in minors if m[0])
+    # the mutant divides a minor of order k by the lcms of its last k - 1 rows only, leaving out its first row's
+    broken = mutant(minors_at, r"for i in rows\)\)", "for i in rows[1:]))")
+    assert any(broken(y)(m) != _fraction_det(y, m) for y, minors in _minor_cases() for m in minors if m[0])
+
+
+@pytest.mark.parametrize("divisor, what", [
+    ("prod(lcms[i - 1] for i in rows if i != 1)", "drops the lcm of row 1 of the point"),
+    ("prod(lcms[i % len(lcms)] for i in rows)", "reads the lcm of the next row of the point"),
+])
+def test_minors_over_another_row_lcm_are_caught(divisor, what):
+    # the minor cases are reduced points whose rows have different denominators
+    broken = mutant(minors_at, r"prod\(lcms\[i - 1\] for i in rows\)", divisor)
+    assert any(broken(y)(m) != _fraction_det(y, m) for y, minors in _minor_cases() for m in minors if m[0]), what
 
 
 def test_minors_without_the_lcm_scaling_are_caught():
@@ -625,6 +631,14 @@ def test_peeling_mutants_are_caught(pattern, mutation, monkeypatch):
 
 
 LARGE = [(20, 20, 20), (14, 14, 14), (1,) * 24, (5,) * 12, (1,) * 60]
+
+
+def test_slice_monomials_match_each_distinct_minor_once(monkeypatch):
+    # the 3080 minors of the products of (20,20,20) are 420 distinct ones, each matched once
+    calls = []
+    monkeypatch.setattr(invgen, "_one_matching", lambda minor, *rest: calls.append(minor) or _one_matching(minor, *rest))
+    GeneratorSet(ParabolicType((20, 20, 20))).slice_monomials()
+    assert len(calls) == len(set(calls)) == 420
 
 
 def test_peeling_matches_the_augmenting_reference():

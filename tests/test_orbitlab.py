@@ -312,6 +312,26 @@ def test_reduce_matches_pinned_g_and_y():
             assert (g.to_json_dict()["entries"], y.to_json_dict()["entries"]) == (rec["g"], rec["y"]), key
 
 
+REDUCE_RATIONAL_PINS = pathlib.Path(__file__).parent / "golden" / "reduce_rational_pins.json"
+
+
+def test_reduce_matches_pinned_g_and_y_at_rational_points():
+    # g and y at a seeded U0 point of each covered type with 2 <= n <= 6, its row r divided by a
+    # seeded d_r in 1..6, which scales each minor by a nonzero factor and so stays in U0; recorded
+    # when the reduction started every row over the one lcm of all the point's denominators
+    pins = json.loads(REDUCE_RATIONAL_PINS.read_text())
+    covered = [s for n in range(2, 7) for s in compositions(n) if is_covered(ParabolicType(s))]
+    assert sorted(pins) == sorted(",".join(map(str, s)) for s in covered)
+    for key, rec in pins.items():
+        pt, rng = ParabolicType.from_string(key), random.Random(key)
+        u0 = sample_u0_point(pt, rng)
+        d = [rng.randint(1, 6) for _ in range(pt.n)]
+        x = MatrixPoint.from_dict(pt.n, {(i, j): u0.get(i, j) / d[i - 1] for i, j in u0.support()})
+        assert x.to_json_dict()["entries"] == rec["point"]
+        g, y = reduce_to_canonical(build_generators(pt), x)
+        assert (g.to_json_dict()["entries"], y.to_json_dict()["entries"]) == (rec["g"], rec["y"]), key
+
+
 @functools.cache
 def _reduction_cases():
     """(type, point) on every covered composition with 2 <= n <= 8, and on (4,4,4,4) and (2,5,3).
@@ -417,14 +437,14 @@ def test_reduction_shares_the_minor_memo_and_the_zero():
     for sizes in [(2, 2, 1, 1), (2, 4, 2), (3, 1, 3)]:
         pt = ParabolicType(sizes)
         gens = build_generators(pt)
-        u0 = sample_u0_point(pt, rng)  # a third of it is in U0 too, and its rows start over the denominator 3
-        x = MatrixPoint.from_dict(pt.n, {(i, j): u0.get(i, j) / 3 for i, j in u0.support()})
+        u0 = sample_u0_point(pt, rng)  # row i over 1 + i % 3 is in U0 too, and its rows start over different denominators
+        entries = {(i, j): u0.get(i, j) / (1 + i % 3) for i, j in u0.support()}
+        x = MatrixPoint.from_dict(pt.n, entries)
         minor = minors_at(x)
-        assert minor.scaled[1] == 3
-        entries = [row[:] for row in minor.scaled[0]]
         g, y = reduce_to_canonical(gens, x, minor)
         assert (g, y) == reduce_to_canonical(gens, x)
-        assert minor.scaled[0] == entries  # the reduction worked on a copy
+        assert minor.cache_info().misses == len(gens.base)  # the U0 test read each base minor into the memo
+        assert x == MatrixPoint.from_dict(pt.n, entries)  # the reduction worked on its own rows
         assert invariant_values(gens, x, minor) == invariant_values(gens, x)
         assert minor.cache_info().hits > 0
         # y and the slice solve's point share one zero object, so comparing them skips Fraction.__eq__ on zeros
