@@ -5,6 +5,8 @@ Everything is computed over arbitrary-precision rationals
 ``scale_to_integers``, multiplies each row by the lcm of its own
 denominators; ``rank``, ``invgen.minors_at``, ``orbitlab.orbit_dim`` and
 ``orbitlab.reduce_to_canonical`` start from the integer rows it returns.
+A value computed only from rows of lcm 1 stays an int; a Fraction appears
+only where a row lcm other than 1 is read, and point entries stay Fractions.
 ``MatrixPoint`` is the one exact-matrix type.  Its entries are rationals
 for nilradical points and unitriangular group elements (its subclass
 ``orbitlab.GroupElement``), and polynomials for the formal matrix of
@@ -333,10 +335,11 @@ def _eliminate(rows: list[list[int]]) -> tuple[int, int]:
 
 
 def scale_to_integers(matrix: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
-    """Rows of ints and Fractions, each times the lcm of its own denominators, as ints; and those row lcms."""
+    """Rows of ints and Fractions, each times the lcm of its own denominators, as ints (a row of lcm 1 is its numerators); and those row lcms."""
     # lcm(*generator) would grow its argument tuple, and each discarded tuple stays on CPython's free list
     lcms = [lcm(*[v.denominator for v in row]) for row in matrix]
-    return [[v.numerator * (m // v.denominator) for v in row] for row, m in zip(matrix, lcms)], lcms
+    return [[v.numerator for v in row] if m == 1 else [v.numerator * (m // v.denominator) for v in row]
+            for row, m in zip(matrix, lcms)], lcms
 
 
 def rank(matrix: Sequence[Sequence[Scalar]]) -> int:

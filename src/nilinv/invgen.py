@@ -14,7 +14,8 @@ generator is printed or an identity is checked symbolically
 the type, and expands on first read).  ``form_value`` at a point reads
 each minor from ``minors_at``, which scales the point to integers once,
 each row by the lcm of its own denominators, and computes each minor once:
-the determinant of its integer submatrix over the lcms of its rows.
+the determinant of its integer submatrix over the lcms of its rows, an int
+where they multiply to 1, so values at an integer point stay ints.
 ``invariant_values`` (a list in ``core_forms`` order) and the U0 test
 ``vanishing_minor(base, point)`` read that memo, and ``jacobian_row``
 differentiates a form at a point by cofactors read from it.
@@ -114,7 +115,7 @@ def minor_poly(ptype: ParabolicType, rows: tuple[int, ...], cols: tuple[int, ...
     return det_minor(formal_matrix(ptype), rows, cols)
 
 
-def form_value(form: Form, minor: Callable[[Minor], Polynomial | Fraction]) -> Polynomial | Fraction:
+def form_value(form: Form, minor: Callable[[Minor], Polynomial | int | Fraction]) -> Polynomial | int | Fraction:
     """The sum of the products of a form's minors, each read through ``minor``."""
     return sum(reduce(mul, map(minor, product)) for product in form)
 
@@ -187,31 +188,33 @@ def check_support(ptype: ParabolicType, point: MatrixPoint) -> None:
             raise ValueError(f"point has entries outside the nilradical: {sorted(point.support() - nilradical_roots(ptype))}")
 
 
-def minors_at(point: MatrixPoint) -> Callable[[Minor], Fraction]:
+def minors_at(point: MatrixPoint) -> Callable[[Minor], int | Fraction]:
     """The minors of a rational point, each computed once.
 
     The point is scaled to integers once, each row by the lcm of its own denominators;
     a minor is then the determinant of the integer submatrix divided by the lcms of its rows.
+    It is that determinant itself, an int, when those lcms multiply to 1, and a Fraction otherwise.
     """
     entries, lcms = scale_to_integers(point.rows)
 
     @lru_cache(maxsize=None)
-    def minor(m: Minor) -> Fraction:
+    def minor(m: Minor) -> int | Fraction:
         rows, cols = m
         det = _eliminate([[entries[i - 1][j - 1] for j in cols] for i in rows])[1]
-        return Fraction(det, prod(lcms[i - 1] for i in rows))
+        return det if (d := prod(lcms[i - 1] for i in rows)) == 1 else Fraction(det, d)
 
     return minor
 
 
-def jacobian_row(form: Form, minor: Callable[[Minor], Fraction], column: Mapping[tuple, int]) -> list[Fraction]:
+def jacobian_row(form: Form, minor: Callable[[Minor], int | Fraction], column: Mapping[tuple, int]) -> list[int | Fraction]:
     """The gradient of a form at a point, at the index in ``column`` of each variable position.
 
     By Jacobi's formula dM_{R,C}/dx_(r,c) is the cofactor (-1)^(a+b) det(R - r, C - c),
     where r is R[a] and c is C[b]; the product rule does the rest.  ``minor`` gives
-    the minors at the point, and a position outside ``column`` is 0 in X.
+    the minors at the point, and a position outside ``column`` is 0 in X.  Entries
+    start from the int 0, so a row read only from int minors stays int.
     """
-    row = [Fraction(0)] * len(column)
+    row = [0] * len(column)
     for product in form:
         values = [minor(m) for m in product]
         for k, (rows, cols) in enumerate(product):
@@ -348,7 +351,7 @@ def build_generators(ptype: ParabolicType) -> GeneratorSet:
     return GeneratorSet(ptype)
 
 
-def invariant_values(gens: GeneratorSet, point: MatrixPoint, minor: Callable | None = None) -> list[Fraction]:
+def invariant_values(gens: GeneratorSet, point: MatrixPoint, minor: Callable | None = None) -> list[int | Fraction]:
     """The base minors and pair polynomials at a point, in ``core_forms`` order, read from ``minor`` when given."""
     check_support(gens.ptype, point)
     minor = minor or minors_at(point)
@@ -366,7 +369,7 @@ def proves_independence(gens: GeneratorSet) -> bool:
     return rank(rows) == len(rows)
 
 
-def y_coordinates(gens: GeneratorSet, values: list[Fraction]) -> MatrixPoint:
+def y_coordinates(gens: GeneratorSet, values: list[int | Fraction]) -> MatrixPoint:
     """The unique slice point whose generators take the prescribed values, given in ``core_forms`` order.
 
     Each generator is its signed monomial on the slice (``slice_monomials``), with one new

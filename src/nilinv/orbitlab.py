@@ -202,7 +202,7 @@ def reduce_to_canonical(gens: GeneratorSet, point: MatrixPoint, minor: Callable 
     threeblock = s == 3 and not ptype.is_nonincreasing
 
     def cut(rows: list[list[int]], dens: list[int], r: int) -> None:
-        if (h := gcd(dens[r], *rows[r])) > 1:
+        if dens[r] != 1 and (h := gcd(dens[r], *rows[r])) > 1:  # gcd(1, ...) is 1
             rows[r] = [x // h for x in rows[r]]
             dens[r] //= h
 

@@ -5,7 +5,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import lcm, prod
 from operator import mul
@@ -61,6 +61,24 @@ def full_minor(matrix, minors=minors_at):
     """The determinant of a square matrix: its full minor, read through ``minors`` (``invgen.minors_at`` or a mutant)."""
     order = tuple(range(1, len(matrix) + 1))
     return minors(MatrixPoint(len(matrix), [list(row) for row in matrix]))((order, order))
+
+
+def minors_at_by_fractions(point):
+    """The all-Fraction ``invgen.minors_at``: every minor is Fraction(det, the product of its rows' lcms), 1 included.
+
+    Each row is scaled by the lcm of its own denominators with a multiply and a floor
+    division, whatever that lcm.  The reference of the int path.
+    """
+    lcms = [lcm(*[v.denominator for v in row]) for row in point.rows]
+    entries = [[v.numerator * (m // v.denominator) for v in row] for row, m in zip(point.rows, lcms)]
+
+    @lru_cache(maxsize=None)
+    def minor(m):
+        rows, cols = m
+        det = exactpoly._eliminate([[entries[i - 1][j - 1] for j in cols] for i in rows])[1]
+        return Fraction(det, prod(lcms[i - 1] for i in rows))
+
+    return minor
 
 
 def mutant(obj, pattern, mutation):

@@ -481,11 +481,14 @@ def test_json_outputs_are_byte_identical(capsys):
         ("case242_seed5.json", ["case242", "--seed", "5"], 0),
         ("verify_4.json", ["verify", "--type", "4"], 0),
         ("verify_22211.json", ["verify", "--type", "2,2,2,1,1"], 1),
+        # the two largest ladder types of the benchmark; (5,5,5,5) fails its corank bookkeeping (exit 1)
+        ("verify_6666.json", ["verify", "--type", "6,6,6"], 0),
+        ("verify_5555.json", ["verify", "--type", "5,5,5,5"], 1),
     ],
     ids=[
         "base", "invariants", "reduce", "reduce-253", "reduce-242-rational", "invariants-242-latex", "invariants-242-text",
         "invariants-433-latex", "invariants-433-text", "verify-242-json", "verify-22211-text", "orbit-dim", "orbit-dim-1x20",
-        "base-242-text", "case242-seed5", "verify-4-json", "verify-22211-json",
+        "base-242-text", "case242-seed5", "verify-4-json", "verify-22211-json", "verify-666-json", "verify-5555-json",
     ],
 )
 def test_output_matches_golden(capsys, golden, args, exit_code):

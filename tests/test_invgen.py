@@ -5,6 +5,7 @@ import gc
 import inspect
 import itertools
 import json
+import math
 import operator
 import pathlib
 import random
@@ -47,6 +48,7 @@ from nilinv.rootcomb import (
     compute_base,
     dims,
     is_covered,
+    nilradical_columns,
     nilradical_roots,
     phi_set,
     s_gamma,
@@ -55,6 +57,7 @@ from oracles import (
     as_monomial,
     bareiss,
     matmul,
+    minors_at_by_fractions,
     mutant,
     one_matching_by_augmenting,
     power_minor,
@@ -423,6 +426,79 @@ def test_minors_without_the_lcm_scaling_are_caught():
     for (_, minors), sizes in zip(_minor_cases()[::2], MINOR_TYPES):
         x = sample_point(ParabolicType(sizes), random.Random(DEFAULT_SEED))
         assert all(mutant(x)(m) == minors_at(x)(m) == _fraction_det(x, m) for m in minors)
+
+
+def _points_by_row_lcm(ptype):
+    """A seeded integer point, that point with every nonzero row rational, and with only its odd rows rational.
+
+    A rational row i holds (v d + 1) / d for each nonzero v, d = 2 + i % 3, so its lcm is exactly d.
+    """
+    x = sample_point(ptype, random.Random(DEFAULT_SEED))
+
+    def over(rational):
+        return MatrixPoint(x.n, [
+            [Fraction(v.numerator * (2 + i % 3) + 1, 2 + i % 3) if v and rational(i) else v for v in row]
+            for i, row in enumerate(x.rows, 1)
+        ])
+
+    return x, over(lambda i: True), over(lambda i: i % 2)
+
+
+@functools.cache
+def _int_path_cases():
+    """(point, row lcms, forms, columns, minors): three points per composition with n <= 7, D included.
+
+    The minors are those of every form and every cofactor that ``jacobian_row`` reads.
+    """
+    cases = []
+    for n in range(1, 8):
+        for sizes in compositions(n):
+            ptype = ParabolicType(sizes)
+            forms = [form for _, form in build_generators(ptype).forms]
+            column = nilradical_columns(ptype)
+            for point in _points_by_row_lcm(ptype):
+                reference = minors_at_by_fractions(point)
+                read = {m for form in forms for product in form for m in product}
+                for form in forms:
+                    invgen.jacobian_row(form, lambda m: read.add(m) or reference(m), column)
+                lcms = [math.lcm(*[v.denominator for v in row]) for row in point.rows]
+                cases.append((point, lcms, forms, column, sorted(read)))
+    return cases
+
+
+def _int_path_faults(minors):
+    """What ``minors`` reads unlike the all-Fraction reference: a minor of another value, or not an int
+    exactly where every row it reads has lcm 1; a form value or Jacobian row of another value."""
+    faults = []
+    for point, lcms, forms, column, read in _int_path_cases():
+        minor, reference = minors(point), minors_at_by_fractions(point)
+        for m in read:
+            got = minor(m)
+            if got != reference(m) or type(got) is not (int if all(lcms[i - 1] == 1 for i in m[0]) else Fraction):
+                faults.append(m)
+        for form in forms:
+            if invgen.form_value(form, minor) != invgen.form_value(form, reference):
+                faults.append(form)
+            if invgen.jacobian_row(form, minor, column) != invgen.jacobian_row(form, reference, column):
+                faults.append(form)
+    return faults
+
+
+def test_int_minors_match_the_fraction_path():
+    assert _int_path_faults(minors_at) == []
+    # every point kind is met, and minors of both types, with a rational row behind an integral first row
+    read = [(lcms, m) for _, lcms, _, _, minors in _int_path_cases() for m in minors]
+    assert len(_int_path_cases()) == 3 * 127
+    assert any(all(lcms[i - 1] == 1 for i in m[0]) for lcms, m in read)
+    assert any(lcms[m[0][0] - 1] == 1 and any(lcms[i - 1] > 1 for i in m[0]) for lcms, m in read if m[0])
+
+
+@pytest.mark.parametrize("pattern, mutation", [
+    (r"return det if .*", "return det"),
+    (r"return det if .*", "return det if not rows or lcms[rows[0] - 1] == 1 else Fraction(det, prod(lcms[i - 1] for i in rows))"),
+], ids=["always-the-determinant", "first-row-lcm-only"])
+def test_int_minor_mutants_are_caught(pattern, mutation):
+    assert _int_path_faults(mutant(minors_at, pattern, mutation))
 
 
 def _restricted_steps(ptype, base, pairs):
